@@ -2,16 +2,20 @@
 
 Tensors are plain numpy float64 ndarrays (row-major); a Node wraps a value
 tensor together with a same-shaped gradient buffer and a backward closure.
-Graphs are built dynamically per batch, so variable sequence lengths need
-no padding logic here. Gradients accumulate with ``+=`` across node reuse;
-callers zero them between optimizer steps.
+Graphs are built dynamically per batch. Batches of variable-length posts
+are padded to the longest one, and the two ops that see the time axis take
+the {0,1} validity mask: lstm_seq carries each padded row's state through,
+and softmax_rows gives padded steps probability 0. Gradients accumulate
+with ``+=`` across node reuse; callers zero them between optimizer steps.
 
-The op set is what the emotion model needs: dense matmul in its vector and
-matrix flavors, elementwise add/mul/tanh/sigmoid/log/clip, stabilized
-softmax (plain, and row-wise with a validity mask for padded batches),
-concatenation, gather/slice/stack plumbing for batched sequences, inverted
-dropout, and the gradient-reversal node that flips the sign of gradients
-flowing into the shared encoder from the attribute discriminators.
+The op set is exactly what the emotion model calls: matmul (matrix by
+matrix or by vector), elementwise add/mul/scale_shift/tanh/sigmoid/log/clip,
+the bias add add_rowvec, row-wise stabilized softmax, 2-D concatenation,
+the row gather and pick/slice/reshape plumbing for step-major sequences,
+the fused masked LSTM recurrence lstm_seq with its hand-written backward,
+attention pooling weighted_sum, inverted dropout, and the gradient-reversal
+node that flips the sign of gradients flowing into the shared encoder from
+the attribute discriminators.
 """
 
 import numpy as np
@@ -163,9 +167,9 @@ def clip(x: Node, lo: float, hi: float) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """Matrix product; supports 2Dx2D, 2Dx1D, 1Dx2D and 1Dx1D (dot)."""
+    """Matrix product of an [n x k] matrix with a [k x m] matrix or a length-k vector."""
     av, bv = a.value, b.value
-    if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
+    if av.ndim != 2 or bv.ndim not in (1, 2):
         raise DimensionError(f"matmul: unsupported ranks {av.shape} x {bv.shape}")
     if av.shape[-1] != bv.shape[0]:
         raise DimensionError(f"matmul: inner dims of {av.shape} and {bv.shape} disagree")
@@ -173,26 +177,10 @@ def matmul(a: Node, b: Node) -> Node:
     if out.needs_grad:
         def _backward():
             g = out.grad
-            if av.ndim == 2 and bv.ndim == 2:
-                if a.needs_grad:
-                    a.grad += g @ bv.T
-                if b.needs_grad:
-                    b.grad += av.T @ g
-            elif av.ndim == 2 and bv.ndim == 1:
-                if a.needs_grad:
-                    a.grad += np.outer(g, bv)
-                if b.needs_grad:
-                    b.grad += av.T @ g
-            elif av.ndim == 1 and bv.ndim == 2:
-                if a.needs_grad:
-                    a.grad += bv @ g
-                if b.needs_grad:
-                    b.grad += np.outer(av, g)
-            else:  # 1D . 1D -> scalar
-                if a.needs_grad:
-                    a.grad += g * bv
-                if b.needs_grad:
-                    b.grad += g * av
+            if a.needs_grad:
+                a.grad += g @ bv.T if bv.ndim == 2 else np.outer(g, bv)
+            if b.needs_grad:
+                b.grad += av.T @ g
 
         out._backward = _backward
     return out
@@ -214,49 +202,6 @@ def add_rowvec(mat: Node, vec: Node) -> Node:
     return out
 
 
-def tile_rows(vec: Node, n: int) -> Node:
-    """Repeat a length-d vector as n rows (e.g. a trainable initial state per batch row)."""
-    if vec.value.ndim != 1:
-        raise DimensionError(f"tile_rows: expected vector, got {vec.value.shape}")
-    out = Node(np.broadcast_to(vec.value, (n, vec.value.shape[0])).copy(),
-               op="tile_rows", parents=(vec,))
-    if out.needs_grad:
-        def _backward():
-            vec.grad += out.grad.sum(axis=0)
-
-        out._backward = _backward
-    return out
-
-
-def mul_colvec(mat: Node, col: Node) -> Node:
-    """Scale row i of an [n x d] matrix by col[i]."""
-    if mat.value.ndim != 2 or col.value.ndim != 1 or mat.value.shape[0] != col.value.shape[0]:
-        raise DimensionError(f"mul_colvec: {mat.value.shape} * {col.value.shape}")
-    out = Node(mat.value * col.value[:, None], op="mul_colvec", parents=(mat, col))
-    if out.needs_grad:
-        def _backward():
-            if mat.needs_grad:
-                mat.grad += out.grad * col.value[:, None]
-            if col.needs_grad:
-                col.grad += (out.grad * mat.value).sum(axis=1)
-
-        out._backward = _backward
-    return out
-
-
-def cols(mat: Node, j0: int, j1: int) -> Node:
-    """Column slice [:, j0:j1] of a matrix."""
-    if mat.value.ndim != 2:
-        raise DimensionError(f"cols: expected matrix, got {mat.value.shape}")
-    out = Node(mat.value[:, j0:j1], op="cols", parents=(mat,))
-    if out.needs_grad:
-        def _backward():
-            mat.grad[:, j0:j1] += out.grad
-
-        out._backward = _backward
-    return out
-
-
 def row_block(mat: Node, i0: int, i1: int) -> Node:
     """Row slice [i0:i1, :] of a matrix."""
     if mat.value.ndim != 2:
@@ -265,26 +210,6 @@ def row_block(mat: Node, i0: int, i1: int) -> Node:
     if out.needs_grad:
         def _backward():
             mat.grad[i0:i1] += out.grad
-
-        out._backward = _backward
-    return out
-
-
-def vstack_rows(items: list[Node]) -> Node:
-    """Stack T [n x d] matrices into one [T*n x d] matrix, block t first.
-
-    Lets per-step projections collapse into one large matmul.
-    """
-    if not items:
-        raise DimensionError("vstack_rows: empty input")
-    n = items[0].value.shape[0]
-    out = Node(np.concatenate([it.value for it in items], axis=0),
-               op="vstack_rows", parents=tuple(items))
-    if out.needs_grad:
-        def _backward():
-            for t, it in enumerate(items):
-                if it.needs_grad:
-                    it.grad += out.grad[t * n : (t + 1) * n]
 
         out._backward = _backward
     return out
@@ -305,43 +230,18 @@ def unstack_to_cols(vec: Node, blocks: int, n: int) -> Node:
 
 
 def concat(a: Node, b: Node) -> Node:
-    """Concatenate along the last axis; vectors give [p+q], matrices [n x (p+q)]."""
+    """Concatenate an [n x p] and an [n x q] matrix into [n x (p+q)]."""
     av, bv = a.value, b.value
-    if av.ndim != bv.ndim or av.ndim not in (1, 2):
-        raise DimensionError(f"concat: incompatible ranks {av.shape}, {bv.shape}")
-    if av.ndim == 2 and av.shape[0] != bv.shape[0]:
-        raise DimensionError(f"concat: row counts differ {av.shape}, {bv.shape}")
-    p = av.shape[-1]
-    out = Node(np.concatenate([av, bv], axis=-1), op="concat", parents=(a, b))
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[0] != bv.shape[0]:
+        raise DimensionError(f"concat: incompatible shapes {av.shape}, {bv.shape}")
+    p = av.shape[1]
+    out = Node(np.concatenate([av, bv], axis=1), op="concat", parents=(a, b))
     if out.needs_grad:
         def _backward():
-            if av.ndim == 1:
-                if a.needs_grad:
-                    a.grad += out.grad[:p]
-                if b.needs_grad:
-                    b.grad += out.grad[p:]
-            else:
-                if a.needs_grad:
-                    a.grad += out.grad[:, :p]
-                if b.needs_grad:
-                    b.grad += out.grad[:, p:]
-
-        out._backward = _backward
-    return out
-
-
-def softmax(logits: Node) -> Node:
-    """Stabilized softmax over a length-n vector, n >= 1."""
-    if logits.value.ndim != 1 or logits.value.shape[0] < 1:
-        raise DimensionError(f"softmax: expected nonempty vector, got {logits.value.shape}")
-    z = logits.value - logits.value.max()
-    e = np.exp(z)
-    p = e / e.sum()
-    out = Node(p, op="softmax", parents=(logits,))
-    if out.needs_grad:
-        def _backward():
-            g = out.grad
-            logits.grad += p * (g - np.dot(g, p))
+            if a.needs_grad:
+                a.grad += out.grad[:, :p]
+            if b.needs_grad:
+                b.grad += out.grad[:, p:]
 
         out._backward = _backward
     return out
@@ -420,42 +320,102 @@ def pick_cols(mat: Node, idx: np.ndarray) -> Node:
     return out
 
 
-def stack_cols(vecs: list[Node]) -> Node:
-    """Stack T length-n vectors into an [n x T] matrix."""
-    if not vecs:
-        raise DimensionError("stack_cols: empty input")
-    out = Node(np.stack([v.value for v in vecs], axis=1), op="stack_cols",
-               parents=tuple(vecs))
+def weighted_sum(weights: Node, stacked: Node) -> Node:
+    """Pool a [T*n x d] step-major sequence with per-row weights from an [n x T] matrix.
+
+    out[i] = sum_t weights[i, t] * stacked[t*n + i]; this is attention
+    pooling fused into one node to keep graphs small on long sequences.
+    """
+    w, s = weights.value, stacked.value
+    if w.ndim != 2 or s.ndim != 2 or s.shape[0] != w.size:
+        raise DimensionError(f"weighted_sum: weights {w.shape} vs items {s.shape}")
+    n, T = w.shape
+    items = s.reshape(T, n, -1)
+    out = Node(np.einsum("nt,tnd->nd", w, items), op="weighted_sum",
+               parents=(weights, stacked))
     if out.needs_grad:
         def _backward():
-            for t, v in enumerate(vecs):
-                if v.needs_grad:
-                    v.grad += out.grad[:, t]
+            g = out.grad
+            if weights.needs_grad:
+                weights.grad += np.einsum("nd,tnd->nt", g, items)
+            if stacked.needs_grad:
+                stacked.grad += (w.T[:, :, None] * g).reshape(T * n, -1)
 
         out._backward = _backward
     return out
 
 
-def weighted_sum(weights: Node, items: list[Node]) -> Node:
-    """Pool T [n x d] matrices with per-row weights from an [n x T] matrix.
+def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
+             mask: np.ndarray) -> Node:
+    """A whole masked LSTM recurrence as one node.
 
-    out[i] = sum_t weights[i, t] * items[t][i]; this is attention pooling
-    fused into one node to keep graphs small on long sequences.
+    pre_x is the [T*n x 4h] input projection, step-major, with gates in the
+    order i, f, o, g; mask is the constant [n x T] {0,1} validity array. The
+    output holds every step's hidden state as [T*n x h], step-major. Where
+    mask[i, t] == 0, row i carries its h and c unchanged, so the last block
+    holds each row's final state. The activated gates of all steps live in
+    one [T x n x 4h] buffer next to tanh(c), h and c; the backward pass runs
+    masked BPTT over them, gives padded rows of pre_x exactly 0 gradient,
+    and accumulates wh's gradient in one matmul after the time loop.
     """
-    w = weights.value
-    if w.ndim != 2 or w.shape[1] != len(items):
-        raise DimensionError(f"weighted_sum: weights {w.shape} vs {len(items)} items")
-    stacked = np.stack([it.value for it in items])  # [T x n x d]
-    out = Node(np.einsum("nt,tnd->nd", w, stacked), op="weighted_sum",
-               parents=(weights, *items))
+    n, T = mask.shape
+    hd = wh.value.shape[0]
+    if (pre_x.value.shape != (T * n, 4 * hd) or wh.value.shape != (hd, 4 * hd)
+            or b.value.shape != (4 * hd,) or h0.value.shape != (hd,)
+            or c0.value.shape != (hd,)):
+        raise DimensionError(
+            f"lstm_seq: pre_x {pre_x.value.shape}, wh {wh.value.shape}, b {b.value.shape}, "
+            f"h0 {h0.value.shape}, c0 {c0.value.shape} with mask {mask.shape}")
+    keep = (mask.T > 0)[:, :, None]  # [T x n x 1]
+    x = pre_x.value.reshape(T, n, 4 * hd)
+    w = wh.value
+    gates = np.empty((T, n, 4 * hd))
+    tanh_c = np.empty((T, n, hd))
+    hs = np.empty((T + 1, n, hd))  # hs[t + 1] is the state after step t
+    cs = np.empty((T + 1, n, hd))
+    hs[0], cs[0] = h0.value, c0.value
+    for t in range(T):
+        pre = x[t] + hs[t] @ w + b.value
+        gt = gates[t]
+        gt[:, : 3 * hd] = _sigmoid_stable(pre[:, : 3 * hd])
+        gt[:, 3 * hd :] = np.tanh(pre[:, 3 * hd :])
+        gi, gf, go, gg = np.split(gt, 4, axis=1)
+        c_new = gf * cs[t] + gi * gg
+        tanh_c[t] = np.tanh(c_new)
+        hs[t + 1] = np.where(keep[t], go * tanh_c[t], hs[t])
+        cs[t + 1] = np.where(keep[t], c_new, cs[t])
+    out = Node(hs[1:].reshape(T * n, hd), op="lstm_seq", parents=(pre_x, wh, b, h0, c0))
     if out.needs_grad:
         def _backward():
-            g = out.grad
-            if weights.needs_grad:
-                weights.grad += np.einsum("nd,tnd->nt", g, stacked)
-            for t, it in enumerate(items):
-                if it.needs_grad:
-                    it.grad += g * w[:, t : t + 1]
+            d_out = out.grad.reshape(T, n, hd)
+            d_pre = np.empty((T, n, 4 * hd))
+            dh = np.zeros((n, hd))
+            dc = np.zeros((n, hd))
+            for t in range(T - 1, -1, -1):
+                dh = dh + d_out[t]
+                # padded rows pass dh and dc straight back to the previous step
+                live_h = np.where(keep[t], dh, 0.0)
+                live_c = np.where(keep[t], dc, 0.0)
+                gi, gf, go, gg = np.split(gates[t], 4, axis=1)
+                di, df, do, dg = np.split(d_pre[t], 4, axis=1)
+                live_c = live_c + live_h * go * (1.0 - tanh_c[t] * tanh_c[t])
+                di[...] = live_c * gg * gi * (1.0 - gi)
+                df[...] = live_c * cs[t] * gf * (1.0 - gf)
+                do[...] = live_h * tanh_c[t] * go * (1.0 - go)
+                dg[...] = live_c * gi * (1.0 - gg * gg)
+                dh = d_pre[t] @ w.T + np.where(keep[t], 0.0, dh)
+                dc = live_c * gf + np.where(keep[t], 0.0, dc)
+            flat = d_pre.reshape(T * n, 4 * hd)
+            if pre_x.needs_grad:
+                pre_x.grad += flat
+            if wh.needs_grad:
+                wh.grad += hs[:-1].reshape(T * n, hd).T @ flat
+            if b.needs_grad:
+                b.grad += flat.sum(axis=0)
+            if h0.needs_grad:
+                h0.grad += dh.sum(axis=0)
+            if c0.needs_grad:
+                c0.grad += dc.sum(axis=0)
 
         out._backward = _backward
     return out
@@ -498,18 +458,12 @@ def dropout(x: Node, rate: float, rng: np.random.Generator, train_mode: bool) ->
     return out
 
 
-def backward(loss: Node) -> None:
-    """Backpropagate from a scalar loss through the whole reachable graph.
-
-    Visits each node exactly once in reverse topological order; nodes not on
-    a path to the loss keep their (zero) gradients. Constant-only subgraphs
-    are pruned from the traversal.
-    """
-    if loss.value.size != 1:
-        raise ContractError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+def graph_order(root: Node) -> list[Node]:
+    """Every node reachable from root through its parents, each once, with
+    parents before children."""
     order = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -520,9 +474,21 @@ def backward(loss: Node) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if p.needs_grad and id(p) not in visited:
+            if id(p) not in visited:
                 stack.append((p, False))
+    return order
+
+
+def backward(loss: Node) -> None:
+    """Backpropagate from a scalar loss through the whole reachable graph.
+
+    Runs each node's backward closure exactly once, in reverse topological
+    order; nodes not on a path to the loss keep their (zero) gradients.
+    Constants have no closure, so the walk passes over them at no cost.
+    """
+    if loss.value.size != 1:
+        raise ContractError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     loss.grad += 1.0
-    for node in reversed(order):
+    for node in reversed(graph_order(loss)):
         if node._backward is not None:
             node._backward()

@@ -95,10 +95,6 @@ def load_with_meta(path: str) -> tuple[list[Post], int]:
     return posts, m
 
 
-def load(path: str) -> list[Post]:
-    return load_with_meta(path)[0]
-
-
 def save(path: str, posts: list[Post], m: int | None = None) -> None:
     """Write one JSON object per line; emotions in canonical order for stable bytes."""
     with open(path, "w", encoding="utf-8") as fh:

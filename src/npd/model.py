@@ -4,9 +4,11 @@ heads, with every ablation variant wired from the same parts.
 
 Forward passes are batched: posts are padded to the batch's longest
 sequence and a {0,1} validity mask keeps padded steps out of both the
-recurrence (the hidden state carries through, so the final state is each
-post's own last state) and the attention softmax. All parameters live in a
-flat name -> Node map whose name prefix ("f.", "y.", "g.", "l.") is the
+recurrence and the attention softmax. The encoder is one input matmul and
+one fused lstm_seq node whose [T*b x h] step-major output holds every
+step's hidden state; the state carries through padded steps, so the last
+block is each post's own final state. All parameters live in a flat
+name -> Node map whose name prefix ("f.", "y.", "g.", "l.") is the
 parameter partition used by the saddle-point update.
 
 Checkpoint layout (little-endian, documented for external readers):
@@ -17,6 +19,7 @@ Checkpoint layout (little-endian, documented for external readers):
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -171,48 +174,24 @@ class NpdModel:
             return ad.rows(self.params["f.embed"], flat)
         return ad.constant(self.embedding[flat])
 
-    def _encode(self, ids: np.ndarray, mask: np.ndarray):
-        """Run the LSTM over padded ids; returns per-step hidden nodes and the
-        final per-post hidden state (padding carries the state forward)."""
+    def _encode(self, ids: np.ndarray, mask: np.ndarray) -> Node:
+        """Run the LSTM over padded ids: one input matmul, then one fused
+        recurrence node. Returns every step's hidden state as a [T*b x h]
+        node, step-major; padding carries the state forward, so the last
+        block holds each post's final state."""
         p = self.params
-        b, T = ids.shape
-        h = ad.tile_rows(p["f.lstm.h0"], b)
-        c = ad.tile_rows(p["f.lstm.c0"], b)
-        hd = self.hidden_dim
         pre_x = ad.matmul(self._embed_all_steps(ids), p["f.lstm.wx"])  # [T*b x 4h]
-        hs = []
-        for t in range(T):
-            x_part = ad.row_block(pre_x, t * b, (t + 1) * b)
-            pre = ad.add_rowvec(ad.add(x_part, ad.matmul(h, p["f.lstm.wh"])),
-                                p["f.lstm.b"])
-            gi = ad.sigmoid(ad.cols(pre, 0, hd))
-            gf = ad.sigmoid(ad.cols(pre, hd, 2 * hd))
-            go = ad.sigmoid(ad.cols(pre, 2 * hd, 3 * hd))
-            gc = ad.tanh(ad.cols(pre, 3 * hd, 4 * hd))
-            c_new = ad.add(ad.mul(gf, c), ad.mul(gi, gc))
-            h_new = ad.mul(go, ad.tanh(c_new))
-            col = mask[:, t]
-            if np.all(col == 1.0):
-                h, c = h_new, c_new
-            else:
-                keep = ad.constant(np.repeat(col[:, None], hd, axis=1))
-                drop = ad.constant(1.0 - keep.value)
-                h = ad.add(ad.mul(h_new, keep), ad.mul(h, drop))
-                c = ad.add(ad.mul(c_new, keep), ad.mul(c, drop))
-            hs.append(h)
-        return hs, h
+        return ad.lstm_seq(pre_x, p["f.lstm.wh"], p["f.lstm.b"], p["f.lstm.h0"],
+                           p["f.lstm.c0"], mask)
 
-    def _attend(self, hs: list[Node], mask: np.ndarray, which: str,
-                stacked: Node | None = None):
+    def _attend(self, states: Node, mask: np.ndarray, which: str):
         p = self.params
         w, bias, u = p[f"f.att_{which}.w"], p[f"f.att_{which}.b"], p[f"f.att_{which}.u"]
         b, T = mask.shape
-        if stacked is None:
-            stacked = ad.vstack_rows(hs)  # [T*b x h], step-major
-        proj = ad.tanh(ad.add_rowvec(ad.matmul(stacked, w), bias))
+        proj = ad.tanh(ad.add_rowvec(ad.matmul(states, w), bias))
         scores = ad.unstack_to_cols(ad.matmul(proj, u), T, b)
         weights = ad.softmax_rows(scores, mask)
-        pooled = ad.weighted_sum(weights, hs)
+        pooled = ad.weighted_sum(weights, states)
         return weights, pooled
 
     def _emotion_heads(self, head_in: Node) -> list[Node]:
@@ -254,19 +233,17 @@ class NpdModel:
             ids[i, :n] = post.ids
             mask[i, :n] = 1.0
 
-        hs, h_last = self._encode(ids, mask)
+        states = self._encode(ids, mask)
+        h_last = ad.row_block(states, (T - 1) * b, T * b)
         variant = self.variant
         use_reversal = reversal and variant.uses_reversal
 
         attention: dict[str, Node] = {}
         v_g = v_l = None
-        stacked = None
-        if variant.uses_gender_attention or variant.uses_location_attention:
-            stacked = ad.vstack_rows(hs)
         if variant.uses_gender_attention:
-            attention["gender"], v_g = self._attend(hs, mask, "g", stacked)
+            attention["gender"], v_g = self._attend(states, mask, "g")
         if variant.uses_location_attention:
-            attention["location"], v_l = self._attend(hs, mask, "l", stacked)
+            attention["location"], v_l = self._attend(states, mask, "l")
 
         if v_g is not None and v_l is not None:
             head_in = ad.concat(v_g, v_l)
@@ -344,25 +321,40 @@ def save_checkpoint(path: str, model: NpdModel) -> None:
             fh.write(arr.tobytes())
 
 
+def _read(fh, size: int, path: str, section: str) -> bytes:
+    """Exactly size bytes of the named section, or a DataError if the file ends
+    first. Checked before reading, so a corrupt length never allocates."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise DataError(f"{path}: checkpoint truncated in {section} "
+                        f"(wanted {size} bytes, {left} left)")
+    return fh.read(size)
+
+
 def load_checkpoint(path: str) -> NpdModel:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        if _read(fh, 4, path, "magic") != _MAGIC:
             raise DataError(f"{path}: not a model checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, path, "version"))
         if version != _VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        (count,) = struct.unpack("<Q", fh.read(8))
+        (mlen,) = struct.unpack("<Q", _read(fh, 8, path, "manifest length"))
+        try:
+            manifest = json.loads(_read(fh, mlen, path, "manifest").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: malformed checkpoint manifest ({exc})") from exc
+        (count,) = struct.unpack("<Q", _read(fh, 8, path, "tensor count"))
         tensors = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<Q", fh.read(8))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<Q", fh.read(8))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
+        for k in range(count):
+            where = f"tensor {k}"
+            (nlen,) = struct.unpack("<Q", _read(fh, 8, path, f"{where} name length"))
+            name = _read(fh, nlen, path, f"{where} name").decode("utf-8", errors="replace")
+            where = f"tensor {name!r}"
+            (ndim,) = struct.unpack("<Q", _read(fh, 8, path, f"{where} rank"))
+            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path, f"{where} dims"))
             size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            tensors[name] = data.astype(np.float64)
+            data = np.frombuffer(_read(fh, 8 * size, path, f"{where} data"), dtype="<f8")
+            tensors[name] = data.reshape(shape).astype(np.float64)
     embedding = tensors.pop("embedding")
     model = NpdModel(manifest, embedding)
     if set(tensors) != set(model.params):

@@ -202,14 +202,6 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
     return EmbeddingTable(w_in)
 
 
-def lookup(table: EmbeddingTable, ids: list[int]) -> np.ndarray:
-    """Row-gather: returns an [n x embed_dim] array of embeddings."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
-        raise ContractError(f"embedding id out of range for vocab size {table.vocab_size}")
-    return table.matrix[idx].reshape(len(ids), table.embed_dim)
-
-
 def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None:
     """Write `<vocab_size> <embed_dim>` then one `token v1 ... vd` line per token.
 
@@ -226,10 +218,13 @@ def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None
 
 
 def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
+    """Read a save_embeddings file; every malformed or non-finite entry is a
+    DataError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: malformed embedding header")
+        if len(header) != 2 or not all(x.isdecimal() for x in header):
+            raise DataError(f"{path}:1: malformed embedding header, expected "
+                            f"'<vocab_size> <embed_dim>'")
         size, dim = int(header[0]), int(header[1])
         tokens, rows = [], []
         for lineno, line in enumerate(fh, start=2):
@@ -237,10 +232,17 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
             if len(parts) != dim + 1:
                 raise DataError(f"{path}:{lineno}: expected token + {dim} values")
             tokens.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
     if len(tokens) != size:
         raise DataError(f"{path}: header declares {size} rows, found {len(tokens)}")
     if tokens[:2] != [PAD_TOKEN, OOV_TOKEN]:
         raise DataError(f"{path}: first rows must be {PAD_TOKEN} and {OOV_TOKEN}")
+    matrix = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}:{int(bad[0]) + 2}: non-finite value")
     vocab = Vocabulary(tokens[2:])
-    return vocab, EmbeddingTable(np.asarray(rows, dtype=np.float64))
+    return vocab, EmbeddingTable(matrix)

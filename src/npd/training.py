@@ -23,19 +23,6 @@ from .seeding import substream
 _PROB_FLOOR = 1e-300   # emotion heads: guards log(0) on collapsed softmax
 _BCE_EPS = 1e-12       # discriminators: clamp range [eps, 1-eps]
 
-clamp_warnings = 0
-
-
-def reset_clamp_warnings() -> None:
-    global clamp_warnings
-    clamp_warnings = 0
-
-
-def _count_clamps(values: np.ndarray, lo: float) -> None:
-    global clamp_warnings
-    if np.any(values < lo):
-        clamp_warnings += int(np.sum(values < lo))
-
 
 @dataclass
 class ModelDims:
@@ -86,7 +73,6 @@ def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Nod
     total = None
     for j, p in enumerate(probs):
         picked = ad.pick_cols(p, gold_bits[:, j])
-        _count_clamps(picked.value, _PROB_FLOOR)
         term = ad.summation(ad.log(ad.clip(picked, _PROB_FLOOR, 1.0)))
         total = term if total is None else ad.add(total, term)
     loss = ad.scale_shift(total, -1.0 / b)
@@ -176,20 +162,7 @@ def clip_global_norm(params: dict[str, Node], max_norm: float) -> float:
 
 def _first_nonfinite(loss: Node, param_names: dict[int, str]) -> str:
     """Name the earliest node (in forward order) holding a non-finite value."""
-    order, visited, stack = [], set(), [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    for node in order:  # order is already parents-before-children
+    for node in ad.graph_order(loss):
         if not np.all(np.isfinite(node.value)):
             return param_names.get(id(node), f"{node.op}{list(node.value.shape)}")
     return "loss"
@@ -266,10 +239,10 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
                                 dropout_rate=cfg.dropout_rate)
             j_y, j_g, j_l, j = batch_losses(model, fwd, batch, cfg)
             if not np.isfinite(j.value):
+                bad = _first_nonfinite(j, param_names)
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}; first bad tensor: "
-                    f"{_first_nonfinite(j, param_names)}",
-                    tensor_name=_first_nonfinite(j, param_names))
+                    f"non-finite loss at epoch {epoch}; first bad tensor: {bad}",
+                    tensor_name=bad)
             ad.backward(j)
             if cfg.grad_clip > 0.0:
                 clip_global_norm(model.params, cfg.grad_clip)

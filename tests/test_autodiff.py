@@ -69,7 +69,7 @@ class TestMatmul:
 
     @pytest.mark.parametrize(
         "sa,sb",
-        [((3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4, 2)), ((4,), (4,))],
+        [((3, 4), (4, 2)), ((3, 4), (4,))],
     )
     def test_grad_all_rank_cases(self, sa, sb):
         rng = np.random.default_rng(7)
@@ -109,35 +109,37 @@ class TestElementwise:
 
 
 class TestSoftmax:
+    """The row-wise softmax on one-row matrices."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(ad.softmax(ad.constant([0.0, 0.0])).value, [0.5, 0.5])
+        np.testing.assert_allclose(ad.softmax_rows(ad.constant([[0.0, 0.0]])).value, [[0.5, 0.5]])
 
     def test_single_class(self):
-        np.testing.assert_array_equal(ad.softmax(ad.constant([123.4])).value, [1.0])
+        np.testing.assert_array_equal(ad.softmax_rows(ad.constant([[123.4]])).value, [[1.0]])
 
     def test_reference_values(self):
         # reference computed at 50 decimal digits
-        expected = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
-        np.testing.assert_allclose(ad.softmax(ad.constant([1.0, 2.0, 3.0])).value,
+        expected = [[0.09003057317038046, 0.24472847105479764, 0.6652409557748219]]
+        np.testing.assert_allclose(ad.softmax_rows(ad.constant([[1.0, 2.0, 3.0]])).value,
                                    expected, rtol=0, atol=1e-12)
 
     def test_simplex_at_large_magnitudes(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            logits = rng.uniform(-1e3, 1e3, size=rng.integers(1, 9))
-            p = ad.softmax(ad.constant(logits)).value
+            logits = rng.uniform(-1e3, 1e3, size=(1, rng.integers(1, 9)))
+            p = ad.softmax_rows(ad.constant(logits)).value
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            ad.softmax(ad.constant(np.zeros(0)))
+            ad.softmax_rows(ad.constant(np.zeros((1, 0))))
 
     def test_grad_fd(self):
-        x0 = np.array([0.3, -1.2, 2.0])
-        probe = linear_probe((3,))
+        x0 = np.array([[0.3, -1.2, 2.0]])
+        probe = linear_probe((1, 3))
         x = ad.param(x0)
-        ad.backward(ad.summation(ad.mul(ad.softmax(x), ad.constant(probe))))
+        ad.backward(ad.summation(ad.mul(ad.softmax_rows(x), ad.constant(probe))))
 
         def f(v):
             e = np.exp(v - v.max())
@@ -148,26 +150,26 @@ class TestSoftmax:
 
 class TestConcat:
     def test_empty_left_identity(self):
-        out = ad.concat(ad.constant(np.zeros(0)), ad.constant([1.0, 2.0]))
-        np.testing.assert_array_equal(out.value, [1.0, 2.0])
+        out = ad.concat(ad.constant(np.zeros((1, 0))), ad.constant([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out.value, [[1.0, 2.0]])
 
     def test_definition(self):
-        out = ad.concat(ad.constant([1.0]), ad.constant([2.0, 3.0]))
-        np.testing.assert_array_equal(out.value, [1.0, 2.0, 3.0])
+        out = ad.concat(ad.constant([[1.0], [4.0]]), ad.constant([[2.0, 3.0], [5.0, 6.0]]))
+        np.testing.assert_array_equal(out.value, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_grad_routes_to_slices(self):
         rng = np.random.default_rng(11)
-        a0, b0 = rng.standard_normal(3), rng.standard_normal(4)
-        probe = linear_probe((7,))
+        a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
+        probe = linear_probe((2, 7))
         a, b = ad.param(a0), ad.param(b0)
         out = ad.mul(ad.concat(a, b), ad.constant(probe))
         ad.backward(ad.summation(ad.tanh(out)))
 
         def f_a(v):
-            return float(np.tanh(np.concatenate([v, b0]) * probe).sum())
+            return float(np.tanh(np.concatenate([v, b0], axis=1) * probe).sum())
 
         def f_b(v):
-            return float(np.tanh(np.concatenate([a0, v]) * probe).sum())
+            return float(np.tanh(np.concatenate([a0, v], axis=1) * probe).sum())
 
         assert_grad_close(a.grad, numeric_grad(f_a, a0))
         assert_grad_close(b.grad, numeric_grad(f_b, b0))
@@ -285,31 +287,6 @@ class TestBatchOps:
         assert_grad_close(m.grad, numeric_grad(lambda a: float(((a + v0) * probe).sum()), m0))
         assert_grad_close(v.grad, numeric_grad(lambda a: float(((m0 + a) * probe).sum()), v0))
 
-    def test_tile_rows(self):
-        v0 = np.array([1.0, -2.0])
-        probe = linear_probe((3, 2))
-        v = ad.param(v0)
-        ad.backward(ad.summation(ad.mul(ad.tile_rows(v, 3), ad.constant(probe))))
-        np.testing.assert_allclose(v.grad, probe.sum(axis=0))
-
-    def test_mul_colvec(self):
-        rng = np.random.default_rng(22)
-        m0, c0 = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        probe = linear_probe((4, 3))
-        m, c = ad.param(m0), ad.param(c0)
-        ad.backward(ad.summation(ad.mul(ad.mul_colvec(m, c), ad.constant(probe))))
-        assert_grad_close(m.grad, numeric_grad(lambda a: float((a * c0[:, None] * probe).sum()), m0))
-        assert_grad_close(c.grad, numeric_grad(lambda a: float((m0 * a[:, None] * probe).sum()), c0))
-
-    def test_cols_slice(self):
-        rng = np.random.default_rng(23)
-        m0 = rng.standard_normal((3, 6))
-        m = ad.param(m0)
-        ad.backward(ad.summation(ad.cols(m, 2, 5)))
-        expect = np.zeros_like(m0)
-        expect[:, 2:5] = 1.0
-        np.testing.assert_array_equal(m.grad, expect)
-
     def test_rows_gather_accumulates(self):
         t = ad.param(np.arange(8.0).reshape(4, 2))
         out = ad.rows(t, np.array([1, 1, 3]))
@@ -329,34 +306,20 @@ class TestBatchOps:
         ad.backward(ad.summation(out))
         np.testing.assert_array_equal(m.grad, [[0, 1], [1, 0], [0, 1]])
 
-    def test_stack_cols(self):
-        a, b = ad.param([1.0, 2.0]), ad.param([3.0, 4.0])
-        out = ad.stack_cols([a, b])
-        np.testing.assert_array_equal(out.value, [[1.0, 3.0], [2.0, 4.0]])
-        probe = linear_probe((2, 2))
-        ad.backward(ad.summation(ad.mul(out, ad.constant(probe))))
-        np.testing.assert_allclose(a.grad, probe[:, 0])
-        np.testing.assert_allclose(b.grad, probe[:, 1])
-
     def test_weighted_sum(self):
         rng = np.random.default_rng(24)
         w0 = rng.random((3, 2))
-        h0 = [rng.standard_normal((3, 4)) for _ in range(2)]
+        s0 = rng.standard_normal((2 * 3, 4))  # T=2 blocks of n=3 rows, step-major
         probe = linear_probe((3, 4))
-        w = ad.param(w0)
-        hs = [ad.param(h) for h in h0]
-        ad.backward(ad.summation(ad.mul(ad.weighted_sum(w, hs), ad.constant(probe))))
+        w, stacked = ad.param(w0), ad.param(s0)
+        ad.backward(ad.summation(ad.mul(ad.weighted_sum(w, stacked), ad.constant(probe))))
 
-        def f_w(a):
-            return float(sum(a[:, t : t + 1] * h0[t] for t in range(2)).__mul__(probe).sum())
+        def pooled(a, s):
+            return sum(a[:, t : t + 1] * s[3 * t : 3 * t + 3] for t in range(2))
 
-        assert_grad_close(w.grad, numeric_grad(f_w, w0))
-        for t in range(2):
-            def f_h(a, t=t):
-                items = [a if s == t else h0[s] for s in range(2)]
-                return float(sum(w0[:, s : s + 1] * items[s] for s in range(2)).__mul__(probe).sum())
-
-            assert_grad_close(hs[t].grad, numeric_grad(f_h, h0[t]))
+        assert_grad_close(w.grad, numeric_grad(lambda a: float((pooled(a, s0) * probe).sum()), w0))
+        assert_grad_close(stacked.grad,
+                          numeric_grad(lambda s: float((pooled(w0, s) * probe).sum()), s0))
 
     def test_softmax_rows_masked(self):
         logits0 = np.array([[1.0, 2.0, 5.0], [0.5, -1.0, 9.9]])
@@ -387,17 +350,6 @@ class TestBatchOps:
         expect[2:5] = 1.0
         np.testing.assert_array_equal(m.grad, expect)
 
-    def test_vstack_rows(self):
-        rng = np.random.default_rng(26)
-        a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
-        probe = linear_probe((4, 3))
-        a, b = ad.param(a0), ad.param(b0)
-        out = ad.vstack_rows([a, b])
-        np.testing.assert_array_equal(out.value, np.concatenate([a0, b0]))
-        ad.backward(ad.summation(ad.mul(out, ad.constant(probe))))
-        np.testing.assert_allclose(a.grad, probe[:2])
-        np.testing.assert_allclose(b.grad, probe[2:])
-
     def test_unstack_to_cols(self):
         v0 = np.arange(6.0)  # blocks=3, n=2, block-major
         v = ad.param(v0)
@@ -424,9 +376,9 @@ class TestInvariants:
         rng = np.random.default_rng(55)
         for _ in range(20):
             w = ad.param(rng.standard_normal((5, 5)))
-            x = ad.constant(rng.standard_normal(5))
-            h = ad.tanh(ad.matmul(w, x))
-            p = ad.softmax(h)
+            x = ad.constant(rng.standard_normal((1, 5)))
+            h = ad.tanh(ad.matmul(x, w))
+            p = ad.softmax_rows(h)
             loss = ad.summation(ad.log(ad.clip(p, 1e-12, 1.0)))
             ad.backward(loss)
             assert np.isfinite(loss.value)
@@ -436,8 +388,75 @@ class TestInvariants:
         rng = np.random.default_rng(56)
         nodes = [
             ad.matmul(ad.param(rng.standard_normal((2, 3))), ad.param(rng.standard_normal((3, 4)))),
-            ad.softmax(ad.param(rng.standard_normal(6))),
-            ad.concat(ad.param(rng.standard_normal(2)), ad.param(rng.standard_normal(3))),
+            ad.softmax_rows(ad.param(rng.standard_normal((1, 6)))),
+            ad.concat(ad.param(rng.standard_normal((1, 2))), ad.param(rng.standard_normal((1, 3)))),
         ]
         for n in nodes:
             assert n.grad.shape == n.value.shape
+
+
+def lstm_inputs(lengths, hd, seed):
+    """Random lstm_seq inputs for posts of the given lengths, padded to the longest."""
+    rng = np.random.default_rng(seed)
+    n, T = len(lengths), max(lengths)
+    mask = np.zeros((n, T))
+    for i, k in enumerate(lengths):
+        mask[i, :k] = 1.0
+    arrays = [rng.standard_normal((T * n, 4 * hd)), 0.5 * rng.standard_normal((hd, 4 * hd)),
+              0.5 * rng.standard_normal(4 * hd), 0.5 * rng.standard_normal(hd),
+              0.5 * rng.standard_normal(hd)]
+    return arrays, mask
+
+
+class TestLstmSeq:
+    def test_grad_fd_all_inputs(self):
+        arrays, mask = lstm_inputs([1, 6, 13, 30], hd=4, seed=61)
+        probe = linear_probe((30 * 4, 4), seed=62)
+        nodes = [ad.param(a) for a in arrays]
+        ad.backward(ad.summation(ad.mul(ad.lstm_seq(*nodes, mask), ad.constant(probe))))
+        live = (mask.T > 0).reshape(-1)  # step-major rows of pre_x; padded ones get 0
+
+        def f(k, v):
+            args = [ad.constant(v if j == k else a) for j, a in enumerate(arrays)]
+            return float((ad.lstm_seq(*args, mask).value * probe).sum())
+
+        def f_live(v):
+            pre_x = arrays[0].copy()
+            pre_x[live] = v
+            return f(0, pre_x)
+
+        assert_grad_close(nodes[0].grad[live], numeric_grad(f_live, arrays[0][live]))
+        for k in range(1, 5):
+            assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
+
+    def test_padded_rows_of_pre_x_get_zero_grad(self):
+        arrays, mask = lstm_inputs([2, 9, 5], hd=3, seed=63)
+        nodes = [ad.param(a) for a in arrays]
+        out = ad.lstm_seq(*nodes, mask)
+        ad.backward(ad.summation(ad.mul(out, ad.constant(linear_probe(out.value.shape)))))
+        padded = (mask.T == 0).reshape(-1)  # step-major rows of pre_x
+        assert padded.any()
+        np.testing.assert_array_equal(nodes[0].grad[padded], 0.0)
+        assert np.all(nodes[0].grad[~padded] != 0.0)
+
+    def test_padding_carries_state(self):
+        arrays, mask = lstm_inputs([2, 7], hd=3, seed=64)
+        states = ad.lstm_seq(*map(ad.constant, arrays), mask).value.reshape(7, 2, 3)
+        for t in range(2, 7):
+            np.testing.assert_array_equal(states[t, 0], states[1, 0])
+
+    def test_all_ones_mask_matches_straightline_recurrence(self):
+        arrays, mask = lstm_inputs([8, 8, 8], hd=5, seed=65)
+        pre_x, wh, b, h0, c0 = arrays
+        out = ad.lstm_seq(*map(ad.constant, arrays), mask).value
+
+        def sig(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        h, c = np.tile(h0, (3, 1)), np.tile(c0, (3, 1))
+        for t in range(8):
+            pre = pre_x[3 * t : 3 * t + 3] + h @ wh + b
+            i, f, o, g = sig(pre[:, :5]), sig(pre[:, 5:10]), sig(pre[:, 10:15]), np.tanh(pre[:, 15:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            np.testing.assert_allclose(out[3 * t : 3 * t + 3], h, rtol=0, atol=1e-12)

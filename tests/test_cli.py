@@ -6,11 +6,15 @@ full-size determinism and trend runs live in the acceptance suite.
 
 import io
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from npd.cli import main
 from npd.corpus import SynthConfig
+from npd.errors import DataError
+from npd.model import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +130,62 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def checkpoint_cuts(blob: bytes) -> dict:
+    """Byte lengths at which to cut a checkpoint: the start of every section
+    up to the first tensor's data, points inside sections, and the start of
+    the second tensor. Offsets follow the layout in npd.model's docstring."""
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    name_at = 24 + mlen
+    (nlen,) = struct.unpack_from("<Q", blob, name_at)
+    (ndim,) = struct.unpack_from("<Q", blob, name_at + 8 + nlen)
+    dims_at = name_at + 16 + nlen
+    data_at = dims_at + 8 * ndim
+    size = int(np.prod(struct.unpack_from(f"<{ndim}Q", blob, dims_at)))
+    return {"empty file": 0, "inside magic": 2, "at version": 4, "at manifest length": 8,
+            "at manifest": 16, "inside manifest": 16 + mlen // 2,
+            "at tensor count": 16 + mlen, "at tensor name length": name_at,
+            "at tensor name": name_at + 8, "at tensor rank": name_at + 8 + nlen,
+            "at tensor dims": dims_at, "at tensor data": data_at,
+            "inside tensor data": data_at + 4 * size + 3,
+            "at second tensor": data_at + 8 * size, "last byte missing": len(blob) - 1}
+
+
+# (where the file ends, the section the error must name)
+TRUNCATIONS = [
+    ("empty file", "magic"), ("inside magic", "magic"), ("at version", "version"),
+    ("at manifest length", "manifest length"), ("at manifest", "manifest"),
+    ("inside manifest", "manifest"), ("at tensor count", "tensor count"),
+    ("at tensor name length", "tensor 0 name length"), ("at tensor name", "tensor 0 name"),
+    ("at tensor rank", "tensor 'embedding' rank"), ("at tensor dims", "tensor 'embedding' dims"),
+    ("at tensor data", "tensor 'embedding' data"),
+    ("inside tensor data", "tensor 'embedding' data"),
+    ("at second tensor", "tensor 1 name length"), ("last byte missing", "data"),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case,section", TRUNCATIONS, ids=[c for c, _ in TRUNCATIONS])
+    def test_truncated_checkpoint(self, mini_pipeline, tmp_path, capsys, case, section):
+        blob = mini_pipeline["model"].read_bytes()
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob[: checkpoint_cuts(blob)[case]])
+        with pytest.raises(DataError, match="truncated") as caught:
+            load_checkpoint(str(path))
+        assert str(path) in str(caught.value) and section in str(caught.value)
+        assert main(["eval", "--model", str(path), "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"])]) == 1
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", "nan", "-inf"])
+    def test_bad_embedding_value(self, mini_pipeline, tmp_path, capsys, value):
+        lines = mini_pipeline["embeddings"].read_text(encoding="utf-8").splitlines()
+        token, _, *rest = lines[3].split(" ")
+        lines[3] = " ".join([token, value, *rest])
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["eval", "--model", str(mini_pipeline["model"]),
+                     "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(path)]) == 1
+        assert f"{path}:4: " in capsys.readouterr().err

@@ -17,7 +17,6 @@ from npd.corpus import (
     Post,
     SynthConfig,
     encode,
-    load,
     load_with_meta,
     save,
     split,
@@ -59,7 +58,7 @@ class TestLoadSave:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("")
-        assert load(path) == []
+        assert load_with_meta(path)[0] == []
 
     def test_single_record(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -76,13 +75,13 @@ class TestLoadSave:
         bad = {"text": "b", "emotions": ["joy"], "gender": "male", "location": 0}
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DataError, match=r"2.*'joy'"):
-            load(path)
+            load_with_meta(path)[0]
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"text": "a", "emotions": [], "gender": "male", "location": 0}\n{oops\n')
         with pytest.raises(DataError, match=r":2:"):
-            load(path)
+            load_with_meta(path)[0]
 
     def test_header_declares_m(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -2,6 +2,8 @@
 and checkpoint IO. Forward values and gradients are verified against the
 straight-line numpy oracle."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -112,10 +114,10 @@ class TestAttention:
         p["f.att_g.b"].value[...] = 0.0
         p["f.att_g.u"].value[...] = np.array([10.0, 0.0, 0.0, 0.0])
         big = 1.0
-        hs = [ad.constant(np.array([[big, 0.0, 0.0, 0.0]])),
-              ad.constant(np.array([[-big, 0.0, 0.0, 0.0]])),
-              ad.constant(np.array([[-big, 0.0, 0.0, 0.0]]))]
-        weights, _ = model._attend(hs, np.ones((1, 3)), "g")
+        states = ad.constant(np.array([[big, 0.0, 0.0, 0.0],
+                                       [-big, 0.0, 0.0, 0.0],
+                                       [-big, 0.0, 0.0, 0.0]]))  # T=3 steps of one post
+        weights, _ = model._attend(states, np.ones((1, 3)), "g")
         assert weights.value[0, 0] > 0.999
 
 
@@ -269,9 +271,9 @@ class TestSimplexInvariants:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            s = rng.standard_normal(rng.integers(1, 12))
-            a = ad.softmax(ad.constant(s)).value
-            b = ad.softmax(ad.constant(s + 17.3)).value
+            s = rng.standard_normal((1, rng.integers(1, 12)))
+            a = ad.softmax_rows(ad.constant(s)).value
+            b = ad.softmax_rows(ad.constant(s + 17.3)).value
             np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -312,6 +314,12 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope" + b"\x00" * 64)
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_oversized_length_field_rejected(self, tmp_path):
+        path = tmp_path / "corrupt.bin"
+        path.write_bytes(b"NPDC" + struct.pack("<IQ", 1, 2**62) + b"{}")
+        with pytest.raises(DataError, match="manifest"):
             load_checkpoint(path)
 
     def test_forward_identical_after_reload(self, tmp_path):

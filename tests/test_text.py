@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from npd.errors import ConfigError, ContractError
+from npd.errors import ConfigError, ContractError, DataError
 from npd.text import (
     EmbeddingTable,
     SkipGramConfig,
     Vocabulary,
     build_vocab,
     load_embeddings,
-    lookup,
     save_embeddings,
     tokenize,
     train_skipgram,
@@ -60,25 +59,6 @@ class TestVocabulary:
         vocab = build_vocab([["red", "green", "blue"]], max_size=10)
         tokens = ["blue", "red", "green", "red"]
         assert vocab.decode(vocab.encode(tokens)) == tokens
-
-
-class TestLookup:
-    def make(self):
-        rng = np.random.default_rng(1)
-        return EmbeddingTable(rng.standard_normal((6, 3)))
-
-    def test_empty(self):
-        assert lookup(self.make(), []).shape == (0, 3)
-
-    def test_single_and_repeated(self):
-        t = self.make()
-        np.testing.assert_array_equal(lookup(t, [4]), t.matrix[4:5])
-        out = lookup(t, [2, 2])
-        np.testing.assert_array_equal(out[0], out[1])
-
-    def test_out_of_range(self):
-        with pytest.raises(ContractError):
-            lookup(self.make(), [6])
 
 
 def _expected_init(vocab_size, dim, seed):
@@ -154,3 +134,34 @@ class TestPersistence:
         save_embeddings(path, vocab, table)
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == "3 2"
+
+
+GOOD_EMBEDDINGS = "3 2\n<pad> 0.0 0.0\n<oov> 0.5 -0.5\nalpha 1.0 2.0\n"
+
+# (case, file text, line the error must name)
+BAD_EMBEDDINGS = [
+    ("non-numeric header", GOOD_EMBEDDINGS.replace("3 2", "3 two", 1), 1),
+    ("one-field header", GOOD_EMBEDDINGS.replace("3 2", "3", 1), 1),
+    ("negative header", GOOD_EMBEDDINGS.replace("3 2", "-3 2", 1), 1),
+    ("non-numeric value", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 x"), 3),
+    ("nan value", GOOD_EMBEDDINGS.replace("1.0 2.0", "nan 2.0"), 4),
+    ("inf value", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 inf"), 3),
+    ("negative inf value", GOOD_EMBEDDINGS.replace("0.0 0.0", "-inf 0.0"), 2),
+]
+
+
+class TestMalformedEmbeddings:
+    def test_good_file_loads(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text(GOOD_EMBEDDINGS, encoding="utf-8")
+        vocab, table = load_embeddings(path)
+        assert vocab.id_to_token == ["<pad>", "<oov>", "alpha"]
+        np.testing.assert_array_equal(table.matrix[2], [1.0, 2.0])
+
+    @pytest.mark.parametrize("case,content,line", BAD_EMBEDDINGS,
+                             ids=[c[0] for c in BAD_EMBEDDINGS])
+    def test_rejected_with_path_and_line(self, tmp_path, case, content, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError, match=f"emb.txt:{line}: "):
+            load_embeddings(path)

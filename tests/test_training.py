@@ -302,9 +302,14 @@ class TestTrainLoop:
         cfg = TrainingConfig(max_epochs=1, seed=5)
         emb = tiny_embedding(rng)
         emb[2:] = np.nan
-        with pytest.raises(DivergenceError):
-            train(tiny_dataset(rng, 12), [], "LSTM", cfg, emb, num_locations=5,
+        data = tiny_dataset(rng, 12)  # one batch, padded to its longest post
+        with pytest.raises(DivergenceError) as caught:
+            train(data, [], "LSTM", cfg, emb, num_locations=5,
                   dims=ModelDims(hidden_dim=4))
+        # the frozen embeddings enter the graph as one [T*b x e] constant
+        steps = max(len(p.ids) for p in data)
+        assert caught.value.tensor_name == f"const[{steps * len(data)}, {emb.shape[1]}]"
+        assert caught.value.tensor_name in str(caught.value)
 
     def test_empty_train_split_rejected(self):
         rng = np.random.default_rng(14)
