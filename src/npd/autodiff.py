@@ -2,30 +2,28 @@
 
 Tensors are plain numpy float64 ndarrays (row-major); a Node wraps a value
 tensor together with a same-shaped gradient buffer and a backward closure.
-Graphs are built dynamically per batch. Batches of variable-length posts
-are padded to the longest one, and the two ops that see the time axis take
-the {0,1} validity mask: lstm_seq carries each padded row's state through,
-and softmax_rows gives padded steps probability 0. Gradients accumulate
-with ``+=`` across node reuse; callers zero them between optimizer steps.
+Graphs are built dynamically per batch and consumed by backward. Batches of
+variable-length posts are padded to the longest one, and the two ops that
+see the time axis take the {0,1} validity mask: lstm_seq carries each
+padded row's state through, and softmax_rows gives padded steps
+probability 0. Gradients accumulate with ``+=`` across node reuse; callers
+zero them between optimizer steps.
 
-The op set is exactly what the emotion model calls: matmul (matrix by
-matrix or by vector), elementwise add/mul/scale_shift/tanh/sigmoid/log/clip,
+The op set is exactly what the emotion model and its losses call: matmul
+(matrix by matrix or by vector), elementwise add/scale_shift/tanh/sigmoid,
 the bias add add_rowvec, row-wise stabilized softmax, 2-D concatenation,
-the row gather and pick/slice/reshape plumbing for step-major sequences,
-the fused masked LSTM recurrence lstm_seq with its hand-written backward,
-attention pooling weighted_sum, inverted dropout, and the gradient-reversal
+the row gather and slice/reshape plumbing for step-major sequences, the
+fused masked LSTM recurrence lstm_seq with its hand-written backward,
+attention pooling weighted_sum, inverted dropout, the gradient-reversal
 node that flips the sign of gradients flowing into the shared encoder from
-the attribute discriminators.
+the attribute discriminators, and two fused loss nodes: nll, the clipped
+mean negative log-likelihood of each row's gold class, and sum_squares,
+the L2 penalty over a list of parameters.
 """
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-
-
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a float64 ndarray (the toolkit's tensor type)."""
-    return np.asarray(x, dtype=np.float64)
 
 
 class Node:
@@ -42,7 +40,7 @@ class Node:
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (),
                  needs_grad: bool | None = None):
-        self.value = as_tensor(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
         self.op = op
         self.parents = parents
@@ -97,21 +95,6 @@ def add(a: Node, b: Node) -> Node:
     return out
 
 
-def mul(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
-    out = Node(a.value * b.value, op="mul", parents=(a, b))
-    if out.needs_grad:
-        def _backward():
-            if a.needs_grad:
-                a.grad += out.grad * b.value
-            if b.needs_grad:
-                b.grad += out.grad * a.value
-
-        out._backward = _backward
-    return out
-
-
 def scale_shift(x: Node, k: float, c: float = 0.0) -> Node:
     """k*x + c with python-scalar k, c."""
     out = Node(k * x.value + c, op="scale_shift", parents=(x,))
@@ -138,29 +121,6 @@ def sigmoid(x: Node) -> Node:
     if out.needs_grad:
         def _backward():
             x.grad += out.value * (1.0 - out.value) * out.grad
-
-        out._backward = _backward
-    return out
-
-
-def log(x: Node) -> Node:
-    out = Node(np.log(x.value), op="log", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += out.grad / x.value
-
-        out._backward = _backward
-    return out
-
-
-def clip(x: Node, lo: float, hi: float) -> Node:
-    """Clamp values to [lo, hi]; gradient passes through only where unclamped."""
-    out = Node(np.clip(x.value, lo, hi), op="clip", parents=(x,))
-    if out.needs_grad:
-        inside = (x.value >= lo) & (x.value <= hi)
-
-        def _backward():
-            x.grad += out.grad * inside
 
         out._backward = _backward
     return out
@@ -277,17 +237,6 @@ def softmax_rows(logits: Node, mask: np.ndarray | None = None) -> Node:
     return out
 
 
-def summation(x: Node) -> Node:
-    """Sum of all elements, as a 0-d scalar node."""
-    out = Node(x.value.sum(), op="sum", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += out.grad
-
-        out._backward = _backward
-    return out
-
-
 def rows(table: Node, ids: np.ndarray) -> Node:
     """Gather rows of a [V x d] matrix; repeated ids accumulate gradient."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -299,22 +248,6 @@ def rows(table: Node, ids: np.ndarray) -> Node:
     if out.needs_grad:
         def _backward():
             np.add.at(table.grad, idx, out.grad)
-
-        out._backward = _backward
-    return out
-
-
-def pick_cols(mat: Node, idx: np.ndarray) -> Node:
-    """Select mat[i, idx[i]] for each row i, giving a length-n vector."""
-    j = np.asarray(idx, dtype=np.int64)
-    n = mat.value.shape[0]
-    if mat.value.ndim != 2 or j.shape != (n,):
-        raise DimensionError(f"pick_cols: {mat.value.shape} with index shape {j.shape}")
-    r = np.arange(n)
-    out = Node(mat.value[r, j], op="pick_cols", parents=(mat,))
-    if out.needs_grad:
-        def _backward():
-            mat.grad[r, j] += out.grad
 
         out._backward = _backward
     return out
@@ -421,6 +354,48 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
     return out
 
 
+def nll(probs: Node, gold: np.ndarray, lo: float, hi: float) -> Node:
+    """Mean negative log-likelihood of each row's gold class, as a 0-d node.
+
+    probs is an [n x k] matrix of class probabilities and gold holds one
+    class index per row; the value is -(1/n) * sum_i log clip(probs[i,
+    gold[i]], lo, hi). The clip keeps the log finite on collapsed
+    probabilities, and gradient flows only into picked entries it left
+    unchanged.
+    """
+    p = probs.value
+    j = np.asarray(gold, dtype=np.int64)
+    if p.ndim != 2 or j.shape != (p.shape[0],):
+        raise DimensionError(f"nll: probabilities {p.shape} with gold shape {j.shape}")
+    n = p.shape[0]
+    r = np.arange(n)
+    picked = p[r, j]
+    clipped = np.clip(picked, lo, hi)
+    out = Node((-1.0 / n) * np.log(clipped).sum(), op="nll", parents=(probs,))
+    if out.needs_grad:
+        inside = (picked >= lo) & (picked <= hi)
+
+        def _backward():
+            probs.grad[r, j] += (-1.0 / n) * out.grad / clipped * inside
+
+        out._backward = _backward
+    return out
+
+
+def sum_squares(nodes: list[Node]) -> Node:
+    """Sum of the squared entries of every node in the list, as a 0-d node."""
+    out = Node(sum(float((w.value * w.value).sum()) for w in nodes), op="sum_squares",
+               parents=tuple(nodes))
+    if out.needs_grad:
+        def _backward():
+            for w in nodes:
+                if w.needs_grad:
+                    w.grad += 2.0 * out.grad * w.value
+
+        out._backward = _backward
+    return out
+
+
 def grad_reverse(x: Node, lambda_rev: float) -> Node:
     """Identity forward; backward multiplies the incoming gradient by -lambda_rev.
 
@@ -480,11 +455,17 @@ def graph_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Backpropagate from a scalar loss through the whole reachable graph.
+    """Backpropagate from a scalar loss through the whole reachable graph,
+    consuming the graph.
 
     Runs each node's backward closure exactly once, in reverse topological
-    order; nodes not on a path to the loss keep their (zero) gradients.
-    Constants have no closure, so the walk passes over them at no cost.
+    order, and drops it once it has run; nodes not on a path to the loss
+    keep their (zero) gradients. Constants have no closure, so the walk
+    passes over them at no cost. A closure refers to its own node, so a
+    graph that still holds its closures is a reference cycle that only the
+    cyclic garbage collector frees; without them, the graph's buffers are
+    released as soon as the caller drops the loss. A second backward over
+    the same graph would therefore propagate nothing past the loss.
     """
     if loss.value.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.value.shape}")
@@ -492,3 +473,4 @@ def backward(loss: Node) -> None:
     for node in reversed(graph_order(loss)):
         if node._backward is not None:
             node._backward()
+            node._backward = None

@@ -26,6 +26,11 @@ GENDERS = ("female", "male")
 _DEFAULT_PREVALENCE = (2915 / 11157, 2454 / 11157, 153 / 11157, 601 / 11157, 359 / 11157)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is a subclass of int in Python but not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class Post:
     text: str
@@ -34,16 +39,17 @@ class Post:
     location: int
 
     def validate(self, m: int | None = None, where: str = "post"):
-        if not self.text:
-            raise DataError(f"{where}: text must be nonempty")
+        if not isinstance(self.text, str) or not self.text:
+            raise DataError(f"{where}: text must be a nonempty string, got {self.text!r}")
         bad = sorted(set(self.emotions) - set(EMOTIONS))
         if bad:
             raise DataError(f"{where}: unknown emotion name {bad[0]!r} "
                             f"(expected one of {', '.join(EMOTIONS)})")
         if self.gender not in GENDERS:
             raise DataError(f"{where}: gender must be 'female' or 'male', got {self.gender!r}")
-        if not isinstance(self.location, int) or self.location < 0:
-            raise DataError(f"{where}: location must be a nonnegative integer")
+        if not _is_int(self.location) or self.location < 0:
+            raise DataError(f"{where}: location must be a nonnegative integer, "
+                            f"got {self.location!r}")
         if m is not None and self.location >= m:
             raise DataError(f"{where}: location {self.location} out of range for m={m}")
 
@@ -69,21 +75,29 @@ def load_with_meta(path: str) -> tuple[list[Post], int]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
             if lineno == 1 and isinstance(rec, dict) and "text" not in rec and "m" in rec:
-                declared_m = int(rec["m"])
+                declared_m = rec["m"]
+                if not _is_int(declared_m) or declared_m < 1:
+                    raise DataError(f"{where}: header m must be a positive integer, "
+                                    f"got {declared_m!r}")
                 continue
             if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
+                raise DataError(f"{where}: expected a JSON object")
             missing = {"text", "emotions", "gender", "location"} - rec.keys()
             if missing:
-                raise DataError(f"{path}:{lineno}: missing key {sorted(missing)[0]!r}")
-            post = Post(text=rec["text"], emotions=set(rec["emotions"]),
+                raise DataError(f"{where}: missing key {sorted(missing)[0]!r}")
+            emotions = rec["emotions"]
+            if not isinstance(emotions, list) or not all(isinstance(e, str) for e in emotions):
+                raise DataError(f"{where}: emotions must be a list of emotion names, "
+                                f"got {emotions!r}")
+            post = Post(text=rec["text"], emotions=set(emotions),
                         gender=rec["gender"], location=rec["location"])
-            post.validate(where=f"{path}:{lineno}")
+            post.validate(where=where)
             posts.append(post)
     if declared_m is None:
         m = max((p.location for p in posts), default=0) + 1 if posts else 0

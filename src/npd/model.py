@@ -23,6 +23,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,29 +43,29 @@ class ModelVariant(str, Enum):
     NPD_LOCATION = "NPD_LOCATION"
     NPD = "NPD"
 
-    @property
-    def uses_gender_attention(self) -> bool:
-        return self in (ModelVariant.LSTM_ATTENTION, ModelVariant.NPD_GENDER, ModelVariant.NPD)
 
-    @property
-    def uses_location_attention(self) -> bool:
-        return self in (ModelVariant.LSTM_ATTENTION, ModelVariant.NPD_LOCATION, ModelVariant.NPD)
+class Wiring(NamedTuple):
+    """Which optional parts a variant wires around the shared encoder."""
 
-    @property
-    def uses_gender_discriminator(self) -> bool:
-        return self in (ModelVariant.LSTM_ATTRIBUTES, ModelVariant.LSTM_ADVERSARIAL,
-                        ModelVariant.NPD_GENDER, ModelVariant.NPD)
+    gender_attention: bool
+    location_attention: bool
+    gender_discriminator: bool
+    location_discriminator: bool
+    reversal: bool
 
-    @property
-    def uses_location_discriminator(self) -> bool:
-        return self in (ModelVariant.LSTM_ATTRIBUTES, ModelVariant.LSTM_ADVERSARIAL,
-                        ModelVariant.NPD_LOCATION, ModelVariant.NPD)
 
-    @property
-    def uses_reversal(self) -> bool:
-        # LSTM_ATTRIBUTES predicts attributes as plain extra labels, no adversary
-        return self in (ModelVariant.LSTM_ADVERSARIAL, ModelVariant.NPD_GENDER,
-                        ModelVariant.NPD_LOCATION, ModelVariant.NPD)
+# The fields in order: gender attention, location attention, gender
+# discriminator, location discriminator, gradient reversal. LSTM_ATTRIBUTES
+# predicts attributes as plain extra labels, with no adversary.
+_WIRING = {
+    ModelVariant.LSTM:             Wiring(False, False, False, False, False),
+    ModelVariant.LSTM_ATTRIBUTES:  Wiring(False, False, True,  True,  False),
+    ModelVariant.LSTM_ATTENTION:   Wiring(True,  True,  False, False, False),
+    ModelVariant.LSTM_ADVERSARIAL: Wiring(False, False, True,  True,  True),
+    ModelVariant.NPD_GENDER:       Wiring(True,  False, True,  False, True),
+    ModelVariant.NPD_LOCATION:     Wiring(False, True,  False, True,  True),
+    ModelVariant.NPD:              Wiring(True,  True,  True,  True,  True),
+}
 
 
 @dataclass
@@ -86,6 +87,7 @@ class NpdModel:
                  params: dict[str, Node] | None = None):
         self.manifest = dict(manifest)
         self.variant = ModelVariant(manifest["variant"])
+        self.wiring = _WIRING[self.variant]
         self.embedding = np.asarray(embedding, dtype=np.float64)
         self.embed_dim = int(manifest["embed_dim"])
         self.hidden_dim = int(manifest["hidden_dim"])
@@ -105,7 +107,7 @@ class NpdModel:
 
     @property
     def head_input_dim(self) -> int:
-        both = self.variant.uses_gender_attention and self.variant.uses_location_attention
+        both = self.wiring.gender_attention and self.wiring.location_attention
         return 2 * self.hidden_dim if both else self.hidden_dim
 
     def _init_params(self) -> dict[str, Node]:
@@ -125,9 +127,9 @@ class NpdModel:
         p["f.lstm.b"] = zeros(4 * h)
         p["f.lstm.h0"] = ad.param(rng.normal(0.0, 0.01, size=h))
         p["f.lstm.c0"] = ad.param(rng.normal(0.0, 0.01, size=h))
-        if self.variant.uses_gender_attention:
+        if self.wiring.gender_attention:
             p["f.att_g.w"], p["f.att_g.b"], p["f.att_g.u"] = w((h, a)), zeros(a), w(a)
-        if self.variant.uses_location_attention:
+        if self.wiring.location_attention:
             p["f.att_l.w"], p["f.att_l.b"], p["f.att_l.u"] = w((h, a)), zeros(a), w(a)
         if self.finetune_embeddings:
             p["f.embed"] = ad.param(self.embedding.copy())
@@ -137,9 +139,9 @@ class NpdModel:
             p[f"y.head{j}.b"] = zeros(hh)
             p[f"y.head{j}.wo"] = w((hh, 2))
             p[f"y.head{j}.bo"] = zeros(2)
-        if self.variant.uses_gender_discriminator:
+        if self.wiring.gender_discriminator:
             p["g.w"], p["g.b"] = w((h, 1)), zeros(1)
-        if self.variant.uses_location_discriminator:
+        if self.wiring.location_discriminator:
             p["l.w"], p["l.b"] = w((h, m)), zeros(m)
         return p
 
@@ -234,25 +236,28 @@ class NpdModel:
             mask[i, :n] = 1.0
 
         states = self._encode(ids, mask)
-        h_last = ad.row_block(states, (T - 1) * b, T * b)
-        variant = self.variant
-        use_reversal = reversal and variant.uses_reversal
+        wiring = self.wiring
+        use_reversal = reversal and wiring.reversal
 
         attention: dict[str, Node] = {}
         v_g = v_l = None
-        if variant.uses_gender_attention:
+        if wiring.gender_attention:
             attention["gender"], v_g = self._attend(states, mask, "g")
-        if variant.uses_location_attention:
+        if wiring.location_attention:
             attention["location"], v_l = self._attend(states, mask, "l")
+
+        # each post's final state feeds the parts no attention pool feeds. It is
+        # built only where read: backward never runs an unread node's closure,
+        # so that node and the states it holds would wait for the cyclic GC
+        h_last = None
+        if (v_g is None and v_l is None or wiring.gender_discriminator and v_g is None
+                or wiring.location_discriminator and v_l is None):
+            h_last = ad.row_block(states, (T - 1) * b, T * b)
 
         if v_g is not None and v_l is not None:
             head_in = ad.concat(v_g, v_l)
-        elif v_g is not None:
-            head_in = v_g
-        elif v_l is not None:
-            head_in = v_l
         else:
-            head_in = h_last
+            head_in = v_g or v_l or h_last
 
         if train_mode and dropout_rate > 0.0:
             if rng is None:
@@ -260,12 +265,10 @@ class NpdModel:
             head_in = ad.dropout(head_in, dropout_rate, rng, True)
 
         gender_prob = location_probs = None
-        if variant.uses_gender_discriminator:
-            gin = v_g if v_g is not None else h_last
-            gender_prob = self._discriminate(gin, "g", use_reversal)
-        if variant.uses_location_discriminator:
-            lin = v_l if v_l is not None else h_last
-            location_probs = self._discriminate(lin, "l", use_reversal)
+        if wiring.gender_discriminator:
+            gender_prob = self._discriminate(v_g or h_last, "g", use_reversal)
+        if wiring.location_discriminator:
+            location_probs = self._discriminate(v_l or h_last, "l", use_reversal)
 
         return ForwardResult(emotion_probs=self._emotion_heads(head_in),
                              gender_prob=gender_prob, location_probs=location_probs,
@@ -354,6 +357,8 @@ def load_checkpoint(path: str) -> NpdModel:
             shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path, f"{where} dims"))
             size = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read(fh, 8 * size, path, f"{where} data"), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise DataError(f"{path}: tensor {name!r} holds non-finite values")
             tensors[name] = data.reshape(shape).astype(np.float64)
     embedding = tensors.pop("embedding")
     model = NpdModel(manifest, embedding)

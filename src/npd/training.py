@@ -68,38 +68,32 @@ class TrainingConfig:
 def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Node],
                  l2_lambda: float) -> Node:
     """Mean over the batch of the summed per-emotion 2-class cross-entropy,
-    plus (l2_lambda/2) * ||emotion-head parameters||^2."""
-    b = gold_bits.shape[0]
-    total = None
+    plus (l2_lambda/2) * ||emotion-head parameters||^2.
+
+    One nll node per emotion head, their sum, and one sum_squares node for
+    the penalty."""
+    loss = None
     for j, p in enumerate(probs):
-        picked = ad.pick_cols(p, gold_bits[:, j])
-        term = ad.summation(ad.log(ad.clip(picked, _PROB_FLOOR, 1.0)))
-        total = term if total is None else ad.add(total, term)
-    loss = ad.scale_shift(total, -1.0 / b)
+        term = ad.nll(p, gold_bits[:, j], _PROB_FLOOR, 1.0)
+        loss = term if loss is None else ad.add(loss, term)
     if l2_lambda > 0.0:
-        sq = None
-        for w in head_params:
-            s = ad.summation(ad.mul(w, w))
-            sq = s if sq is None else ad.add(sq, s)
-        loss = ad.add(loss, ad.scale_shift(sq, l2_lambda / 2.0))
+        loss = ad.add(loss, ad.scale_shift(ad.sum_squares(head_params), l2_lambda / 2.0))
     return loss
 
 
 def gender_loss(gender_prob: Node, gold_bits: np.ndarray) -> Node:
-    """Mean binary NLL of the predicted male-probability against gold bits."""
-    b = gold_bits.shape[0]
-    g = ad.constant(np.asarray(gold_bits, dtype=np.float64).reshape(b, 1))
-    p = ad.clip(gender_prob, _BCE_EPS, 1.0 - _BCE_EPS)
-    pos = ad.mul(g, ad.log(p))
-    neg = ad.mul(ad.scale_shift(g, -1.0, 1.0), ad.log(ad.scale_shift(p, -1.0, 1.0)))
-    return ad.scale_shift(ad.summation(ad.add(pos, neg)), -1.0 / b)
+    """Mean binary NLL of the predicted male-probability against gold bits.
+
+    The [b x 1] male-probability p becomes the 2-class matrix [1 - p, p]
+    (female, male), so one nll node with the clamp range [eps, 1 - eps]
+    scores both labels."""
+    both = ad.concat(ad.scale_shift(gender_prob, -1.0, 1.0), gender_prob)
+    return ad.nll(both, gold_bits, _BCE_EPS, 1.0 - _BCE_EPS)
 
 
 def location_loss(location_probs: Node, gold: np.ndarray) -> Node:
-    """Mean NLL of the gold location class."""
-    b = len(gold)
-    picked = ad.clip(ad.pick_cols(location_probs, gold), _BCE_EPS, 1.0)
-    return ad.scale_shift(ad.summation(ad.log(picked)), -1.0 / b)
+    """Mean NLL of the gold location class, one nll node."""
+    return ad.nll(location_probs, gold, _BCE_EPS, 1.0)
 
 
 def total_loss(j_y: Node, j_gend: Node | None, j_loc: Node | None,

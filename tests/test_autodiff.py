@@ -5,7 +5,10 @@ on plain numpy copies of each computation (the oracle never touches the
 graph machinery).
 """
 
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,18 @@ def linear_probe(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def probe_loss(out, probe):
+    """The scalar sum(out * probe) as a hand-built node, so a check of one op
+    goes through no other op of the engine."""
+    loss = ad.Node((out.value * probe).sum(), op="probe", parents=(out,))
+
+    def _backward():
+        out.grad += loss.grad * probe
+
+    loss._backward = _backward
+    return loss
+
+
 class TestMatmul:
     def test_identity(self):
         a = ad.constant(np.eye(2))
@@ -62,7 +77,7 @@ class TestMatmul:
         a0 = np.array([[1.0, 2.0], [3.0, 4.0]])
         b0 = np.array([[1.0], [1.0]])
         a = ad.param(a0)
-        out = ad.summation(ad.matmul(a, ad.constant(b0)))
+        out = probe_loss(ad.matmul(a, ad.constant(b0)), np.ones((2, 1)))
         ad.backward(out)
         numeric = numeric_grad(lambda av: (av @ b0).sum(), a0)
         np.testing.assert_allclose(a.grad, numeric, atol=1e-6)
@@ -76,7 +91,7 @@ class TestMatmul:
         a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
         probe = linear_probe(np.matmul(a0, b0).shape)
         a, b = ad.param(a0), ad.param(b0)
-        loss = ad.summation(ad.mul(ad.matmul(a, b), ad.constant(probe)))
+        loss = probe_loss(ad.matmul(a, b), probe)
         ad.backward(loss)
         assert_grad_close(a.grad, numeric_grad(lambda v: float((np.matmul(v, b0) * probe).sum()), a0))
         assert_grad_close(b.grad, numeric_grad(lambda v: float((np.matmul(a0, v) * probe).sum()), b0))
@@ -91,7 +106,7 @@ class TestElementwise:
 
     def test_tanh_grad_fd(self):
         x = ad.param(np.array([0.7]))
-        ad.backward(ad.summation(ad.tanh(x)))
+        ad.backward(probe_loss(ad.tanh(x), np.ones(1)))
         numeric = numeric_grad(lambda v: np.tanh(v).sum(), np.array([0.7]))
         np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
 
@@ -99,8 +114,6 @@ class TestElementwise:
         a, b = ad.constant(np.ones(3)), ad.constant(np.ones(4))
         with pytest.raises(DimensionError):
             ad.add(a, b)
-        with pytest.raises(DimensionError):
-            ad.mul(a, b)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ad.sigmoid(ad.constant([-1e3, -50.0, 0.0, 50.0, 1e3])).value
@@ -139,7 +152,7 @@ class TestSoftmax:
         x0 = np.array([[0.3, -1.2, 2.0]])
         probe = linear_probe((1, 3))
         x = ad.param(x0)
-        ad.backward(ad.summation(ad.mul(ad.softmax_rows(x), ad.constant(probe))))
+        ad.backward(probe_loss(ad.softmax_rows(x), probe))
 
         def f(v):
             e = np.exp(v - v.max())
@@ -162,14 +175,13 @@ class TestConcat:
         a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
         probe = linear_probe((2, 7))
         a, b = ad.param(a0), ad.param(b0)
-        out = ad.mul(ad.concat(a, b), ad.constant(probe))
-        ad.backward(ad.summation(ad.tanh(out)))
+        ad.backward(probe_loss(ad.tanh(ad.concat(a, b)), probe))
 
         def f_a(v):
-            return float(np.tanh(np.concatenate([v, b0], axis=1) * probe).sum())
+            return float((np.tanh(np.concatenate([v, b0], axis=1)) * probe).sum())
 
         def f_b(v):
-            return float(np.tanh(np.concatenate([a0, v], axis=1) * probe).sum())
+            return float((np.tanh(np.concatenate([a0, v], axis=1)) * probe).sum())
 
         assert_grad_close(a.grad, numeric_grad(f_a, a0))
         assert_grad_close(b.grad, numeric_grad(f_b, b0))
@@ -187,7 +199,7 @@ class TestGradReverse:
     def test_backward_negates(self):
         x = ad.param([2.0, -1.0, 0.5])
         probe = np.array([1.0, 2.0, 3.0])
-        ad.backward(ad.summation(ad.mul(ad.grad_reverse(x, 1.0), ad.constant(probe))))
+        ad.backward(probe_loss(ad.grad_reverse(x, 1.0), probe))
         np.testing.assert_array_equal(x.grad, -probe)
 
     def test_composed_graphs_negation(self):
@@ -199,7 +211,7 @@ class TestGradReverse:
             w = ad.param(w0)
             h = ad.tanh(ad.matmul(w, ad.constant(v0)))
             h = ad.grad_reverse(h, 1.0) if reversed_path else h
-            loss = ad.summation(ad.sigmoid(h))
+            loss = probe_loss(ad.sigmoid(h), np.ones(3))
             ad.backward(loss)
             return w.grad
 
@@ -213,13 +225,13 @@ class TestGradReverse:
 class TestBackward:
     def test_linear_case(self):
         w = ad.param([1.0, 2.0, 3.0])
-        ad.backward(ad.summation(w))
+        ad.backward(probe_loss(w, np.ones(3)))
         np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
 
     def test_unreachable_param_zero_grad(self):
         w = ad.param([1.0, 2.0])
         other = ad.param([3.0])
-        ad.backward(ad.summation(ad.mul(other, other)))
+        ad.backward(ad.sum_squares([other]))
         np.testing.assert_array_equal(w.grad, [0.0, 0.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -232,15 +244,15 @@ class TestBackward:
             w = ad.param(rng.standard_normal((4, 4)))
             x = ad.constant(rng.standard_normal(4))
             h = ad.tanh(ad.matmul(w, x))
-            ad.backward(ad.summation(ad.mul(ad.sigmoid(h), h)))
+            ad.backward(ad.sum_squares([ad.sigmoid(h), h]))
             return w.grad.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_reused_node_accumulates(self):
         x = ad.param([2.0])
-        ad.backward(ad.summation(ad.mul(x, x)))
-        np.testing.assert_allclose(x.grad, [4.0])
+        ad.backward(ad.add(x, x))
+        np.testing.assert_array_equal(x.grad, [2.0])
 
 
 class TestDropout:
@@ -269,7 +281,7 @@ class TestDropout:
     def test_grad_matches_mask(self):
         x = ad.param(np.ones(1000))
         out = ad.dropout(x, 0.5, np.random.default_rng(1), True)
-        ad.backward(ad.summation(out))
+        ad.backward(probe_loss(out, np.ones(1000)))
         kept = out.value != 0.0
         np.testing.assert_allclose(x.grad[kept], 2.0)
         np.testing.assert_allclose(x.grad[~kept], 0.0)
@@ -283,7 +295,7 @@ class TestBatchOps:
         m0, v0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
         probe = linear_probe((4, 3))
         m, v = ad.param(m0), ad.param(v0)
-        ad.backward(ad.summation(ad.mul(ad.add_rowvec(m, v), ad.constant(probe))))
+        ad.backward(probe_loss(ad.add_rowvec(m, v), probe))
         assert_grad_close(m.grad, numeric_grad(lambda a: float(((a + v0) * probe).sum()), m0))
         assert_grad_close(v.grad, numeric_grad(lambda a: float(((m0 + a) * probe).sum()), v0))
 
@@ -291,7 +303,7 @@ class TestBatchOps:
         t = ad.param(np.arange(8.0).reshape(4, 2))
         out = ad.rows(t, np.array([1, 1, 3]))
         np.testing.assert_array_equal(out.value, [[2.0, 3.0], [2.0, 3.0], [6.0, 7.0]])
-        ad.backward(ad.summation(out))
+        ad.backward(probe_loss(out, np.ones((3, 2))))
         np.testing.assert_array_equal(t.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
     def test_rows_out_of_range(self):
@@ -299,12 +311,15 @@ class TestBatchOps:
             ad.rows(ad.constant(np.ones((2, 2))), np.array([2]))
 
     def test_pick_cols(self):
-        m0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        m0 = np.array([[0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
         m = ad.param(m0)
-        out = ad.pick_cols(m, np.array([1, 0, 1]))
-        np.testing.assert_array_equal(out.value, [2.0, 3.0, 6.0])
-        ad.backward(ad.summation(out))
-        np.testing.assert_array_equal(m.grad, [[0, 1], [1, 0], [0, 1]])
+        out = ad.nll(m, np.array([1, 0, 1]), 1e-12, 1.0)
+        np.testing.assert_allclose(out.value, -(math.log(0.8) + math.log(0.6) + math.log(0.7)) / 3,
+                                   rtol=0, atol=1e-15)
+        ad.backward(out)
+        picked = np.array([[0, 1], [1, 0], [0, 1]], dtype=bool)
+        np.testing.assert_allclose(m.grad[picked], -1.0 / (3 * m0[picked]), rtol=1e-15)
+        np.testing.assert_array_equal(m.grad[~picked], 0.0)
 
     def test_weighted_sum(self):
         rng = np.random.default_rng(24)
@@ -312,7 +327,7 @@ class TestBatchOps:
         s0 = rng.standard_normal((2 * 3, 4))  # T=2 blocks of n=3 rows, step-major
         probe = linear_probe((3, 4))
         w, stacked = ad.param(w0), ad.param(s0)
-        ad.backward(ad.summation(ad.mul(ad.weighted_sum(w, stacked), ad.constant(probe))))
+        ad.backward(probe_loss(ad.weighted_sum(w, stacked), probe))
 
         def pooled(a, s):
             return sum(a[:, t : t + 1] * s[3 * t : 3 * t + 3] for t in range(2))
@@ -329,7 +344,7 @@ class TestBatchOps:
         assert p.value[0, 2] == 0.0
         np.testing.assert_allclose(p.value.sum(axis=1), 1.0, atol=1e-12)
         probe = linear_probe((2, 3))
-        ad.backward(ad.summation(ad.mul(p, ad.constant(probe))))
+        ad.backward(probe_loss(p, probe))
 
         def f(a):
             neg = np.where(mask > 0, a, -np.inf)
@@ -345,7 +360,7 @@ class TestBatchOps:
         rng = np.random.default_rng(25)
         m0 = rng.standard_normal((6, 3))
         m = ad.param(m0)
-        ad.backward(ad.summation(ad.row_block(m, 2, 5)))
+        ad.backward(probe_loss(ad.row_block(m, 2, 5), np.ones((3, 3))))
         expect = np.zeros_like(m0)
         expect[2:5] = 1.0
         np.testing.assert_array_equal(m.grad, expect)
@@ -356,19 +371,99 @@ class TestBatchOps:
         out = ad.unstack_to_cols(v, 3, 2)
         np.testing.assert_array_equal(out.value, [[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]])
         probe = linear_probe((2, 3))
-        ad.backward(ad.summation(ad.mul(out, ad.constant(probe))))
+        ad.backward(probe_loss(out, probe))
         np.testing.assert_allclose(v.grad, np.ascontiguousarray(probe.T).ravel())
 
     def test_clip_passthrough_gradient(self):
-        x = ad.param([-2.0, 0.5, 3.0])
-        ad.backward(ad.summation(ad.clip(x, 0.0, 1.0)))
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+        # gold entries below, inside and above the clip range [0.2, 0.6]
+        x = ad.param([[0.1, 0.9], [0.5, 0.5], [0.3, 0.7]])
+        loss = ad.nll(x, np.array([0, 1, 1]), 0.2, 0.6)
+        np.testing.assert_allclose(loss.value, -(math.log(0.2) + math.log(0.5) + math.log(0.6)) / 3,
+                                   rtol=0, atol=1e-15)
+        ad.backward(loss)
+        np.testing.assert_allclose(x.grad, [[0.0, 0.0], [0.0, -1.0 / 1.5], [0.0, 0.0]],
+                                   rtol=1e-15, atol=0)
 
     def test_log_scale_shift(self):
-        x0 = np.array([0.5, 2.0])
+        x0 = np.array([[0.1, 0.2], [0.05, 0.15]])
+        gold = np.array([0, 1])
         x = ad.param(x0)
-        ad.backward(ad.summation(ad.log(ad.scale_shift(x, 3.0, 1.0))))
-        assert_grad_close(x.grad, numeric_grad(lambda a: float(np.log(3 * a + 1).sum()), x0))
+        ad.backward(ad.nll(ad.scale_shift(x, 3.0, 0.1), gold, 1e-12, 1.0))
+
+        def f(a):
+            return -float(np.log(3 * a[[0, 1], gold] + 0.1).mean())
+
+        assert_grad_close(x.grad, numeric_grad(f, x0))
+
+
+class TestLossNodes:
+    """FD checks for the fused loss nodes nll and sum_squares."""
+
+    def test_nll_grad_fd_repeated_gold(self):
+        rng = np.random.default_rng(71)
+        p0 = rng.random((6, 3)) + 0.05
+        p0 /= p0.sum(axis=1, keepdims=True)
+        gold = np.array([2, 0, 2, 2, 1, 0])
+        p = ad.param(p0)
+        loss = ad.nll(p, gold, 1e-12, 1.0)
+
+        def f(a):
+            return -float(np.log(a[np.arange(6), gold]).mean())
+
+        np.testing.assert_allclose(loss.value, f(p0), rtol=0, atol=1e-15)
+        ad.backward(loss)
+        assert_grad_close(p.grad, numeric_grad(f, p0))
+
+    def test_nll_clamped_entries_get_exactly_zero_grad(self):
+        p0 = np.array([[1e-9, 1.0 - 1e-9], [0.4, 0.6], [0.999, 0.001], [0.3, 0.7]])
+        gold = np.array([0, 1, 0, 1])
+        lo, hi = 1e-3, 0.99
+        p = ad.param(p0)
+        ad.backward(ad.nll(p, gold, lo, hi))
+
+        def f(a):
+            return -float(np.log(np.clip(a[np.arange(4), gold], lo, hi)).mean())
+
+        live = np.zeros_like(p0, dtype=bool)
+        live[[1, 3], [1, 1]] = True
+        assert_grad_close(p.grad[live], numeric_grad(f, p0)[live])
+        np.testing.assert_array_equal(p.grad[~live], 0.0)
+
+    def test_nll_two_class_from_one_probability(self):
+        """The gender loss path: [1 - p, p] from a [b x 1] probability."""
+        rng = np.random.default_rng(72)
+        q0 = rng.uniform(0.05, 0.95, size=(5, 1))
+        g = np.array([1, 0, 0, 1, 1])
+        q = ad.param(q0)
+        loss = ad.nll(ad.concat(ad.scale_shift(q, -1.0, 1.0), q), g, 1e-12, 1.0 - 1e-12)
+
+        def f(a):
+            p = a[:, 0]
+            return -float(np.mean(g * np.log(p) + (1 - g) * np.log(1 - p)))
+
+        np.testing.assert_allclose(loss.value, f(q0), rtol=0, atol=1e-15)
+        ad.backward(loss)
+        assert_grad_close(q.grad, numeric_grad(f, q0))
+
+    def test_nll_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ad.nll(ad.constant(np.full((3, 2), 0.5)), np.array([0, 1]), 1e-12, 1.0)
+
+    def test_sum_squares_grad_fd(self):
+        rng = np.random.default_rng(73)
+        arrays = [rng.standard_normal((3, 4)), rng.standard_normal(5), rng.standard_normal((2, 2))]
+        nodes = [ad.param(a) for a in arrays]
+        loss = ad.scale_shift(ad.sum_squares(nodes), 0.3)
+
+        def f(k, v):
+            parts = [v if j == k else a for j, a in enumerate(arrays)]
+            return 0.3 * sum(float((x * x).sum()) for x in parts)
+
+        np.testing.assert_allclose(loss.value, 0.3 * sum(float((a * a).sum()) for a in arrays),
+                                   rtol=1e-15)
+        ad.backward(loss)
+        for k, node in enumerate(nodes):
+            assert_grad_close(node.grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
 
 class TestInvariants:
@@ -379,7 +474,7 @@ class TestInvariants:
             x = ad.constant(rng.standard_normal((1, 5)))
             h = ad.tanh(ad.matmul(x, w))
             p = ad.softmax_rows(h)
-            loss = ad.summation(ad.log(ad.clip(p, 1e-12, 1.0)))
+            loss = ad.nll(p, rng.integers(5, size=1), 1e-12, 1.0)
             ad.backward(loss)
             assert np.isfinite(loss.value)
             assert np.all(np.isfinite(w.grad))
@@ -393,6 +488,27 @@ class TestInvariants:
         ]
         for n in nodes:
             assert n.grad.shape == n.value.shape
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """Guards against dead engine ops: each public function of npd.autodiff is
+    called from another npd module, as ad.<name>(...) or by an imported name."""
+    called = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                called.add(f.id)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "ad":
+                called.add(f.attr)
+    public = [name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if fn.__module__ == ad.__name__ and not name.startswith("_")]
+    assert len(public) > 10
+    assert [name for name in public if name not in called] == []
 
 
 def lstm_inputs(lengths, hd, seed):
@@ -413,7 +529,7 @@ class TestLstmSeq:
         arrays, mask = lstm_inputs([1, 6, 13, 30], hd=4, seed=61)
         probe = linear_probe((30 * 4, 4), seed=62)
         nodes = [ad.param(a) for a in arrays]
-        ad.backward(ad.summation(ad.mul(ad.lstm_seq(*nodes, mask), ad.constant(probe))))
+        ad.backward(probe_loss(ad.lstm_seq(*nodes, mask), probe))
         live = (mask.T > 0).reshape(-1)  # step-major rows of pre_x; padded ones get 0
 
         def f(k, v):
@@ -433,7 +549,7 @@ class TestLstmSeq:
         arrays, mask = lstm_inputs([2, 9, 5], hd=3, seed=63)
         nodes = [ad.param(a) for a in arrays]
         out = ad.lstm_seq(*nodes, mask)
-        ad.backward(ad.summation(ad.mul(out, ad.constant(linear_probe(out.value.shape)))))
+        ad.backward(probe_loss(out, linear_probe(out.value.shape)))
         padded = (mask.T == 0).reshape(-1)  # step-major rows of pre_x
         assert padded.any()
         np.testing.assert_array_equal(nodes[0].grad[padded], 0.0)

@@ -14,7 +14,7 @@ import pytest
 from npd.cli import main
 from npd.corpus import SynthConfig
 from npd.errors import DataError
-from npd.model import load_checkpoint
+from npd.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +189,16 @@ class TestMalformedInputs:
                      "--corpus", str(mini_pipeline["corpus"]),
                      "--embeddings", str(path)]) == 1
         assert f"{path}:4: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_checkpoint_tensor(self, mini_pipeline, tmp_path, capsys, value):
+        model = load_checkpoint(str(mini_pipeline["model"]))
+        model.params["f.lstm.wh"].value[0, 0] = float(value)
+        path = tmp_path / "bad.bin"
+        save_checkpoint(str(path), model)
+        with pytest.raises(DataError, match="non-finite") as caught:
+            load_checkpoint(str(path))
+        assert str(path) in str(caught.value) and "'f.lstm.wh'" in str(caught.value)
+        assert main(["eval", "--model", str(path), "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"])]) == 1
+        assert "non-finite" in capsys.readouterr().err

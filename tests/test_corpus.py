@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from npd.cli import main
 from npd.corpus import (
     EMOTIONS,
     GENDERS,
@@ -102,6 +103,47 @@ class TestLoadSave:
         assert p1.read_bytes() == p2.read_bytes()
         assert [(p.text, sorted(p.emotions), p.gender, p.location) for p in posts] == \
                [(p.text, sorted(p.emotions), p.gender, p.location) for p in reloaded]
+
+
+GOOD_RECORD = {"text": "w1 w2", "emotions": ["fear"], "gender": "male", "location": 1}
+
+# (case, the bad record, what the error must name); a header record is line 1
+# of its file, any other record is line 2, after the header {"m": 3}
+MALFORMED_RECORDS = [
+    ("m not a number", {"m": "abc"}, "header m"),
+    ("m fractional", {"m": 2.7}, "header m"),
+    ("m negative", {"m": -1}, "header m"),
+    ("m bool", {"m": True}, "header m"),
+    ("text number", {**GOOD_RECORD, "text": 5}, "text"),
+    ("text null", {**GOOD_RECORD, "text": None}, "text"),
+    ("emotions string", {**GOOD_RECORD, "emotions": "fear"}, "emotions"),
+    ("emotions null", {**GOOD_RECORD, "emotions": None}, "emotions"),
+    ("emotions nested list", {**GOOD_RECORD, "emotions": [[1]]}, "emotions"),
+    ("emotions object", {**GOOD_RECORD, "emotions": {"fear": 1}}, "emotions"),
+    ("gender number", {**GOOD_RECORD, "gender": 1}, "gender"),
+    ("gender list", {**GOOD_RECORD, "gender": ["male"]}, "gender"),
+    ("location bool", {**GOOD_RECORD, "location": True}, "location"),
+    ("location fractional", {**GOOD_RECORD, "location": 1.5}, "location"),
+    ("location string", {**GOOD_RECORD, "location": "1"}, "location"),
+    ("location null", {**GOOD_RECORD, "location": None}, "location"),
+]
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("case,record,names", MALFORMED_RECORDS,
+                             ids=[c for c, _, _ in MALFORMED_RECORDS])
+    def test_wrong_field_type(self, tmp_path, capsys, case, record, names):
+        lines = [record, GOOD_RECORD] if "m" in record else [{"m": 3}, record]
+        lineno = 1 if "m" in record else 2
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        where = f"{path}:{lineno}: "
+        with pytest.raises(DataError) as caught:
+            load_with_meta(str(path))
+        message = str(caught.value)
+        assert message.startswith(where) and names in message[len(where):]
+        assert main(["embed", "--corpus", str(path), "--out", str(tmp_path / "e.txt")]) == 1
+        assert where in capsys.readouterr().err
 
 
 class TestSplit:

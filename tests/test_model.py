@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
+from test_autodiff import probe_loss
 from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ContractError, DataError
@@ -59,7 +60,7 @@ class TestEncoder:
         batch = [make_post(rng, 3), make_post(rng, 5)]
         probe = rng.standard_normal((2, model.hidden_dim))
         fwd = model.forward(batch)
-        ad.backward(ad.summation(ad.mul(fwd.head_input, ad.constant(probe))))
+        ad.backward(probe_loss(fwd.head_input, probe))
 
         params = param_values(model)
 

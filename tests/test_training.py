@@ -5,6 +5,7 @@ saddle-point sign pattern is verified by comparing gradients across
 separately built graphs.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from npd.training import (
     train,
 )
 
-from test_model import make_post, param_values, small_model
+from test_model import ALL_VARIANTS, make_post, param_values, small_model
 
 
 def probs_nodes(values):
@@ -204,7 +205,7 @@ class TestAdaGrad:
         opt = AdaGrad({"w": w}, mu=0.05)
         prev = np.abs(w.value).copy()
         for _ in range(10):
-            loss = ad.scale_shift(ad.summation(ad.mul(w, w)), 0.05)
+            loss = ad.scale_shift(ad.sum_squares([w]), 0.05)
             ad.backward(loss)
             opt.step()
             cur = np.abs(w.value)
@@ -225,6 +226,31 @@ class TestClip:
         p.grad[...] = 0.1
         clip_global_norm({"p": p}, 5.0)
         np.testing.assert_array_equal(p.grad, 0.1)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_training_step_leaves_no_cyclic_garbage(variant):
+    """backward drops each closure it runs and forward builds no node that
+    nothing reads, so a step's graph is freed by reference counting alone."""
+    cfg = TrainingConfig(seed=20)
+    rng = np.random.default_rng(20)
+    batch = [make_post(rng, 5), make_post(rng, 3), make_post(rng, 7)]
+    model = small_model(variant, seed=20, finetune_embeddings=True)
+    opt = AdaGrad(model.params, cfg.mu)
+    gc.collect()
+    gc.disable()
+    try:
+        model.zero_grads()
+        fwd = model.forward(batch, train_mode=True, rng=rng, dropout_rate=cfg.dropout_rate)
+        losses = batch_losses(model, fwd, batch, cfg)
+        ad.backward(losses[-1])
+        clip_global_norm(model.params, cfg.grad_clip)
+        opt.step()
+        del fwd, losses
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def tiny_dataset(rng, n, m=5):
