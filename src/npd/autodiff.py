@@ -403,8 +403,8 @@ def grad_reverse(x: Node, lambda_rev: float) -> Node:
     realizes the saddle-point update: the discriminator descends its loss
     while the encoder ascends it, in a single joint backward pass.
     """
-    if lambda_rev < 0:
-        raise ConfigError(f"grad_reverse: lambda_rev must be >= 0, got {lambda_rev}")
+    if not (np.isfinite(lambda_rev) and lambda_rev >= 0):
+        raise ConfigError(f"grad_reverse: lambda_rev must be >= 0 and finite, got {lambda_rev}")
     out = Node(x.value, op="grad_reverse", parents=(x,))
     if out.needs_grad:
         def _backward():

@@ -8,6 +8,7 @@ produce byte-identical outputs. Exit codes: 0 success, 1 validation error,
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -16,12 +17,13 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
-from .errors import DivergenceError, NpdError
+from .errors import ConfigError, DivergenceError, NpdError
 from .evaluation import ablate, evaluate, format_report_table
 from .model import ModelVariant, load_checkpoint, save_checkpoint
 from .training import ModelDims, TrainingConfig, train, write_log
 
 VARIANT_NAMES = [v.value for v in ModelVariant]
+PREDICT_BATCH = 128  # predict's lines per forward pass; evaluate's default batch size
 
 
 def _add_seed(p):
@@ -56,10 +58,18 @@ def _add_train_args(p):
     p.add_argument("--train-frac", type=float, default=0.7)
 
 
+def _parse_list(raw, flag, kind):
+    try:
+        return [kind(x) for x in raw.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated {kind.__name__} values, "
+                          f"got {raw!r}") from None
+
+
 def _parse_lambdas(raw):
-    parts = [float(x) for x in raw.split(",")]
+    parts = _parse_list(raw, "--lambdas", float)
     if len(parts) != 3:
-        raise NpdError(f"--lambdas needs 3 comma-separated values, got {raw!r}")
+        raise ConfigError(f"--lambdas needs 3 comma-separated values, got {raw!r}")
     return parts
 
 
@@ -172,7 +182,7 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in VARIANT_NAMES:
             raise NpdError(f"unknown variant {v!r}; choose from {','.join(VARIANT_NAMES)}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = _parse_list(args.seeds, "--seeds", int)
     posts, m = corpus_mod.load_with_meta(args.corpus)
     token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
     vocab = text_mod.build_vocab(token_lists, args.vocab_size)
@@ -195,42 +205,52 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _predict_record(fwd, i: int, tokens: list[str]) -> dict:
+    """The JSON record of row i of a predict forward over posts of these tokens."""
+    present = {EMOTIONS[j]: float(fwd.emotion_probs[j].value[i, 1])
+               for j in range(len(EMOTIONS))}
+    rec = {
+        "tokens": tokens,
+        "emotion_probabilities": present,
+        "predicted_emotions": [e for e, p in present.items() if p > 0.5],
+    }
+    if fwd.gender_prob is not None:
+        p_male = float(fwd.gender_prob.value[i, 0])
+        rec["gender"] = {"male_probability": p_male,
+                         "predicted": GENDERS[int(p_male > 0.5)]}
+    if fwd.location_probs is not None:
+        probs = fwd.location_probs.value[i]
+        rec["location"] = {"predicted": int(probs.argmax()),
+                           "probabilities": [float(x) for x in probs]}
+    if fwd.attention:
+        rec["attention"] = {name: [float(x) for x in w.value[i, : len(tokens)]]
+                            for name, w in fwd.attention.items()}
+    return rec
+
+
 def cmd_predict(args) -> int:
+    """Print one JSON record per non-blank stdin line, in input order.
+
+    Lines are read in chunks of up to PREDICT_BATCH (128) non-blank lines.
+    Each chunk takes one batched forward pass, and its records are printed,
+    in input order, before the next chunk is read, so memory stays bounded
+    on long inputs.
+    """
     model = load_checkpoint(args.model)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab_hash(model.manifest, vocab, "predict")
     mode = model.manifest["tokenizer_mode"]
-    for line in sys.stdin:
-        text = line.strip()
-        if not text:
-            continue
-        tokens = text_mod.tokenize(text, mode)
-        if not tokens:
-            print(json.dumps({"error": "post tokenizes to an empty sequence"}))
-            continue
-        post = corpus_mod.TokenizedPost(ids=vocab.encode(tokens),
-                                        emotion_bits=np.zeros(5, dtype=np.int64),
-                                        gender_bit=0, location=0)
-        fwd = model.forward([post], train_mode=False)
-        present = {EMOTIONS[j]: float(fwd.emotion_probs[j].value[0, 1])
-                   for j in range(len(EMOTIONS))}
-        rec = {
-            "tokens": tokens,
-            "emotion_probabilities": present,
-            "predicted_emotions": [e for e, p in present.items() if p > 0.5],
-        }
-        if fwd.gender_prob is not None:
-            p_male = float(fwd.gender_prob.value[0, 0])
-            rec["gender"] = {"male_probability": p_male,
-                             "predicted": GENDERS[int(p_male > 0.5)]}
-        if fwd.location_probs is not None:
-            probs = fwd.location_probs.value[0]
-            rec["location"] = {"predicted": int(probs.argmax()),
-                               "probabilities": [float(x) for x in probs]}
-        if fwd.attention:
-            rec["attention"] = {name: [float(x) for x in w.value[0, : len(tokens)]]
-                                for name, w in fwd.attention.items()}
-        print(json.dumps(rec))
+    texts = filter(None, (line.strip() for line in sys.stdin))
+    # a non-blank line has a non-space character, so it yields at least one token
+    while token_lists := [text_mod.tokenize(t, mode)
+                          for t in itertools.islice(texts, PREDICT_BATCH)]:
+        posts = [corpus_mod.TokenizedPost(ids=vocab.encode(tokens),
+                                          emotion_bits=np.zeros(5, dtype=np.int64),
+                                          gender_bit=0, location=0)
+                 for tokens in token_lists]
+        fwd = model.forward(posts, train_mode=False)
+        for i, tokens in enumerate(token_lists):
+            print(json.dumps(_predict_record(fwd, i, tokens)))
     return 0
 
 
@@ -289,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("predict", help="read posts from stdin, print predictions")
+    p = sub.add_parser("predict", help="read posts from stdin, print one JSON record per "
+                       f"non-blank line, in input order, in chunks of up to {PREDICT_BATCH} lines")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
     p.set_defaults(func=cmd_predict)

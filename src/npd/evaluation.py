@@ -70,16 +70,19 @@ class EvalReport:
 def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128) -> EvalReport:
     """Run the frozen model over a labeled set in eval mode and score it.
 
-    Present/absent is thresholded at p(present) > 0.5. Side-effect free:
-    parameters and their gradients are untouched.
+    Present/absent is thresholded at p(present) > 0.5. Posts are batched in
+    order of length, which cuts padding; every count is a sum over posts, so
+    the report does not depend on that order. Side-effect free: parameters
+    and their gradients are untouched.
     """
     if not posts:
         raise ContractError("evaluate: empty evaluation set")
+    by_length = sorted(posts, key=lambda p: len(p.ids))
     counts = ConfusionCounts.zeros()
     gender_hits = location_hits = 0
     has_gender = has_location = False
     for start in range(0, len(posts), batch_size):
-        batch = posts[start : start + batch_size]
+        batch = by_length[start : start + batch_size]
         fwd = model.forward(batch, train_mode=False)
         gold = np.stack([p.emotion_bits for p in batch])
         present = np.stack([probs.value[:, 1] for probs in fwd.emotion_probs], axis=1)

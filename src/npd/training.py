@@ -51,18 +51,18 @@ class TrainingConfig:
     seed: int = 0
 
     def validate(self):
-        if self.mu <= 0:
-            raise ConfigError(f"learning rate mu must be positive, got {self.mu}")
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ConfigError(f"learning rate mu must be positive and finite, got {self.mu}")
+        for name in ("lambda1", "lambda2", "lambda3", "l2_lambda", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_epochs < 0 or self.patience < 0:
             raise ConfigError("max_epochs and patience must be nonnegative")
-        if self.l2_lambda < 0 or self.grad_clip < 0:
-            raise ConfigError("l2_lambda and grad_clip must be nonnegative")
 
 
 def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Node],

@@ -6,15 +6,17 @@ full-size determinism and trend runs live in the acceptance suite.
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from npd.cli import main
-from npd.corpus import SynthConfig
+from npd import text
+from npd.cli import PREDICT_BATCH, main
+from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta
 from npd.errors import DataError
-from npd.model import load_checkpoint, save_checkpoint
+from npd.model import NpdModel, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +204,118 @@ class TestMalformedInputs:
         assert main(["eval", "--model", str(path), "--corpus", str(mini_pipeline["corpus"]),
                      "--embeddings", str(mini_pipeline["embeddings"])]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+# (extra training arguments, text the error must contain)
+BAD_TRAINING_OPTIONS = [
+    (["--lambdas", "a,b,c"], "--lambdas"),
+    (["--lambdas", "1,nan,1"], "lambda2"),
+    (["--lambdas", "1,1,inf"], "lambda3"),
+    (["--lr", "nan"], "mu"),
+    (["--lr", "inf"], "mu"),
+    (["--l2", "nan"], "l2_lambda"),
+    (["--grad-clip", "inf"], "grad_clip"),
+    (["--grad-clip", "nan"], "grad_clip"),
+    (["--lambda-rev", "nan"], "lambda_rev"),
+]
+
+
+class TestBadTrainingOptions:
+    @pytest.mark.parametrize("extra,named", BAD_TRAINING_OPTIONS,
+                             ids=[" ".join(e) for e, _ in BAD_TRAINING_OPTIONS])
+    def test_train_exits_1(self, mini_pipeline, tmp_path, capsys, extra, named):
+        code = main(["train", "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"]),
+                     "--variant", "NPD", "--out", str(tmp_path / "m.bin"),
+                     "--hidden-dim", "4", "--epochs", "1", *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    def test_ablate_non_integer_seed_exits_1(self, mini_pipeline, capsys):
+        code = main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
+                     "--variants", "LSTM", "--seeds", "1,x"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--seeds" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def lstm_checkpoint(mini_pipeline):
+    """A one-epoch LSTM checkpoint on the mini corpus: no attention, no discriminators."""
+    path = mini_pipeline["root"] / "lstm.bin"
+    assert main(["train", "--corpus", str(mini_pipeline["corpus"]),
+                 "--embeddings", str(mini_pipeline["embeddings"]),
+                 "--variant", "LSTM", "--out", str(path),
+                 "--hidden-dim", "8", "--epochs", "1", "--batch-size", "16",
+                 "--lr", "0.05"]) == 0
+    return path
+
+
+def run_predict(monkeypatch, capsys, model_path, embeddings, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["predict", "--model", str(model_path), "--embeddings", str(embeddings)]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def corpus_texts(mini_pipeline, n):
+    posts, _ = load_with_meta(str(mini_pipeline["corpus"]))
+    return [p.text for p in posts[:n]]
+
+
+class TestBatchedPredict:
+    @pytest.mark.parametrize("variant", ["NPD", "LSTM"])
+    def test_records_match_one_post_forwards(self, mini_pipeline, lstm_checkpoint,
+                                             monkeypatch, capsys, variant):
+        model_path = mini_pipeline["model"] if variant == "NPD" else lstm_checkpoint
+        texts = corpus_texts(mini_pipeline, 130)  # crosses the 128-line chunk boundary
+        lines = []
+        for i, t in enumerate(texts):
+            lines.append(t)
+            if i % 9 == 0:
+                lines.append("   " if i % 2 else "")
+        records = run_predict(monkeypatch, capsys, model_path,
+                              mini_pipeline["embeddings"], "\n".join(lines) + "\n")
+        assert len(records) == len(texts)
+
+        model = load_checkpoint(str(model_path))
+        vocab, _ = text.load_embeddings(str(mini_pipeline["embeddings"]))
+        for t, rec in zip(texts, records):
+            tokens = text.tokenize(t, "whitespace")
+            assert rec["tokens"] == tokens  # input order
+            post = TokenizedPost(ids=vocab.encode(tokens), emotion_bits=np.zeros(5, np.int64),
+                                 gender_bit=0, location=0)
+            fwd = model.forward([post])
+            probs = [fwd.emotion_probs[j].value[0, 1] for j in range(len(EMOTIONS))]
+            np.testing.assert_allclose(
+                [rec["emotion_probabilities"][e] for e in EMOTIONS], probs, rtol=0, atol=1e-12)
+            assert rec["predicted_emotions"] == [e for e, p in zip(EMOTIONS, probs) if p > 0.5]
+            if variant == "LSTM":
+                assert not {"gender", "location", "attention"} & set(rec)
+                continue
+            p_male = fwd.gender_prob.value[0, 0]
+            assert abs(rec["gender"]["male_probability"] - p_male) <= 1e-12
+            assert rec["gender"]["predicted"] == GENDERS[int(p_male > 0.5)]
+            loc = fwd.location_probs.value[0]
+            np.testing.assert_allclose(rec["location"]["probabilities"], loc, rtol=0, atol=1e-12)
+            assert rec["location"]["predicted"] == int(loc.argmax())
+            assert set(rec["attention"]) == set(fwd.attention)
+            for name, w in fwd.attention.items():
+                np.testing.assert_allclose(rec["attention"][name], w.value[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, PREDICT_BATCH, PREDICT_BATCH + 2])
+    def test_one_forward_per_chunk(self, mini_pipeline, monkeypatch, capsys, n):
+        calls = []
+        original = NpdModel.forward
+
+        def counting_forward(self, batch, *args, **kwargs):
+            calls.append(len(batch))
+            return original(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(NpdModel, "forward", counting_forward)
+        texts = corpus_texts(mini_pipeline, n)
+        records = run_predict(monkeypatch, capsys, mini_pipeline["model"],
+                              mini_pipeline["embeddings"], "\n".join(texts) + "\n")
+        assert len(records) == n
+        assert len(calls) == math.ceil(n / 128)
+        assert sum(calls) == n

@@ -46,17 +46,19 @@ def brute_force_f1(predicted, gold):
 
 
 class StubModel:
-    """Duck-typed model returning canned per-post present-probabilities."""
+    """Duck-typed model returning canned per-post present-probabilities.
 
-    def __init__(self, probs_by_post):
+    Row i of probs belongs to posts[i]; forward looks each post up by
+    identity, so any batching order gets each post's own row."""
+
+    def __init__(self, probs_by_post, posts):
         self.probs = np.asarray(probs_by_post, dtype=np.float64)  # [n x 5]
+        self.row = {id(post): i for i, post in enumerate(posts)}
         self.variant = ModelVariant.LSTM
         self.manifest = {"seed": 0}
-        self._cursor = 0
 
     def forward(self, batch, train_mode=False):
-        take = self.probs[self._cursor : self._cursor + len(batch)]
-        self._cursor += len(batch)
+        take = self.probs[[self.row[id(post)] for post in batch]]
         nodes = [ad.constant(np.stack([1.0 - take[:, j], take[:, j]], axis=1))
                  for j in range(5)]
         return ForwardResult(emotion_probs=nodes, gender_prob=None,
@@ -90,8 +92,8 @@ class TestEvaluate:
     def test_always_absent_model_scores_zero(self):
         rng = np.random.default_rng(1)
         n = 20
-        stub = StubModel(np.full((n, 5), 0.1))
         posts = tiny_dataset(rng, n)
+        stub = StubModel(np.full((n, 5), 0.1), posts)
         for j in range(5):  # ensure at least one positive per emotion
             posts[j].emotion_bits[...] = 0
             posts[j].emotion_bits[j] = 1
@@ -107,7 +109,7 @@ class TestEvaluate:
             posts[j].emotion_bits[j] = 1
         probs = np.stack([p.emotion_bits for p in posts]).astype(float)
         probs = probs * 0.8 + 0.1  # 0.9 where present, 0.1 where absent
-        report = evaluate(StubModel(probs), posts)
+        report = evaluate(StubModel(probs, posts), posts)
         assert report.f1 == [1.0] * 5
         assert report.average_f1 == 1.0
 
@@ -116,7 +118,7 @@ class TestEvaluate:
         n = 60
         posts = tiny_dataset(rng, n)
         probs = rng.random((n, 5))
-        report = evaluate(StubModel(probs), posts, batch_size=17)
+        report = evaluate(StubModel(probs, posts), posts, batch_size=17)
         predicted = (probs > 0.5).astype(int)
         gold = np.stack([p.emotion_bits for p in posts])
         expected = brute_force_f1(predicted.tolist(), gold.tolist())
@@ -137,6 +139,23 @@ class TestEvaluate:
         for name, arr in model.state().items():
             np.testing.assert_array_equal(arr, state_before[name])
             np.testing.assert_array_equal(model.params[name].grad, 0.0)
+
+    def test_report_independent_of_batch_size_and_order(self):
+        rng = np.random.default_rng(8)
+        model = small_model("NPD", seed=2)
+        posts = tiny_dataset(rng, 40)
+        shuffled = [posts[i] for i in rng.permutation(len(posts))]
+        runs = [evaluate(model, posts, batch_size=b) for b in (1, 7, 128)]
+        runs.append(evaluate(model, shuffled))
+        ref = runs[0]
+        assert ref.counts.tp.sum() + ref.counts.fp.sum() > 0  # some present predictions
+        assert ref.counts.tn.sum() + ref.counts.fn.sum() > 0  # and some absent ones
+        for r in runs[1:]:
+            for k in ("tp", "fp", "fn", "tn"):
+                np.testing.assert_array_equal(getattr(r.counts, k), getattr(ref.counts, k))
+            assert r.f1 == ref.f1
+            assert r.gender_accuracy == ref.gender_accuracy
+            assert r.location_accuracy == ref.location_accuracy
 
     def test_empty_set_rejected(self):
         with pytest.raises(ContractError):
