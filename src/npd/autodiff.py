@@ -52,7 +52,7 @@ class Node:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            self._grad = np.zeros(self.value.shape)  # C order, so _add_rows can scatter into it
         return self._grad
 
     @grad.setter
@@ -78,6 +78,23 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     # inf and 1/(1+inf) == 0; only the warning needs suppressing
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
+
+
+def _add_rows(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """table[idx[k]] += vals[k] for every k, repeated rows accumulating.
+
+    Bit-identical to np.add.at(table, idx, vals), and about three times
+    faster on skip-gram's 2560-row updates: the scatter runs through one
+    flat element index, and ufunc.at applies its indices in order, so each
+    element receives its additions in the same k order in both forms. vals
+    has shape idx.shape + (d,).
+    """
+    if not table.flags.c_contiguous:
+        # reshape would return a copy, and the update would be lost
+        raise ContractError(f"_add_rows: table must be C-contiguous, got strides {table.strides}")
+    d = table.shape[1]
+    flat = idx.reshape(-1, 1) * d + np.arange(d)
+    np.add.at(table.reshape(-1), flat.reshape(-1), vals.reshape(-1))
 
 
 def add(a: Node, b: Node) -> Node:
@@ -247,7 +264,7 @@ def rows(table: Node, ids: np.ndarray) -> Node:
     out = Node(table.value[idx], op="rows", parents=(table,))
     if out.needs_grad:
         def _backward():
-            np.add.at(table.grad, idx, out.grad)
+            _add_rows(table.grad, idx, out.grad)
 
         out._backward = _backward
     return out

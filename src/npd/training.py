@@ -34,6 +34,12 @@ class ModelDims:
     lambda_rev: float = 1.0
     finetune_embeddings: bool = False
 
+    def validate(self):
+        for name in ("hidden_dim", "attention_dim", "head_hidden_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class TrainingConfig:
@@ -204,6 +210,7 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
     if not train_posts:
         raise ContractError("train: empty training split")
     dims = dims or ModelDims()
+    dims.validate()
     variant = ModelVariant(variant)
     model = build_model(variant, embedding, num_locations, cfg.seed,
                         hidden_dim=dims.hidden_dim, attention_dim=dims.attention_dim,

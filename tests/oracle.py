@@ -3,7 +3,9 @@
 Deliberately shares no code with the graph engine: loops over one post at a
 time, uses explicit vector algebra, and returns plain floats. Serves two
 oracle roles in the test suite: reference forward values, and the scalar
-functions driven by central finite differences in gradient checks.
+functions driven by central finite differences in gradient checks. Also
+holds the straight loop that skip-gram's vectorized pair generation must
+match exactly.
 """
 
 import math
@@ -183,3 +185,23 @@ def max_rel_error(analytic, numeric):
     a, n = np.asarray(analytic), np.asarray(numeric)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def epoch_pairs(corpus, window, rng):
+    """(center, context) id pairs for one skip-gram epoch, one position at a
+    time: each post of two or more tokens draws one span per position, and
+    the center pairs with every other token within that span."""
+    centers, contexts = [], []
+    for ids in corpus:
+        n = len(ids)
+        if n < 2:
+            continue
+        spans = rng.integers(1, window + 1, size=n)
+        for i in range(n):
+            lo = max(0, i - int(spans[i]))
+            hi = min(n, i + int(spans[i]) + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    centers.append(ids[i])
+                    contexts.append(ids[j])
+    return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)

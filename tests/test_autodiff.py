@@ -511,6 +511,26 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert [name for name in public if name not in called] == []
 
 
+def test_ufunc_at_only_inside_add_rows():
+    """Every scatter in the package goes through ad._add_rows, whose flat index
+    is bit-identical to a row-wise np.add.at and several times faster; a new
+    np.<ufunc>.at call elsewhere would bring the slow row-wise form back."""
+    calls, inside = [], []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_add_rows":
+                inside.append((path.name, node.lineno, node.end_lineno))
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "at"
+                    and isinstance(f.value, ast.Attribute)
+                    and isinstance(f.value.value, ast.Name) and f.value.value.id == "np"):
+                calls.append((path.name, node.lineno))
+    [(name, lo, hi)] = inside
+    assert name == "autodiff.py" and calls
+    assert [c for c in calls if not (c[0] == name and lo <= c[1] <= hi)] == []
+
+
 def lstm_inputs(lengths, hd, seed):
     """Random lstm_seq inputs for posts of the given lengths, padded to the longest."""
     rng = np.random.default_rng(seed)

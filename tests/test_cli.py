@@ -240,6 +240,35 @@ class TestBadTrainingOptions:
         assert err.startswith("error: ") and "--seeds" in err and "Traceback" not in err
 
 
+# (subcommand, extra arguments, text the error must contain)
+BAD_SIZE_OPTIONS = [
+    ("embed", ["--embed-lr", "nan"], "learning_rate"),
+    ("embed", ["--embed-lr", "inf"], "learning_rate"),
+    ("embed", ["--embed-epochs", "-1"], "epochs"),
+    ("train", ["--hidden-dim", "0"], "hidden_dim"),
+    ("train", ["--hidden-dim", "-3"], "hidden_dim"),
+    ("train", ["--attention-dim", "0"], "attention_dim"),
+    ("train", ["--head-hidden-dim", "0"], "head_hidden_dim"),
+]
+
+
+@pytest.mark.parametrize("command,extra,named", BAD_SIZE_OPTIONS,
+                         ids=[f"{c} {' '.join(e)}" for c, e, _ in BAD_SIZE_OPTIONS])
+def test_bad_size_option_exits_1(mini_pipeline, tmp_path, capsys, command, extra, named):
+    out = tmp_path / "out"
+    args = ["--corpus", str(mini_pipeline["corpus"]), "--out", str(out)]
+    if command == "embed":
+        args += ["--embed-dim", "4", "--embed-epochs", "1"]
+    else:
+        args += ["--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD",
+                 "--hidden-dim", "4", "--epochs", "1"]
+    code = main([command, *args, *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def lstm_checkpoint(mini_pipeline):
     """A one-epoch LSTM checkpoint on the mini corpus: no attention, no discriminators."""

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import oracle
+from npd import text
+from npd.autodiff import _add_rows
 from npd.errors import ConfigError, ContractError, DataError
 from npd.text import (
     EmbeddingTable,
@@ -113,6 +116,65 @@ class TestSkipGram:
             if cos(mat[2], mat[3]) > cos(mat[2], mat[4]):
                 wins += 1
         assert wins >= 2
+
+
+def _posts(rng, lengths, vocab_size):
+    return [[int(x) for x in rng.integers(0, vocab_size, size=n)] for n in lengths]
+
+
+class TestEpochPairs:
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_matches_loop_oracle(self, window):
+        rng = np.random.default_rng(window)
+        lengths = [0, 1, 2, 30, 2, 1, 0, 30, 7] + list(rng.integers(0, 31, size=40))
+        corpus = _posts(rng, lengths, 50)
+        got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = text._epoch_pairs(corpus, window, got_rng)
+        ref = oracle.epoch_pairs(corpus, window, ref_rng)
+        assert len(ref[0]) > 0
+        for g, r in zip(got, ref):
+            assert g.dtype == np.int64 and np.array_equal(g, r)
+        assert got_rng.random() == ref_rng.random()  # same draws consumed
+
+    @pytest.mark.parametrize("lengths", [[], [0, 1, 0], [1]])
+    def test_no_pairs_without_a_two_token_post(self, lengths):
+        rng = np.random.default_rng(0)
+        centers, contexts = text._epoch_pairs(_posts(rng, lengths, 5), 3, rng)
+        assert centers.shape == contexts.shape == (0,)
+        assert centers.dtype == contexts.dtype == np.int64
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("idx_shape", [(4000,), (800, 5)])
+    def test_bit_identical_to_row_add_at(self, idx_shape):
+        rng = np.random.default_rng(4)
+        table = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-8, 8, size=(6, 7))
+        idx = rng.integers(0, 6, size=idx_shape)  # every row repeats hundreds of times
+        shape = idx_shape + (7,)
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        ref = table.copy()
+        np.add.at(ref, idx.reshape(-1), vals.reshape(-1, 7))
+        _add_rows(table, idx, vals)
+        assert table.tobytes() == ref.tobytes()
+
+    def test_transposed_table_rejected(self):
+        table = np.zeros((3, 4)).T
+        with pytest.raises(ContractError, match="C-contiguous"):
+            _add_rows(table, np.array([0, 1]), np.ones((2, 3)))
+
+    def test_skipgram_output_unchanged_from_row_add_at(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        corpus = _posts(rng, rng.integers(0, 25, size=120), 60)
+        cfg = SkipGramConfig(embed_dim=8, window=3, epochs=2, seed=4)
+        assert len(text._epoch_pairs(corpus, 3, np.random.default_rng(0))[0]) > 3 * text._CHUNK
+        flat = train_skipgram(corpus, vocab_size=60, cfg=cfg).matrix
+
+        def row_add_at(table, idx, vals):
+            np.add.at(table, idx.reshape(-1), vals.reshape(-1, table.shape[1]))
+
+        monkeypatch.setattr(text, "_add_rows", row_add_at)
+        rows = train_skipgram(corpus, vocab_size=60, cfg=cfg).matrix
+        assert flat.tobytes() == rows.tobytes()
 
 
 class TestPersistence:
