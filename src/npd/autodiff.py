@@ -4,8 +4,9 @@ Tensors are plain numpy float64 ndarrays (row-major); a Node wraps a value
 tensor together with a same-shaped gradient buffer and a backward closure.
 Graphs are built dynamically per batch and consumed by backward. Batches of
 variable-length posts are padded to the longest one, and the two ops that
-see the time axis take the {0,1} validity mask: lstm_seq carries each
-padded row's state through, and softmax_rows gives padded steps
+see the time axis take the {0,1} validity mask: lstm_seq packs the batch,
+running each step on the rows still live and repeating a finished row's
+final state in its padded steps, and softmax_rows gives padded steps
 probability 0. Gradients accumulate with ``+=`` across node reuse; callers
 zero them between optimizer steps.
 
@@ -13,7 +14,7 @@ The op set is exactly what the emotion model and its losses call: matmul
 (matrix by matrix or by vector), elementwise add/scale_shift/tanh/sigmoid,
 the bias add add_rowvec, row-wise stabilized softmax, 2-D concatenation,
 the row gather and slice/reshape plumbing for step-major sequences, the
-fused masked LSTM recurrence lstm_seq with its hand-written backward,
+fused packed LSTM recurrence lstm_seq with its hand-written backward,
 attention pooling weighted_sum, inverted dropout, the gradient-reversal
 node that flips the sign of gradients flowing into the shared encoder from
 the attribute discriminators, and two fused loss nodes: nll, the clipped
@@ -32,16 +33,15 @@ class Node:
     value and grad always share a shape; parents are ordered; _backward,
     when set, propagates this node's grad into its parents' grads.
     needs_grad marks nodes on a path from a parameter; gradient work into
-    pure-constant subgraphs is skipped, and their zero grad buffers are
-    materialized only if someone actually reads them.
+    pure-constant subgraphs is skipped. grad is a zero buffer created on
+    first read, so a node whose gradient nobody reads never allocates one.
     """
 
-    __slots__ = ("value", "_grad", "op", "parents", "_backward", "needs_grad")
+    __slots__ = ("value", "grad", "op", "parents", "_backward", "needs_grad")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (),
                  needs_grad: bool | None = None):
         self.value = np.asarray(value, dtype=np.float64)
-        self._grad = None
         self.op = op
         self.parents = parents
         self._backward = None
@@ -49,15 +49,12 @@ class Node:
             needs_grad = any(p.needs_grad for p in parents)
         self.needs_grad = needs_grad
 
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros(self.value.shape)  # C order, so _add_rows can scatter into it
-        return self._grad
-
-    @grad.setter
-    def grad(self, value) -> None:
-        self._grad = value
+    def __getattr__(self, name):
+        # called only for a slot not yet set; of those, grad starts as zeros
+        if name != "grad":
+            raise AttributeError(name)
+        self.grad = np.zeros(self.value.shape)  # C order, so _add_rows can scatter into it
+        return self.grad
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -297,16 +294,24 @@ def weighted_sum(weights: Node, stacked: Node) -> Node:
 
 def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
              mask: np.ndarray) -> Node:
-    """A whole masked LSTM recurrence as one node.
+    """A whole LSTM recurrence over a padded batch as one node.
 
     pre_x is the [T*n x 4h] input projection, step-major, with gates in the
-    order i, f, o, g; mask is the constant [n x T] {0,1} validity array. The
-    output holds every step's hidden state as [T*n x h], step-major. Where
-    mask[i, t] == 0, row i carries its h and c unchanged, so the last block
-    holds each row's final state. The activated gates of all steps live in
-    one [T x n x 4h] buffer next to tanh(c), h and c; the backward pass runs
-    masked BPTT over them, gives padded rows of pre_x exactly 0 gradient,
-    and accumulates wh's gradient in one matmul after the time loop.
+    order i, f, o, g; mask is the constant [n x T] {0,1} validity array, each
+    row ones up to that row's length and zeros after. The output holds every
+    step's hidden state as [T*n x h], step-major; past its length a row
+    repeats its final state, so the last block holds each row's final state.
+
+    The recurrence runs packed, as PyTorch's pack_padded_sequence does: the
+    rows are sorted by length once, so the rows still live at step t are a
+    prefix of that order, and the L live (step, row) pairs are stored
+    step-major in [L x ...] buffers where each step is one contiguous block.
+    Padded pairs are never computed. b is added into the gathered inputs once,
+    before the time loop. Backward turns the stored gates into their local
+    derivatives for all steps in one vectorised pass, in place, so each BPTT
+    step only scales them by dh and dc; padded rows of pre_x get exactly 0
+    gradient, and wh's gradient is one matmul after the time loop. A mask
+    row with a zero before a one raises ContractError.
     """
     n, T = mask.shape
     hd = wh.value.shape[0]
@@ -316,52 +321,99 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
         raise DimensionError(
             f"lstm_seq: pre_x {pre_x.value.shape}, wh {wh.value.shape}, b {b.value.shape}, "
             f"h0 {h0.value.shape}, c0 {c0.value.shape} with mask {mask.shape}")
-    keep = (mask.T > 0)[:, :, None]  # [T x n x 1]
-    x = pre_x.value.reshape(T, n, 4 * hd)
+    valid = mask > 0
+    lengths = valid.sum(axis=1)
+    if not np.array_equal(valid, np.arange(T) < lengths[:, None]):
+        raise ContractError("lstm_seq: each mask row must be ones then zeros")
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    live = (lengths > np.arange(T)[:, None]).sum(axis=1)  # rows still running at step t
+    steps, ranks = np.nonzero(np.arange(n) < live[:, None])  # the packed pairs, step-major
+    rows = steps * n + order[ranks]  # their rows of pre_x
+    start = np.concatenate(([0], np.cumsum(live)))  # step t is packed rows start[t]:start[t+1]
+    # H and C hold the n initial states, then the packed states: the state
+    # before step t is block blk[t], the state after it block blk[t + 1]
+    blk = np.concatenate(([0], n + start[:-1]))
+
+    x = pre_x.value[rows]  # [L x 4h], becomes the gates in place
+    x += b.value
     w = wh.value
-    gates = np.empty((T, n, 4 * hd))
-    tanh_c = np.empty((T, n, hd))
-    hs = np.empty((T + 1, n, hd))  # hs[t + 1] is the state after step t
-    cs = np.empty((T + 1, n, hd))
-    hs[0], cs[0] = h0.value, c0.value
-    for t in range(T):
-        pre = x[t] + hs[t] @ w + b.value
-        gt = gates[t]
-        gt[:, : 3 * hd] = _sigmoid_stable(pre[:, : 3 * hd])
-        gt[:, 3 * hd :] = np.tanh(pre[:, 3 * hd :])
-        gi, gf, go, gg = np.split(gt, 4, axis=1)
-        c_new = gf * cs[t] + gi * gg
-        tanh_c[t] = np.tanh(c_new)
-        hs[t + 1] = np.where(keep[t], go * tanh_c[t], hs[t])
-        cs[t + 1] = np.where(keep[t], c_new, cs[t])
-    out = Node(hs[1:].reshape(T * n, hd), op="lstm_seq", parents=(pre_x, wh, b, h0, c0))
+    H = np.empty((n + len(rows), hd))
+    C = np.empty((n + len(rows), hd))
+    tanh_c = np.empty((len(rows), hd))
+    H[:n], C[:n] = h0.value, c0.value
+    acc = np.empty((n, 4 * hd))
+    with np.errstate(over="ignore"):  # exp(-z) -> inf still gives sigmoid 0
+        for t in range(T):
+            k, p, s, e = live[t], blk[t], start[t], start[t + 1]
+            g = x[s:e]
+            np.matmul(H[p : p + k], w, out=acc[:k])
+            g += acc[:k]
+            sig = g[:, : 3 * hd]  # 1 / (1 + exp(-z)), in place
+            np.negative(sig, out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.reciprocal(sig, out=sig)
+            np.tanh(g[:, 3 * hd :], out=g[:, 3 * hd :])
+            c = C[n + s : n + e]
+            np.multiply(g[:, hd : 2 * hd], C[p : p + k], out=c)
+            np.multiply(g[:, :hd], g[:, 3 * hd :], out=acc[:k, :hd])
+            c += acc[:k, :hd]
+            np.tanh(c, out=tanh_c[s:e])
+            np.multiply(g[:, 2 * hd : 3 * hd], tanh_c[s:e], out=H[n + s : n + e])
+    # step t of row i shows the state after step min(t, length - 1)
+    last = np.minimum(np.arange(T)[:, None], lengths - 1)
+    out = Node(H[(blk[last + 1] + rank).reshape(-1)], op="lstm_seq",
+               parents=(pre_x, wh, b, h0, c0))
     if out.needs_grad:
         def _backward():
+            prev = blk[steps] + ranks  # H and C rows of each pair's previous state
+            gi, gf, go, gg = (x[:, j * hd : (j + 1) * hd] for j in range(4))
+            h_t = H[n:]  # o tanh(c), aligned with the packed pairs
+            # each gate's slot becomes d c_t / d pre (d h_t / d pre for o), in
+            # place; f stays as dc's carry factor, and a = o (1 - tanh(c)^2),
+            # dh's share of dc, takes tanh(c)'s buffer
+            f = gf.copy()
+            u = C[prev]
+            u *= f
+            np.subtract(1.0, gf, out=gf)
+            gf *= u  # (1 - f) f c_prev
+            a = tanh_c
+            np.multiply(h_t, a, out=a)
+            np.subtract(go, a, out=a)
+            np.subtract(1.0, go, out=go)
+            go *= h_t  # (1 - o) o tanh(c)
+            np.multiply(gi, gg, out=u)
+            np.multiply(u, gg, out=gg)
+            np.subtract(gi, gg, out=gg)  # i (1 - g^2)
+            np.subtract(1.0, gi, out=gi)
+            gi *= u  # (1 - i) i g
+
             d_out = out.grad.reshape(T, n, hd)
-            d_pre = np.empty((T, n, 4 * hd))
+            w_t = np.ascontiguousarray(w.T)
             dh = np.zeros((n, hd))
             dc = np.zeros((n, hd))
+            tmp = np.empty((n, hd))
             for t in range(T - 1, -1, -1):
-                dh = dh + d_out[t]
-                # padded rows pass dh and dc straight back to the previous step
-                live_h = np.where(keep[t], dh, 0.0)
-                live_c = np.where(keep[t], dc, 0.0)
-                gi, gf, go, gg = np.split(gates[t], 4, axis=1)
-                di, df, do, dg = np.split(d_pre[t], 4, axis=1)
-                live_c = live_c + live_h * go * (1.0 - tanh_c[t] * tanh_c[t])
-                di[...] = live_c * gg * gi * (1.0 - gi)
-                df[...] = live_c * cs[t] * gf * (1.0 - gf)
-                do[...] = live_h * tanh_c[t] * go * (1.0 - go)
-                dg[...] = live_c * gi * (1.0 - gg * gg)
-                dh = d_pre[t] @ w.T + np.where(keep[t], 0.0, dh)
-                dc = live_c * gf + np.where(keep[t], 0.0, dc)
-            flat = d_pre.reshape(T * n, 4 * hd)
+                k, s, e = live[t], start[t], start[t + 1]
+                # a row past its length collects the gradient of its repeated final state
+                dh += d_out[t, order]
+                dhk, dck = dh[:k], dc[:k]
+                np.multiply(dhk, a[s:e], out=tmp[:k])
+                dck += tmp[:k]
+                d = x[s:e].reshape(k, 4, hd)
+                d[:, :2] *= dck[:, None]
+                d[:, 2] *= dhk
+                d[:, 3] *= dck
+                np.matmul(x[s:e], w_t, out=dhk)
+                dck *= f[s:e]
             if pre_x.needs_grad:
-                pre_x.grad += flat
+                pre_x.grad[rows] += x
             if wh.needs_grad:
-                wh.grad += hs[:-1].reshape(T * n, hd).T @ flat
+                wh.grad += H[prev].T @ x
             if b.needs_grad:
-                b.grad += flat.sum(axis=0)
+                b.grad += x.sum(axis=0)
             if h0.needs_grad:
                 h0.grad += dh.sum(axis=0)
             if c0.needs_grad:
@@ -431,15 +483,13 @@ def grad_reverse(x: Node, lambda_rev: float) -> Node:
     return out
 
 
-def dropout(x: Node, rate: float, rng: np.random.Generator, train_mode: bool) -> Node:
+def dropout(x: Node, rate: float, rng: np.random.Generator) -> Node:
     """Inverted dropout: zero each element with probability rate, scale survivors.
 
-    Identity in eval mode and at rate 0.
+    Only training calls it; eval-mode forwards leave it out of the graph.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
-        return x
     keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
     out = Node(x.value * keep, op="dropout", parents=(x,))
     if out.needs_grad:

@@ -31,6 +31,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number_list(x) -> bool:
+    """A JSON list, nested or not, of finite numbers: no bools, strings,
+    nulls or ragged nesting."""
+    if not isinstance(x, list):
+        return False
+    try:
+        arr = np.array(x)
+    except ValueError:  # ragged
+        return False
+    return arr.dtype.kind in "iuf" and bool(np.all(np.isfinite(arr)))
+
+
 @dataclass
 class Post:
     text: str
@@ -193,12 +205,36 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown SynthConfig field {sorted(unknown)[0]!r}")
+        """Read a JSON object of SynthConfig fields, each optional.
+
+        Malformed JSON, a top level that is not an object, an unknown field
+        and a value of the wrong JSON type raise DataError naming the path
+        and the field; a finite number is required wherever a float is.
+        """
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: malformed JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: expected a JSON object of SynthConfig fields, "
+                            f"got {type(raw).__name__}")
+        fields = cls.__dataclass_fields__
+        for name, value in raw.items():
+            if name not in fields:
+                raise DataError(f"{path}: unknown SynthConfig field {name!r}")
+            default = fields[name].default
+            if isinstance(default, bool):
+                ok, want = isinstance(value, bool), "true or false"
+            elif isinstance(default, int):
+                ok, want = _is_int(value), "an integer"
+            elif isinstance(default, float):
+                ok, want = _is_number_list([value]), "a finite number"
+            else:  # prevalence, and correlation, which may also be null
+                ok = _is_number_list(value) or (default is None and value is None)
+                want = "a list of finite numbers"
+            if not ok:
+                raise DataError(f"{path}: field {name!r} must be {want}, got {value!r}")
         if "prevalence" in raw:
             raw["prevalence"] = tuple(raw["prevalence"])
         return cls(**raw)

@@ -5,11 +5,13 @@ heads, with every ablation variant wired from the same parts.
 Forward passes are batched: posts are padded to the batch's longest
 sequence and a {0,1} validity mask keeps padded steps out of both the
 recurrence and the attention softmax. The encoder is one input matmul and
-one fused lstm_seq node whose [T*b x h] step-major output holds every
-step's hidden state; the state carries through padded steps, so the last
-block is each post's own final state. All parameters live in a flat
-name -> Node map whose name prefix ("f.", "y.", "g.", "l.") is the
-parameter partition used by the saddle-point update.
+one fused lstm_seq node, which runs the recurrence packed: each step only
+on the posts still running, with no work for padded steps. Its [T*b x h]
+step-major output holds every step's hidden state, and a post's final state
+fills its padded steps, so the last block is each post's own final state.
+All parameters live in a flat name -> Node map whose name prefix ("f.",
+"y.", "g.", "l.") is the parameter partition used by the saddle-point
+update.
 
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
@@ -206,9 +208,9 @@ class NpdModel:
             out.append(ad.softmax_rows(logits))
         return out
 
-    def _discriminate(self, vec: Node, which: str, reversal: bool) -> Node:
+    def _discriminate(self, vec: Node, which: str) -> Node:
         p = self.params
-        x = ad.grad_reverse(vec, self.lambda_rev) if reversal else vec
+        x = ad.grad_reverse(vec, self.lambda_rev) if self.wiring.reversal else vec
         logits = ad.add_rowvec(ad.matmul(x, p[f"{which}.w"]), p[f"{which}.b"])
         if which == "g":
             return ad.sigmoid(logits)
@@ -216,12 +218,8 @@ class NpdModel:
 
     def forward(self, batch: list[TokenizedPost], train_mode: bool = False,
                 rng: np.random.Generator | None = None,
-                dropout_rate: float = 0.0, reversal: bool = True) -> ForwardResult:
-        """Batched forward pass through the variant's wiring.
-
-        reversal=False bypasses the gradient-reversal nodes (used by the
-        sign-pattern comparisons); forward values are identical either way.
-        """
+                dropout_rate: float = 0.0) -> ForwardResult:
+        """Batched forward pass through the variant's wiring."""
         if not batch:
             raise ContractError("forward: empty batch")
         if any(len(p.ids) == 0 for p in batch):
@@ -237,7 +235,6 @@ class NpdModel:
 
         states = self._encode(ids, mask)
         wiring = self.wiring
-        use_reversal = reversal and wiring.reversal
 
         attention: dict[str, Node] = {}
         v_g = v_l = None
@@ -262,13 +259,13 @@ class NpdModel:
         if train_mode and dropout_rate > 0.0:
             if rng is None:
                 raise ContractError("forward: train-mode dropout needs an rng")
-            head_in = ad.dropout(head_in, dropout_rate, rng, True)
+            head_in = ad.dropout(head_in, dropout_rate, rng)
 
         gender_prob = location_probs = None
         if wiring.gender_discriminator:
-            gender_prob = self._discriminate(v_g or h_last, "g", use_reversal)
+            gender_prob = self._discriminate(v_g or h_last, "g")
         if wiring.location_discriminator:
-            location_probs = self._discriminate(v_l or h_last, "l", use_reversal)
+            location_probs = self._discriminate(v_l or h_last, "l")
 
         return ForwardResult(emotion_probs=self._emotion_heads(head_in),
                              gender_prob=gender_prob, location_probs=location_probs,

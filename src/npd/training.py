@@ -43,6 +43,13 @@ class ModelDims:
 
 @dataclass
 class TrainingConfig:
+    # AdaGrad's learning rate. It bounds how far training can move a weight:
+    # after T steps a coordinate has moved at most
+    # mu * sqrt(T * (1 + ln(A_T / A_1))), where A_t is the sum of its squared
+    # gradients over steps 1..t (Cauchy-Schwarz on sum_t g_t / sqrt(A_t)).
+    # At this default, the CLI's 50 epochs of about 158 steps (the default
+    # 8000-post synthetic corpus) move a weight by at most about
+    # 0.009 * sqrt(1 + ln(A_T / A_1)), against the +-0.08 initialisation.
     mu: float = 0.0001
     lambda1: float = 1.0
     lambda2: float = 1.0

@@ -257,16 +257,15 @@ class TestBackward:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = ad.constant([1.0, 2.0])
-        assert ad.dropout(x, 0.0, np.random.default_rng(0), True) is x
-
-    def test_eval_mode_identity(self):
-        x = ad.constant([1.0, 2.0])
-        assert ad.dropout(x, 0.9, np.random.default_rng(0), False) is x
+        x = ad.param([1.0, 2.0])
+        out = ad.dropout(x, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.value, [1.0, 2.0])
+        ad.backward(probe_loss(out, np.array([3.0, -4.0])))
+        np.testing.assert_array_equal(x.grad, [3.0, -4.0])
 
     def test_zero_fraction(self):
         x = ad.constant(np.ones(100_000))
-        out = ad.dropout(x, 0.2, np.random.default_rng(42), True)
+        out = ad.dropout(x, 0.2, np.random.default_rng(42))
         frac = float(np.mean(out.value == 0.0))
         assert 0.19 <= frac <= 0.21
         survivors = out.value[out.value != 0.0]
@@ -276,11 +275,11 @@ class TestDropout:
         x = ad.constant([1.0])
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                ad.dropout(x, rate, np.random.default_rng(0), True)
+                ad.dropout(x, rate, np.random.default_rng(0))
 
     def test_grad_matches_mask(self):
         x = ad.param(np.ones(1000))
-        out = ad.dropout(x, 0.5, np.random.default_rng(1), True)
+        out = ad.dropout(x, 0.5, np.random.default_rng(1))
         ad.backward(probe_loss(out, np.ones(1000)))
         kept = out.value != 0.0
         np.testing.assert_allclose(x.grad[kept], 2.0)
@@ -545,9 +544,12 @@ def lstm_inputs(lengths, hd, seed):
 
 
 class TestLstmSeq:
-    def test_grad_fd_all_inputs(self):
-        arrays, mask = lstm_inputs([1, 6, 13, 30], hd=4, seed=61)
-        probe = linear_probe((30 * 4, 4), seed=62)
+    # ascending lengths, and unsorted ones with ties, which packing must reorder
+    @pytest.mark.parametrize("lengths", [[1, 6, 13, 30], [5, 1, 9, 5, 9]],
+                             ids=["ascending", "unsorted-ties"])
+    def test_grad_fd_all_inputs(self, lengths):
+        arrays, mask = lstm_inputs(lengths, hd=4, seed=61)
+        probe = linear_probe((max(lengths) * len(lengths), 4), seed=62)
         nodes = [ad.param(a) for a in arrays]
         ad.backward(probe_loss(ad.lstm_seq(*nodes, mask), probe))
         live = (mask.T > 0).reshape(-1)  # step-major rows of pre_x; padded ones get 0
@@ -564,6 +566,41 @@ class TestLstmSeq:
         assert_grad_close(nodes[0].grad[live], numeric_grad(f_live, arrays[0][live]))
         for k in range(1, 5):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
+
+    @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4, 4]],
+                             ids=["ties", "one-row", "all-equal"])
+    def test_row_permutation_permutes_outputs_and_grads(self, lengths):
+        """Packing sorts rows by length; whatever order the batch arrives in,
+        permuting its rows permutes the output rows and pre_x's gradient rows
+        the same way and leaves the shared parameters' gradients alone."""
+        arrays, mask = lstm_inputs(lengths, hd=3, seed=66)
+        n, T = mask.shape
+        probe = linear_probe((T, n, 3), seed=67)
+
+        def run(perm):
+            def rows(a):  # permute the rows of a [T*n x d] step-major array
+                return a.reshape(T, n, -1)[:, perm].reshape(T * n, -1)
+
+            nodes = [ad.param(rows(arrays[0]))] + [ad.param(a) for a in arrays[1:]]
+            out = ad.lstm_seq(*nodes, mask[perm])
+            ad.backward(probe_loss(out, rows(probe)))
+            return out.value.reshape(T, n, -1), [node.grad for node in nodes]
+
+        identity = np.arange(n)
+        out, grads = run(identity)
+        for perm in (identity[::-1], np.random.default_rng(68).permutation(n)):
+            p_out, p_grads = run(perm)
+            np.testing.assert_allclose(p_out, out[:, perm], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p_grads[0].reshape(T, n, -1),
+                                       grads[0].reshape(T, n, -1)[:, perm], rtol=0, atol=1e-12)
+            for g, p_g in zip(grads[1:], p_grads[1:]):
+                np.testing.assert_allclose(p_g, g, rtol=0, atol=1e-12)
+
+    def test_mask_with_a_gap_rejected(self):
+        arrays, mask = lstm_inputs([3, 3], hd=2, seed=69)
+        mask[1, 1] = 0.0
+        with pytest.raises(ContractError):
+            ad.lstm_seq(*map(ad.constant, arrays), mask)
 
     def test_padded_rows_of_pre_x_get_zero_grad(self):
         arrays, mask = lstm_inputs([2, 9, 5], hd=3, seed=63)

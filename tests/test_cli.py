@@ -206,6 +206,39 @@ class TestMalformedInputs:
         assert "non-finite" in capsys.readouterr().err
 
 
+# (bytes of a synth --config file, text the error must contain besides the path)
+BAD_SYNTH_CONFIGS = [
+    (b'{"n_posts": 5', "malformed JSON"),
+    (b'\xff{}', "malformed JSON"),
+    (b"[1]", "JSON object"),
+    (b'"n_posts"', "JSON object"),
+    (b'{"n_postz": 5}', "'n_postz'"),
+    (b'{"n_posts": "abc"}', "'n_posts'"),
+    (b'{"n_posts": 5.5}', "'n_posts'"),
+    (b'{"n_posts": true}', "'n_posts'"),
+    (b'{"prevalence": 5}', "'prevalence'"),
+    (b'{"prevalence": [0.1, "a", 0.1, 0.1, 0.1]}', "'prevalence'"),
+    (b'{"prevalence": [0.1, NaN, 0.1, 0.1, 0.1]}', "'prevalence'"),
+    (b'{"gender_tilt": "0.5"}', "'gender_tilt'"),
+    (b'{"gender_tilt": Infinity}', "'gender_tilt'"),
+    (b'{"attribute_conditioned_markers": 1}', "'attribute_conditioned_markers'"),
+    (b'{"correlation": "none"}', "'correlation'"),
+    (b'{"correlation": [[1.0, 1.0], [1.0]]}', "'correlation'"),
+]
+
+
+@pytest.mark.parametrize("blob,named", BAD_SYNTH_CONFIGS,
+                         ids=[b.decode("utf-8", "replace") for b, _ in BAD_SYNTH_CONFIGS])
+def test_bad_synth_config_exits_1(tmp_path, capsys, blob, named):
+    path = tmp_path / "synth.json"
+    path.write_bytes(blob)
+    code = main(["synth", "--config", str(path), "--out", str(tmp_path / "c.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 # (extra training arguments, text the error must contain)
 BAD_TRAINING_OPTIONS = [
     (["--lambdas", "a,b,c"], "--lambdas"),

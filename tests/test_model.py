@@ -163,9 +163,10 @@ class TestDiscriminators:
         from npd.training import gender_loss
 
         model = small_model("NPD_GENDER", seed=12, lambda_rev=lambda_rev)
+        model.wiring = model.wiring._replace(reversal=reversal)
         rng = np.random.default_rng(12)
         batch = [make_post(rng, 4), make_post(rng, 2)]
-        fwd = model.forward(batch, reversal=reversal)
+        fwd = model.forward(batch)
         loss = gender_loss(fwd.gender_prob, np.array([p.gender_bit for p in batch]))
         ad.backward(loss)
         return {k: v.grad.copy() for k, v in model.params.items() if k.startswith("f.")}
@@ -186,9 +187,10 @@ class TestDiscriminators:
 
         def emotion_grads(reversal):
             model = small_model("NPD", seed=13)
+            model.wiring = model.wiring._replace(reversal=reversal)
             rng = np.random.default_rng(13)
             batch = [make_post(rng, 5)]
-            fwd = model.forward(batch, reversal=reversal)
+            fwd = model.forward(batch)
             gold = np.stack([p.emotion_bits for p in batch])
             heads = [n for k, n in model.params.items() if k.startswith("y.")]
             from npd.training import emotion_loss
@@ -251,6 +253,15 @@ class TestForwardVariants:
                 np.testing.assert_allclose(weights.value[i, :n], ref["attention"][key],
                                            atol=1e-10)
                 np.testing.assert_array_equal(weights.value[i, n:], 0.0)
+
+    def test_eval_mode_ignores_dropout_rate(self):
+        """Dropout enters the graph only in train mode, so an eval-mode
+        forward given a dropout rate (and no rng) is the plain forward."""
+        model = small_model("NPD")
+        batch = [make_post(np.random.default_rng(22), n) for n in (3, 6)]
+        plain = model.forward(batch).head_input.value
+        np.testing.assert_array_equal(model.forward(batch, dropout_rate=0.9).head_input.value,
+                                      plain)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):

@@ -128,7 +128,8 @@ class TestTotalLoss:
 
         def grads(component):
             model = small_model("NPD", seed=17)
-            fwd = model.forward(batch, reversal=(component == "total"))
+            model.wiring = model.wiring._replace(reversal=component == "total")
+            fwd = model.forward(batch)
             jy, jg, jl, total = batch_losses(model, fwd, batch, cfg)
             ad.backward({"total": total, "jy": jy, "jg": jg, "jl": jl}[component])
             return {k: v.grad.copy() for k, v in model.params.items()
