@@ -6,20 +6,20 @@ Graphs are built dynamically per batch and consumed by backward. Batches of
 variable-length posts are padded to the longest one, and the two ops that
 see the time axis take the {0,1} validity mask: lstm_seq packs the batch,
 running each step on the rows still live and repeating a finished row's
-final state in its padded steps, and softmax_rows gives padded steps
-probability 0. Gradients accumulate with ``+=`` across node reuse; callers
-zero them between optimizer steps.
+final state in its padded steps, and attention_pool gives padded steps
+weight 0. Gradients accumulate with ``+=`` across node reuse; callers zero
+them between optimizer steps.
 
-The op set is exactly what the emotion model and its losses call: matmul
-(matrix by matrix or by vector), elementwise add/scale_shift/tanh/sigmoid,
-the bias add add_rowvec, row-wise stabilized softmax, 2-D concatenation,
-the row gather and slice/reshape plumbing for step-major sequences, the
-fused packed LSTM recurrence lstm_seq with its hand-written backward,
-attention pooling weighted_sum, inverted dropout, the gradient-reversal
-node that flips the sign of gradients flowing into the shared encoder from
-the attribute discriminators, and two fused loss nodes: nll, the clipped
-mean negative log-likelihood of each row's gold class, and sum_squares,
-the L2 penalty over a list of parameters.
+The op set is exactly what the emotion model and its losses call: matrix
+product, elementwise add/scale_shift/sigmoid, the bias add add_rowvec,
+row-wise softmax, 2-D concatenation, row gather and row slice, inverted
+dropout, the gradient-reversal node that flips the sign of gradients
+flowing into the shared encoder from the attribute discriminators, and
+fused nodes with hand-written backwards: the packed LSTM recurrence
+lstm_seq, the attribute attention attention_pool (scores, masked softmax
+and pooling), and the losses nll, the clipped mean negative log-likelihood
+of each row's gold class, and sum_squares, the L2 penalty over a list of
+parameters.
 """
 
 import numpy as np
@@ -120,16 +120,6 @@ def scale_shift(x: Node, k: float, c: float = 0.0) -> Node:
     return out
 
 
-def tanh(x: Node) -> Node:
-    out = Node(np.tanh(x.value), op="tanh", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += (1.0 - out.value * out.value) * out.grad
-
-        out._backward = _backward
-    return out
-
-
 def sigmoid(x: Node) -> Node:
     out = Node(_sigmoid_stable(x.value), op="sigmoid", parents=(x,))
     if out.needs_grad:
@@ -141,18 +131,16 @@ def sigmoid(x: Node) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    """Matrix product of an [n x k] matrix with a [k x m] matrix or a length-k vector."""
+    """Matrix product of an [n x k] matrix with a [k x m] matrix."""
     av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim not in (1, 2):
-        raise DimensionError(f"matmul: unsupported ranks {av.shape} x {bv.shape}")
-    if av.shape[-1] != bv.shape[0]:
-        raise DimensionError(f"matmul: inner dims of {av.shape} and {bv.shape} disagree")
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} do not multiply")
     out = Node(av @ bv, op="matmul", parents=(a, b))
     if out.needs_grad:
         def _backward():
             g = out.grad
             if a.needs_grad:
-                a.grad += g @ bv.T if bv.ndim == 2 else np.outer(g, bv)
+                a.grad += g @ bv.T
             if b.needs_grad:
                 b.grad += av.T @ g
 
@@ -189,20 +177,6 @@ def row_block(mat: Node, i0: int, i1: int) -> Node:
     return out
 
 
-def unstack_to_cols(vec: Node, blocks: int, n: int) -> Node:
-    """Reinterpret a length blocks*n vector (block-major) as an [n x blocks] matrix."""
-    if vec.value.shape != (blocks * n,):
-        raise DimensionError(f"unstack_to_cols: expected ({blocks * n},), got {vec.value.shape}")
-    out = Node(np.ascontiguousarray(vec.value.reshape(blocks, n).T),
-               op="unstack_to_cols", parents=(vec,))
-    if out.needs_grad:
-        def _backward():
-            vec.grad += np.ascontiguousarray(out.grad.T).reshape(-1)
-
-        out._backward = _backward
-    return out
-
-
 def concat(a: Node, b: Node) -> Node:
     """Concatenate an [n x p] and an [n x q] matrix into [n x (p+q)]."""
     av, bv = a.value, b.value
@@ -221,25 +195,12 @@ def concat(a: Node, b: Node) -> Node:
     return out
 
 
-def softmax_rows(logits: Node, mask: np.ndarray | None = None) -> Node:
-    """Row-wise stabilized softmax over an [n x k] matrix.
-
-    mask, when given, is a constant {0,1} array of the same shape; masked-out
-    entries get probability exactly 0 and each row must keep at least one
-    valid entry.
-    """
+def softmax_rows(logits: Node) -> Node:
+    """Row-wise stabilized softmax over an [n x k] matrix."""
     x = logits.value
     if x.ndim != 2 or x.shape[1] < 1:
         raise DimensionError(f"softmax_rows: expected nonempty matrix, got {x.shape}")
-    if mask is None:
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-    else:
-        neg = np.where(mask > 0, x, -np.inf)
-        z = neg - neg.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            e = np.exp(z)
-        e = np.where(mask > 0, e, 0.0)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     out = Node(p, op="softmax_rows", parents=(logits,))
     if out.needs_grad:
@@ -262,31 +223,6 @@ def rows(table: Node, ids: np.ndarray) -> Node:
     if out.needs_grad:
         def _backward():
             _add_rows(table.grad, idx, out.grad)
-
-        out._backward = _backward
-    return out
-
-
-def weighted_sum(weights: Node, stacked: Node) -> Node:
-    """Pool a [T*n x d] step-major sequence with per-row weights from an [n x T] matrix.
-
-    out[i] = sum_t weights[i, t] * stacked[t*n + i]; this is attention
-    pooling fused into one node to keep graphs small on long sequences.
-    """
-    w, s = weights.value, stacked.value
-    if w.ndim != 2 or s.ndim != 2 or s.shape[0] != w.size:
-        raise DimensionError(f"weighted_sum: weights {w.shape} vs items {s.shape}")
-    n, T = w.shape
-    items = s.reshape(T, n, -1)
-    out = Node(np.einsum("nt,tnd->nd", w, items), op="weighted_sum",
-               parents=(weights, stacked))
-    if out.needs_grad:
-        def _backward():
-            g = out.grad
-            if weights.needs_grad:
-                weights.grad += np.einsum("nd,tnd->nt", g, items)
-            if stacked.needs_grad:
-                stacked.grad += (w.T[:, :, None] * g).reshape(T * n, -1)
 
         out._backward = _backward
     return out
@@ -421,6 +357,55 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
 
         out._backward = _backward
     return out
+
+
+def attention_pool(states: Node, w: Node, b: Node, u: Node,
+                   mask: np.ndarray) -> tuple[np.ndarray, Node]:
+    """Attribute attention over a padded batch as one node: (weights, pooled).
+
+    states is the [T*n x h] step-major encoder output and mask the constant
+    [n x T] {0,1} validity array. Step t of row i, s = states[t*n + i],
+    scores u . tanh(s W + b); weights is the [n x T] array of each row's
+    softmax over its valid steps, padded steps getting exactly 0, and the
+    [n x h] node pooled holds sum_t weights[i, t] s. The hand-derived
+    backward gives padded rows of states exactly 0 gradient. Every mask row
+    needs a valid step.
+    """
+    n, T = mask.shape
+    s, wv = states.value, w.value
+    if (s.ndim != 2 or wv.ndim != 2 or s.shape != (T * n, wv.shape[0])
+            or b.value.shape != (wv.shape[1],) or u.value.shape != (wv.shape[1],)):
+        raise DimensionError(f"attention_pool: states {s.shape}, w {wv.shape}, "
+                             f"b {b.value.shape}, u {u.value.shape}, mask {mask.shape}")
+    valid = mask > 0
+    if not valid.any(axis=1).all():
+        raise ContractError("attention_pool: every mask row needs a valid step")
+    proj = np.tanh(s @ wv + b.value)
+    scores = np.where(valid, (proj @ u.value).reshape(T, n).T, -np.inf)
+    scores -= scores.max(axis=1, keepdims=True)
+    alpha = np.exp(scores)  # exp(-inf) = 0 on padded steps
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    items = s.reshape(T, n, -1)
+    out = Node(np.einsum("nt,tnd->nd", alpha, items), op="attention_pool",
+               parents=(states, w, b, u))
+    if out.needs_grad:
+        def _backward():
+            g = out.grad
+            d_alpha = np.einsum("nd,tnd->nt", g, items)
+            d_score = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            d_s = d_score.T.reshape(-1)  # step-major, as states
+            if u.needs_grad:
+                u.grad += proj.T @ d_s
+            d_pre = np.outer(d_s, u.value) * (1.0 - proj * proj)
+            if b.needs_grad:
+                b.grad += d_pre.sum(axis=0)
+            if w.needs_grad:
+                w.grad += s.T @ d_pre
+            if states.needs_grad:
+                states.grad += d_pre @ wv.T + (alpha.T[:, :, None] * g).reshape(T * n, -1)
+
+        out._backward = _backward
+    return alpha, out
 
 
 def nll(probs: Node, gold: np.ndarray, lo: float, hi: float) -> Node:

@@ -19,10 +19,9 @@ from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
 from .errors import ConfigError, DivergenceError, NpdError
 from .evaluation import ablate, evaluate, format_report_table
-from .model import ModelVariant, load_checkpoint, save_checkpoint
+from .model import VARIANT_NAMES, load_checkpoint, save_checkpoint
 from .training import ModelDims, TrainingConfig, train, write_log
 
-VARIANT_NAMES = [v.value for v in ModelVariant]
 PREDICT_BATCH = 128  # predict's lines per forward pass; evaluate's default batch size
 
 
@@ -116,16 +115,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    posts, _ = corpus_mod.load_with_meta(args.corpus)
+def _pretrain_embeddings(posts, args):
+    """(vocabulary, skip-gram table) trained on the posts with the embed args."""
     token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
     vocab = text_mod.build_vocab(token_lists, args.vocab_size)
-    encoded = [vocab.encode(toks) for toks in token_lists if toks]
     cfg = text_mod.SkipGramConfig(embed_dim=args.embed_dim, window=args.window,
                                   negatives_per_positive=args.negatives,
                                   epochs=args.embed_epochs, learning_rate=args.embed_lr,
                                   seed=args.seed)
-    table = text_mod.train_skipgram(encoded, len(vocab), cfg)
+    encoded = [vocab.encode(toks) for toks in token_lists if toks]
+    return vocab, text_mod.train_skipgram(encoded, len(vocab), cfg)
+
+
+def cmd_embed(args) -> int:
+    posts, _ = corpus_mod.load_with_meta(args.corpus)
+    vocab, table = _pretrain_embeddings(posts, args)
     text_mod.save_embeddings(args.out, vocab, table)
     print(f"wrote {table.vocab_size} x {table.embed_dim} embeddings to {args.out}")
     return 0
@@ -184,14 +188,7 @@ def cmd_ablate(args) -> int:
             raise NpdError(f"unknown variant {v!r}; choose from {','.join(VARIANT_NAMES)}")
     seeds = _parse_list(args.seeds, "--seeds", int)
     posts, m = corpus_mod.load_with_meta(args.corpus)
-    token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
-    vocab = text_mod.build_vocab(token_lists, args.vocab_size)
-    sg_cfg = text_mod.SkipGramConfig(embed_dim=args.embed_dim, window=args.window,
-                                     negatives_per_positive=args.negatives,
-                                     epochs=args.embed_epochs, learning_rate=args.embed_lr,
-                                     seed=args.seed)
-    table = text_mod.train_skipgram([vocab.encode(t) for t in token_lists if t],
-                                    len(vocab), sg_cfg)
+    vocab, table = _pretrain_embeddings(posts, args)
     splits = _prepare_splits(posts, vocab, args)
     cfg = _training_config(args)
     reports = ablate(splits, variants, seeds, cfg, table.matrix, m,

@@ -4,11 +4,11 @@ heads, with every ablation variant wired from the same parts.
 
 Forward passes are batched: posts are padded to the batch's longest
 sequence and a {0,1} validity mask keeps padded steps out of both the
-recurrence and the attention softmax. The encoder is one input matmul and
-one fused lstm_seq node, which runs the recurrence packed: each step only
-on the posts still running, with no work for padded steps. Its [T*b x h]
-step-major output holds every step's hidden state, and a post's final state
-fills its padded steps, so the last block is each post's own final state.
+recurrence and the attention (weight exactly 0). The encoder is one input
+matmul and one fused lstm_seq node, which runs the recurrence packed: each
+step only on the posts still running, with no work for padded steps. Its
+[T*b x h] step-major output holds every step's hidden state, and a post's
+final state fills its padded steps, so the last block is its final state.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
 update.
@@ -46,6 +46,9 @@ class ModelVariant(str, Enum):
     NPD = "NPD"
 
 
+VARIANT_NAMES = [v.value for v in ModelVariant]
+
+
 class Wiring(NamedTuple):
     """Which optional parts a variant wires around the shared encoder."""
 
@@ -77,7 +80,7 @@ class ForwardResult:
     emotion_probs: list          # K Nodes of shape [b x 2]; column 1 = present
     gender_prob: Node | None     # [b x 1] probability of the male label
     location_probs: Node | None  # [b x m]
-    attention: dict = field(default_factory=dict)  # name -> Node [b x T]
+    attention: dict = field(default_factory=dict)  # name -> constant Node [b x T] of weights
     head_input: Node | None = None
     mask: np.ndarray | None = None
 
@@ -85,8 +88,7 @@ class ForwardResult:
 class NpdModel:
     """One variant's parameter set plus its forward wiring."""
 
-    def __init__(self, manifest: dict, embedding: np.ndarray,
-                 params: dict[str, Node] | None = None):
+    def __init__(self, manifest: dict, embedding: np.ndarray):
         self.manifest = dict(manifest)
         self.variant = ModelVariant(manifest["variant"])
         self.wiring = _WIRING[self.variant]
@@ -98,12 +100,9 @@ class NpdModel:
         self.num_locations = int(manifest["num_locations"])
         self.lambda_rev = float(manifest["lambda_rev"])
         self.finetune_embeddings = bool(manifest["finetune_embeddings"])
-        if self.embedding.shape[1] != self.embed_dim:
-            raise ConfigError(f"embedding dim {self.embedding.shape[1]} != manifest "
-                              f"embed_dim {self.embed_dim}")
         if self.num_locations < 2:
             raise ConfigError(f"need at least 2 location classes, got {self.num_locations}")
-        self.params = params if params is not None else self._init_params()
+        self.params = self._init_params()
 
     # -- construction -----------------------------------------------------
 
@@ -189,14 +188,9 @@ class NpdModel:
                            p["f.lstm.c0"], mask)
 
     def _attend(self, states: Node, mask: np.ndarray, which: str):
-        p = self.params
-        w, bias, u = p[f"f.att_{which}.w"], p[f"f.att_{which}.b"], p[f"f.att_{which}.u"]
-        b, T = mask.shape
-        proj = ad.tanh(ad.add_rowvec(ad.matmul(states, w), bias))
-        scores = ad.unstack_to_cols(ad.matmul(proj, u), T, b)
-        weights = ad.softmax_rows(scores, mask)
-        pooled = ad.weighted_sum(weights, states)
-        return weights, pooled
+        att = (self.params[f"f.att_{which}.{name}"] for name in "wbu")
+        weights, pooled = ad.attention_pool(states, *att, mask)
+        return ad.constant(weights), pooled
 
     def _emotion_heads(self, head_in: Node) -> list[Node]:
         p = self.params
@@ -331,6 +325,28 @@ def _read(fh, size: int, path: str, section: str) -> bytes:
     return fh.read(size)
 
 
+# every manifest field that NpdModel and the CLI read: (what it must be, its test)
+_MANIFEST_FIELDS = {
+    "variant": ("one of " + ", ".join(VARIANT_NAMES), lambda v: v in VARIANT_NAMES),
+    **{key: ("a positive integer", lambda v: type(v) is int and v > 0)
+       for key in ("embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim")},
+    "num_locations": ("an integer >= 2", lambda v: type(v) is int and v > 1),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "lambda_rev": ("a number", lambda v: type(v) in (int, float)),
+    "finetune_embeddings": ("true or false", lambda v: type(v) is bool),
+    "tokenizer_mode": ("a string", lambda v: type(v) is str),
+}
+
+
+def _check_manifest(manifest, path: str) -> None:
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: checkpoint manifest must be a JSON object")
+    for key, (want, ok) in _MANIFEST_FIELDS.items():
+        if not ok(manifest.get(key)):
+            got = repr(manifest[key]) if key in manifest else "no such field"
+            raise DataError(f"{path}: checkpoint manifest field {key!r} must be {want}, got {got}")
+
+
 def load_checkpoint(path: str) -> NpdModel:
     with open(path, "rb") as fh:
         if _read(fh, 4, path, "magic") != _MAGIC:
@@ -343,6 +359,7 @@ def load_checkpoint(path: str) -> NpdModel:
             manifest = json.loads(_read(fh, mlen, path, "manifest").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: malformed checkpoint manifest ({exc})") from exc
+        _check_manifest(manifest, path)
         (count,) = struct.unpack("<Q", _read(fh, 8, path, "tensor count"))
         tensors = {}
         for k in range(count):
@@ -357,7 +374,10 @@ def load_checkpoint(path: str) -> NpdModel:
             if not np.all(np.isfinite(data)):
                 raise DataError(f"{path}: tensor {name!r} holds non-finite values")
             tensors[name] = data.reshape(shape).astype(np.float64)
-    embedding = tensors.pop("embedding")
+    embedding = tensors.pop("embedding", np.empty(0))
+    if embedding.shape[1:] != (manifest["embed_dim"],):
+        raise DataError(f"{path}: checkpoint tensor 'embedding' is missing or not a "
+                        f"[vocab x embed_dim {manifest['embed_dim']}] matrix")
     model = NpdModel(manifest, embedding)
     if set(tensors) != set(model.params):
         raise DataError(f"{path}: checkpoint tensors do not match variant "

@@ -47,7 +47,6 @@ class Vocabulary:
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("vocabulary contains duplicate tokens")
-        self.pad_id = 0
         self.oov_id = 1
 
     def __len__(self):
@@ -56,9 +55,6 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         oov = self.oov_id
         return [self.token_to_id.get(t, oov) for t in tokens]
-
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
 
     def content_hash(self) -> str:
         """Stable digest of the token list, used to pair checkpoints with embeddings."""

@@ -41,6 +41,10 @@ def assert_grad_close(analytic, numeric, rel=1e-6):
     )
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def linear_probe(shape, seed=0):
     """Fixed random functional: reduces an op output to a scalar for checking."""
     return np.random.default_rng(seed).standard_normal(shape)
@@ -84,7 +88,7 @@ class TestMatmul:
 
     @pytest.mark.parametrize(
         "sa,sb",
-        [((3, 4), (4, 2)), ((3, 4), (4,))],
+        [((3, 4), (4, 2))],
     )
     def test_grad_all_rank_cases(self, sa, sb):
         rng = np.random.default_rng(7)
@@ -98,17 +102,8 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_tanh_at_origin(self):
-        np.testing.assert_array_equal(ad.tanh(ad.constant(np.zeros(4))).value, np.zeros(4))
-
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.constant(0.0)).value == 0.5
-
-    def test_tanh_grad_fd(self):
-        x = ad.param(np.array([0.7]))
-        ad.backward(probe_loss(ad.tanh(x), np.ones(1)))
-        numeric = numeric_grad(lambda v: np.tanh(v).sum(), np.array([0.7]))
-        np.testing.assert_allclose(x.grad, numeric, atol=1e-6)
 
     def test_add_mul_shape_mismatch(self):
         a, b = ad.constant(np.ones(3)), ad.constant(np.ones(4))
@@ -175,13 +170,13 @@ class TestConcat:
         a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
         probe = linear_probe((2, 7))
         a, b = ad.param(a0), ad.param(b0)
-        ad.backward(probe_loss(ad.tanh(ad.concat(a, b)), probe))
+        ad.backward(probe_loss(ad.sigmoid(ad.concat(a, b)), probe))
 
         def f_a(v):
-            return float((np.tanh(np.concatenate([v, b0], axis=1)) * probe).sum())
+            return float((sigmoid(np.concatenate([v, b0], axis=1)) * probe).sum())
 
         def f_b(v):
-            return float((np.tanh(np.concatenate([a0, v], axis=1)) * probe).sum())
+            return float((sigmoid(np.concatenate([a0, v], axis=1)) * probe).sum())
 
         assert_grad_close(a.grad, numeric_grad(f_a, a0))
         assert_grad_close(b.grad, numeric_grad(f_b, b0))
@@ -205,13 +200,13 @@ class TestGradReverse:
     def test_composed_graphs_negation(self):
         rng = np.random.default_rng(5)
         w0 = rng.standard_normal((3, 3))
-        v0 = rng.standard_normal(3)
+        v0 = rng.standard_normal((3, 1))
 
         def build(reversed_path: bool):
             w = ad.param(w0)
-            h = ad.tanh(ad.matmul(w, ad.constant(v0)))
+            h = ad.sigmoid(ad.matmul(w, ad.constant(v0)))
             h = ad.grad_reverse(h, 1.0) if reversed_path else h
-            loss = probe_loss(ad.sigmoid(h), np.ones(3))
+            loss = probe_loss(ad.sigmoid(h), np.ones((3, 1)))
             ad.backward(loss)
             return w.grad
 
@@ -242,8 +237,8 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(9)
             w = ad.param(rng.standard_normal((4, 4)))
-            x = ad.constant(rng.standard_normal(4))
-            h = ad.tanh(ad.matmul(w, x))
+            x = ad.constant(rng.standard_normal((4, 1)))
+            h = ad.sigmoid(ad.matmul(w, x))
             ad.backward(ad.sum_squares([ad.sigmoid(h), h]))
             return w.grad.copy()
 
@@ -320,41 +315,6 @@ class TestBatchOps:
         np.testing.assert_allclose(m.grad[picked], -1.0 / (3 * m0[picked]), rtol=1e-15)
         np.testing.assert_array_equal(m.grad[~picked], 0.0)
 
-    def test_weighted_sum(self):
-        rng = np.random.default_rng(24)
-        w0 = rng.random((3, 2))
-        s0 = rng.standard_normal((2 * 3, 4))  # T=2 blocks of n=3 rows, step-major
-        probe = linear_probe((3, 4))
-        w, stacked = ad.param(w0), ad.param(s0)
-        ad.backward(probe_loss(ad.weighted_sum(w, stacked), probe))
-
-        def pooled(a, s):
-            return sum(a[:, t : t + 1] * s[3 * t : 3 * t + 3] for t in range(2))
-
-        assert_grad_close(w.grad, numeric_grad(lambda a: float((pooled(a, s0) * probe).sum()), w0))
-        assert_grad_close(stacked.grad,
-                          numeric_grad(lambda s: float((pooled(w0, s) * probe).sum()), s0))
-
-    def test_softmax_rows_masked(self):
-        logits0 = np.array([[1.0, 2.0, 5.0], [0.5, -1.0, 9.9]])
-        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        x = ad.param(logits0)
-        p = ad.softmax_rows(x, mask)
-        assert p.value[0, 2] == 0.0
-        np.testing.assert_allclose(p.value.sum(axis=1), 1.0, atol=1e-12)
-        probe = linear_probe((2, 3))
-        ad.backward(probe_loss(p, probe))
-
-        def f(a):
-            neg = np.where(mask > 0, a, -np.inf)
-            e = np.exp(neg - neg.max(axis=1, keepdims=True))
-            e = np.where(mask > 0, e, 0.0)
-            return float((e / e.sum(axis=1, keepdims=True) * probe).sum())
-
-        grad = x.grad.copy()
-        assert_grad_close(grad[mask > 0], numeric_grad(f, logits0)[mask > 0])
-        np.testing.assert_array_equal(grad[mask == 0], 0.0)
-
     def test_row_block(self):
         rng = np.random.default_rng(25)
         m0 = rng.standard_normal((6, 3))
@@ -363,15 +323,6 @@ class TestBatchOps:
         expect = np.zeros_like(m0)
         expect[2:5] = 1.0
         np.testing.assert_array_equal(m.grad, expect)
-
-    def test_unstack_to_cols(self):
-        v0 = np.arange(6.0)  # blocks=3, n=2, block-major
-        v = ad.param(v0)
-        out = ad.unstack_to_cols(v, 3, 2)
-        np.testing.assert_array_equal(out.value, [[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]])
-        probe = linear_probe((2, 3))
-        ad.backward(probe_loss(out, probe))
-        np.testing.assert_allclose(v.grad, np.ascontiguousarray(probe.T).ravel())
 
     def test_clip_passthrough_gradient(self):
         # gold entries below, inside and above the clip range [0.2, 0.6]
@@ -471,7 +422,7 @@ class TestInvariants:
         for _ in range(20):
             w = ad.param(rng.standard_normal((5, 5)))
             x = ad.constant(rng.standard_normal((1, 5)))
-            h = ad.tanh(ad.matmul(x, w))
+            h = ad.sigmoid(ad.matmul(x, w))
             p = ad.softmax_rows(h)
             loss = ad.nll(p, rng.integers(5, size=1), 1e-12, 1.0)
             ad.backward(loss)
@@ -633,3 +584,99 @@ class TestLstmSeq:
             c = f * c + i * g
             h = o * np.tanh(c)
             np.testing.assert_allclose(out[3 * t : 3 * t + 3], h, rtol=0, atol=1e-12)
+
+
+def attention_inputs(lengths, hd, seed, a=3):
+    """Random attention_pool inputs for posts of the given lengths, padded to the longest."""
+    rng = np.random.default_rng(seed)
+    n, T = len(lengths), max(lengths)
+    mask = (np.arange(T) < np.array(lengths)[:, None]).astype(np.float64)
+    arrays = [rng.standard_normal((T * n, hd)), rng.standard_normal((hd, a)),
+              0.5 * rng.standard_normal(a), rng.standard_normal(a)]
+    return arrays, mask
+
+
+def attention_reference(states, w, b, u, mask):
+    """Weights and pooled states computed one post at a time over its valid steps only."""
+    n, T = mask.shape
+    items = states.reshape(T, n, -1)
+    weights, pooled = np.zeros((n, T)), np.zeros((n, items.shape[2]))
+    for i in range(n):
+        k = int(mask[i].sum())
+        z = np.tanh(items[:k, i] @ w + b) @ u
+        e = np.exp(z - z.max())
+        weights[i, :k] = e / e.sum()
+        pooled[i] = weights[i, :k] @ items[:k, i]
+    return weights, pooled
+
+
+class TestAttentionPool:
+    LENGTHS = [5, 1, 7, 5, 7, 3]  # ragged, with ties and a length-1 post
+
+    def test_grad_fd_all_inputs(self):
+        arrays, mask = attention_inputs(self.LENGTHS, hd=4, seed=81)
+        probe = linear_probe((len(self.LENGTHS), 4), seed=82)
+        nodes = [ad.param(a) for a in arrays]
+        weights, pooled = ad.attention_pool(*nodes, mask)
+        ref_weights, ref_pooled = attention_reference(*arrays, mask)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pooled.value, ref_pooled, rtol=0, atol=1e-14)
+        ad.backward(probe_loss(pooled, probe))
+
+        def f(k, v):
+            args = [v if j == k else a for j, a in enumerate(arrays)]
+            return float((attention_reference(*args, mask)[1] * probe).sum())
+
+        for k in range(4):
+            assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
+
+    def test_padded_steps_get_zero_weight_and_zero_grad(self):
+        arrays, mask = attention_inputs(self.LENGTHS, hd=3, seed=83)
+        arrays[0][: len(self.LENGTHS)] += 50.0  # padded steps would dominate an unmasked softmax
+        states = ad.param(arrays[0])
+        weights, pooled = ad.attention_pool(states, *map(ad.constant, arrays[1:]), mask)
+        np.testing.assert_array_equal(weights[mask == 0], 0.0)
+        assert np.all(weights[mask > 0] > 0.0)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        ad.backward(probe_loss(pooled, linear_probe(pooled.value.shape, seed=84)))
+        padded = (mask.T == 0).reshape(-1)  # step-major rows of states
+        assert padded.any()
+        np.testing.assert_array_equal(states.grad[padded], 0.0)
+        assert np.all(states.grad[~padded] != 0.0)
+
+    @pytest.mark.parametrize("lengths", [LENGTHS, [4], [3, 3, 3]],
+                             ids=["ties", "one-row", "all-equal"])
+    def test_row_permutation_permutes_outputs_and_grads(self, lengths):
+        arrays, mask = attention_inputs(lengths, hd=3, seed=85)
+        n, T = mask.shape
+        probe = linear_probe((n, 3), seed=86)
+
+        def run(perm):
+            states = ad.param(arrays[0].reshape(T, n, -1)[:, perm].reshape(T * n, -1))
+            nodes = [states] + [ad.param(a) for a in arrays[1:]]
+            weights, pooled = ad.attention_pool(*nodes, mask[perm])
+            ad.backward(probe_loss(pooled, probe[perm]))
+            return weights, pooled.value, [node.grad for node in nodes]
+
+        identity = np.arange(n)
+        weights, pooled, grads = run(identity)
+        for perm in (identity[::-1], np.random.default_rng(87).permutation(n)):
+            p_weights, p_pooled, p_grads = run(perm)
+            np.testing.assert_allclose(p_weights, weights[perm], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p_pooled, pooled[perm], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p_grads[0].reshape(T, n, -1),
+                                       grads[0].reshape(T, n, -1)[:, perm], rtol=0, atol=1e-12)
+            for g, p_g in zip(grads[1:], p_grads[1:]):
+                np.testing.assert_allclose(p_g, g, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch_names_shapes(self):
+        arrays, mask = attention_inputs([2, 3], hd=4, seed=88)
+        arrays[1] = np.ones((5, 3))
+        with pytest.raises(DimensionError, match=r"\(6, 4\).*\(5, 3\).*\(3,\).*\(2, 3\)"):
+            ad.attention_pool(*map(ad.constant, arrays), mask)
+
+    def test_row_without_valid_step_rejected(self):
+        arrays, mask = attention_inputs([2, 3], hd=2, seed=89)
+        mask[0] = 0.0
+        with pytest.raises(ContractError):
+            ad.attention_pool(*map(ad.constant, arrays), mask)

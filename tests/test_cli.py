@@ -206,6 +206,59 @@ class TestMalformedInputs:
         assert "non-finite" in capsys.readouterr().err
 
 
+def write_checkpoint(path, manifest, tensors):
+    """A checkpoint in the layout of npd.model's docstring, with any JSON manifest."""
+    blob = json.dumps(manifest).encode("utf-8")
+    parts = [b"NPDC", struct.pack("<IQ", 1, len(blob)), blob, struct.pack("<Q", len(tensors))]
+    for name, arr in sorted(tensors.items()):
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<Q", len(nb)), nb, struct.pack("<Q", arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+def _with(key, value):
+    return lambda m, t: ({**m, key: value}, t)
+
+
+def _without(key):
+    return lambda m, t: ({k: v for k, v in m.items() if k != key},
+                         {k: v for k, v in t.items() if k != key})
+
+
+# (what is wrong, an edit of the good (manifest, tensors), text the error must contain)
+BAD_CHECKPOINTS = [
+    ("no embedding tensor", _without("embedding"), "'embedding'"),
+    ("1-D embedding", lambda m, t: (m, {**t, "embedding": t["embedding"][0]}), "'embedding'"),
+    ("manifest a list", lambda m, t: ([m], t), "JSON object"),
+    ("no variant", _without("variant"), "'variant'"),
+    ("unknown variant", _with("variant", "BERT"), "'variant'"),
+    ("string hidden_dim", _with("hidden_dim", "a"), "'hidden_dim'"),
+    ("negative hidden_dim", _with("hidden_dim", -1), "'hidden_dim'"),
+    ("no tokenizer_mode", _without("tokenizer_mode"), "'tokenizer_mode'"),
+    ("embed_dim off the embedding", _with("embed_dim", 5), "embed_dim"),
+]
+
+
+@pytest.mark.parametrize("edit,named", [row[1:] for row in BAD_CHECKPOINTS],
+                         ids=[row[0] for row in BAD_CHECKPOINTS])
+def test_bad_checkpoint_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, edit, named):
+    model = load_checkpoint(str(mini_pipeline["model"]))
+    tensors = {name: node.value for name, node in model.params.items()}
+    tensors["embedding"] = model.embedding
+    path = tmp_path / "bad.bin"
+    write_checkpoint(path, *edit(model.manifest, tensors))
+    with pytest.raises(DataError) as caught:
+        load_checkpoint(str(path))
+    assert str(path) in str(caught.value) and named in str(caught.value)
+    monkeypatch.setattr("sys.stdin", io.StringIO("a b\n"))
+    code = main(["predict", "--model", str(path),
+                 "--embeddings", str(mini_pipeline["embeddings"])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and named in err and "Traceback" not in err
+
+
 # (bytes of a synth --config file, text the error must contain besides the path)
 BAD_SYNTH_CONFIGS = [
     (b'{"n_posts": 5', "malformed JSON"),

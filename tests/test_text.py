@@ -61,7 +61,7 @@ class TestVocabulary:
     def test_encode_decode_identity(self):
         vocab = build_vocab([["red", "green", "blue"]], max_size=10)
         tokens = ["blue", "red", "green", "red"]
-        assert vocab.decode(vocab.encode(tokens)) == tokens
+        assert [vocab.id_to_token[i] for i in vocab.encode(tokens)] == tokens
 
 
 def _expected_init(vocab_size, dim, seed):
