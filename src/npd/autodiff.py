@@ -2,25 +2,30 @@
 
 Tensors are plain numpy float64 ndarrays (row-major); a Node wraps a value
 tensor together with a same-shaped gradient buffer and a backward closure.
-Graphs are built dynamically per batch and consumed by backward. Batches of
-variable-length posts are padded to the longest one, and the two ops that
-see the time axis take the {0,1} validity mask: lstm_seq packs the batch,
-running each step on the rows still live and repeating a finished row's
-final state in its padded steps, and attention_pool gives padded steps
-weight 0. Gradients accumulate with ``+=`` across node reuse; callers zero
-them between optimizer steps.
+Graphs are built dynamically per batch and consumed by backward. Gradients
+accumulate with ``+=`` across node reuse; callers zero them between
+optimizer steps.
+
+Batches of variable-length posts are padded to the longest one, and pack
+turns the {0,1} validity mask into a packing: the batch's L live (step,
+post) pairs, step-major, each step's posts longest first. The ops that see
+the time axis work in that packed [L x ...] layout, so padded pairs are
+never stored or computed: lstm_seq runs each step on the posts still
+running and returns every pair's state, and attention_pool scores those
+states and reports its weights as a dense [n x T] array, 0 on padding.
 
 The op set is exactly what the emotion model and its losses call: matrix
 product, elementwise add/scale_shift/sigmoid, the bias add add_rowvec,
-row-wise softmax, 2-D concatenation, row gather and row slice, inverted
-dropout, the gradient-reversal node that flips the sign of gradients
-flowing into the shared encoder from the attribute discriminators, and
-fused nodes with hand-written backwards: the packed LSTM recurrence
-lstm_seq, the attribute attention attention_pool (scores, masked softmax
-and pooling), and the losses nll, the clipped mean negative log-likelihood
-of each row's gold class, and sum_squares, the L2 penalty over a list of
-parameters.
+row-wise softmax, 2-D concatenation, row gather, inverted dropout, the
+gradient-reversal node that flips the sign of gradients flowing into the
+shared encoder from the attribute discriminators, and fused nodes with
+hand-written backwards: the packed LSTM recurrence lstm_seq, the attribute
+attention attention_pool (scores, per-post softmax and pooling), and the
+losses nll, the clipped mean negative log-likelihood of each row's gold
+class, and sum_squares, the L2 penalty over a list of parameters.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,19 +169,6 @@ def add_rowvec(mat: Node, vec: Node) -> Node:
     return out
 
 
-def row_block(mat: Node, i0: int, i1: int) -> Node:
-    """Row slice [i0:i1, :] of a matrix."""
-    if mat.value.ndim != 2:
-        raise DimensionError(f"row_block: expected matrix, got {mat.value.shape}")
-    out = Node(mat.value[i0:i1], op="row_block", parents=(mat,))
-    if out.needs_grad:
-        def _backward():
-            mat.grad[i0:i1] += out.grad
-
-        out._backward = _backward
-    return out
-
-
 def concat(a: Node, b: Node) -> Node:
     """Concatenate an [n x p] and an [n x q] matrix into [n x (p+q)]."""
     av, bv = a.value, b.value
@@ -228,56 +220,82 @@ def rows(table: Node, ids: np.ndarray) -> Node:
     return out
 
 
+class Packing(NamedTuple):
+    """Where each live (step, post) pair of a padded batch sits in packed
+    [L x ...] buffers, from pack. Pairs are step-major, and within a step the
+    posts run longest first, so step t's pairs are one contiguous block of
+    live[t] rows, led by the posts still running after it."""
+
+    order: np.ndarray  # [n] posts by length, longest first (stable)
+    live: np.ndarray   # [T] posts still running at step t
+    post: np.ndarray   # [L] the post of each packed pair
+    step: np.ndarray   # [L] the step of each packed pair
+    last: np.ndarray   # [n] each post's final pair
+
+
+def pack(mask: np.ndarray) -> Packing:
+    """The packing of a batch from its [n x T] {0,1} validity mask, whose
+    rows must be ones up to each post's length and zeros after; a gap, or a
+    row with no valid step, raises ContractError. The arrays are read-only,
+    as one packing is shared by every node of a batch."""
+    valid = np.asarray(mask) > 0
+    if valid.ndim != 2:
+        raise DimensionError(f"pack: expected an [n x T] mask, got {valid.shape}")
+    n, T = valid.shape
+    lengths = valid.sum(axis=1)
+    if not np.array_equal(valid, np.arange(T) < lengths[:, None]):
+        raise ContractError("pack: each mask row must be ones then zeros")
+    if not lengths.all():
+        raise ContractError("pack: every mask row needs a valid step")
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    live = (lengths > np.arange(T)[:, None]).sum(axis=1)
+    step, ranks = np.nonzero(np.arange(n) < live[:, None])
+    start = np.concatenate(([0], np.cumsum(live)))
+    packing = Packing(order, live, order[ranks], step, start[lengths - 1] + rank)
+    for a in packing:
+        a.flags.writeable = False
+    return packing
+
+
 def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
-             mask: np.ndarray) -> Node:
-    """A whole LSTM recurrence over a padded batch as one node.
+             packing: Packing) -> Node:
+    """A whole LSTM recurrence over a packed batch as one node.
 
-    pre_x is the [T*n x 4h] input projection, step-major, with gates in the
-    order i, f, o, g; mask is the constant [n x T] {0,1} validity array, each
-    row ones up to that row's length and zeros after. The output holds every
-    step's hidden state as [T*n x h], step-major; past its length a row
-    repeats its final state, so the last block holds each row's final state.
+    pre_x is the [L x 4h] input projection of the batch's L live (step,
+    post) pairs, in packing's order (see pack), with gates in the order i,
+    f, o, g. The output is the [L x h] hidden state after each pair, in the
+    same order, so its rows packing.last are the posts' final states.
 
-    The recurrence runs packed, as PyTorch's pack_padded_sequence does: the
-    rows are sorted by length once, so the rows still live at step t are a
-    prefix of that order, and the L live (step, row) pairs are stored
-    step-major in [L x ...] buffers where each step is one contiguous block.
-    Padded pairs are never computed. b is added into the gathered inputs once,
-    before the time loop. Backward turns the stored gates into their local
-    derivatives for all steps in one vectorised pass, in place, so each BPTT
-    step only scales them by dh and dc; padded rows of pre_x get exactly 0
-    gradient, and wh's gradient is one matmul after the time loop. A mask
-    row with a zero before a one raises ContractError.
+    Padded pairs have no row, so they are never computed, as in PyTorch's
+    pack_padded_sequence: step t runs on one contiguous block of live[t]
+    rows, and the posts' states before it lead the block of step t - 1. b is
+    added into the inputs once, before the time loop. Backward turns the
+    stored gates into their local derivatives for all steps in one
+    vectorised pass, in place, so each BPTT step only scales them by dh and
+    dc; the result is pre_x's gradient as it stands, and wh's gradient is
+    one matmul after the time loop.
     """
-    n, T = mask.shape
+    live = packing.live
+    n, L, T = len(packing.order), len(packing.post), len(live)
     hd = wh.value.shape[0]
-    if (pre_x.value.shape != (T * n, 4 * hd) or wh.value.shape != (hd, 4 * hd)
+    if (pre_x.value.shape != (L, 4 * hd) or wh.value.shape != (hd, 4 * hd)
             or b.value.shape != (4 * hd,) or h0.value.shape != (hd,)
             or c0.value.shape != (hd,)):
         raise DimensionError(
             f"lstm_seq: pre_x {pre_x.value.shape}, wh {wh.value.shape}, b {b.value.shape}, "
-            f"h0 {h0.value.shape}, c0 {c0.value.shape} with mask {mask.shape}")
-    valid = mask > 0
-    lengths = valid.sum(axis=1)
-    if not np.array_equal(valid, np.arange(T) < lengths[:, None]):
-        raise ContractError("lstm_seq: each mask row must be ones then zeros")
-    order = np.argsort(-lengths, kind="stable")  # longest first
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    live = (lengths > np.arange(T)[:, None]).sum(axis=1)  # rows still running at step t
-    steps, ranks = np.nonzero(np.arange(n) < live[:, None])  # the packed pairs, step-major
-    rows = steps * n + order[ranks]  # their rows of pre_x
+            f"h0 {h0.value.shape}, c0 {c0.value.shape} for {L} packed pairs")
     start = np.concatenate(([0], np.cumsum(live)))  # step t is packed rows start[t]:start[t+1]
     # H and C hold the n initial states, then the packed states: the state
     # before step t is block blk[t], the state after it block blk[t + 1]
     blk = np.concatenate(([0], n + start[:-1]))
 
-    x = pre_x.value[rows]  # [L x 4h], becomes the gates in place
-    x += b.value
+    x = pre_x.value + b.value  # [L x 4h], becomes the gates in place
     w = wh.value
-    H = np.empty((n + len(rows), hd))
-    C = np.empty((n + len(rows), hd))
-    tanh_c = np.empty((len(rows), hd))
+    H = np.empty((n + L, hd))
+    C = np.empty((n + L, hd))
+    tanh_c = np.empty((L, hd))
     H[:n], C[:n] = h0.value, c0.value
     acc = np.empty((n, 4 * hd))
     with np.errstate(over="ignore"):  # exp(-z) -> inf still gives sigmoid 0
@@ -298,15 +316,13 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
             c += acc[:k, :hd]
             np.tanh(c, out=tanh_c[s:e])
             np.multiply(g[:, 2 * hd : 3 * hd], tanh_c[s:e], out=H[n + s : n + e])
-    # step t of row i shows the state after step min(t, length - 1)
-    last = np.minimum(np.arange(T)[:, None], lengths - 1)
-    out = Node(H[(blk[last + 1] + rank).reshape(-1)], op="lstm_seq",
-               parents=(pre_x, wh, b, h0, c0))
+    h_t = H[n:]  # o tanh(c) of each pair
+    out = Node(h_t, op="lstm_seq", parents=(pre_x, wh, b, h0, c0))
     if out.needs_grad:
         def _backward():
-            prev = blk[steps] + ranks  # H and C rows of each pair's previous state
+            steps = packing.step
+            prev = blk[steps] + np.arange(L) - start[steps]  # H and C rows of each previous state
             gi, gf, go, gg = (x[:, j * hd : (j + 1) * hd] for j in range(4))
-            h_t = H[n:]  # o tanh(c), aligned with the packed pairs
             # each gate's slot becomes d c_t / d pre (d h_t / d pre for o), in
             # place; f stays as dc's carry factor, and a = o (1 - tanh(c)^2),
             # dh's share of dc, takes tanh(c)'s buffer
@@ -326,16 +342,15 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
             np.subtract(1.0, gi, out=gi)
             gi *= u  # (1 - i) i g
 
-            d_out = out.grad.reshape(T, n, hd)
+            d_out = out.grad
             w_t = np.ascontiguousarray(w.T)
-            dh = np.zeros((n, hd))
+            dh = np.zeros((n, hd))  # rows in length order, as the blocks
             dc = np.zeros((n, hd))
             tmp = np.empty((n, hd))
             for t in range(T - 1, -1, -1):
                 k, s, e = live[t], start[t], start[t + 1]
-                # a row past its length collects the gradient of its repeated final state
-                dh += d_out[t, order]
                 dhk, dck = dh[:k], dc[:k]
+                dhk += d_out[s:e]
                 np.multiply(dhk, a[s:e], out=tmp[:k])
                 dck += tmp[:k]
                 d = x[s:e].reshape(k, 4, hd)
@@ -345,7 +360,7 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
                 np.matmul(x[s:e], w_t, out=dhk)
                 dck *= f[s:e]
             if pre_x.needs_grad:
-                pre_x.grad[rows] += x
+                pre_x.grad += x
             if wh.needs_grad:
                 wh.grad += H[prev].T @ x
             if b.needs_grad:
@@ -360,40 +375,39 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
 
 
 def attention_pool(states: Node, w: Node, b: Node, u: Node,
-                   mask: np.ndarray) -> tuple[np.ndarray, Node]:
-    """Attribute attention over a padded batch as one node: (weights, pooled).
+                   packing: Packing) -> tuple[np.ndarray, Node]:
+    """Attribute attention over a packed batch as one node: (weights, pooled).
 
-    states is the [T*n x h] step-major encoder output and mask the constant
-    [n x T] {0,1} validity array. Step t of row i, s = states[t*n + i],
-    scores u . tanh(s W + b); weights is the [n x T] array of each row's
-    softmax over its valid steps, padded steps getting exactly 0, and the
-    [n x h] node pooled holds sum_t weights[i, t] s. The hand-derived
-    backward gives padded rows of states exactly 0 gradient. Every mask row
-    needs a valid step.
+    states is the [L x h] encoder output of the batch's L live (step, post)
+    pairs, in packing's order (see pack). Pair j scores
+    u . tanh(states[j] W + b), so only live pairs are projected and scored.
+    weights is the dense [n x T] array of each post's softmax over its own
+    steps, padded steps getting exactly 0, and the [n x h] node pooled holds
+    each post's sum of its pairs' weights times their states.
     """
-    n, T = mask.shape
+    post, step = packing.post, packing.step
+    n, T = len(packing.order), len(packing.live)
     s, wv = states.value, w.value
-    if (s.ndim != 2 or wv.ndim != 2 or s.shape != (T * n, wv.shape[0])
+    if (s.ndim != 2 or wv.ndim != 2 or s.shape != (len(post), wv.shape[0])
             or b.value.shape != (wv.shape[1],) or u.value.shape != (wv.shape[1],)):
         raise DimensionError(f"attention_pool: states {s.shape}, w {wv.shape}, "
-                             f"b {b.value.shape}, u {u.value.shape}, mask {mask.shape}")
-    valid = mask > 0
-    if not valid.any(axis=1).all():
-        raise ContractError("attention_pool: every mask row needs a valid step")
+                             f"b {b.value.shape}, u {u.value.shape} for {len(post)} packed pairs")
     proj = np.tanh(s @ wv + b.value)
-    scores = np.where(valid, (proj @ u.value).reshape(T, n).T, -np.inf)
+    scores = np.full((n, T), -np.inf)
+    scores[post, step] = proj @ u.value
     scores -= scores.max(axis=1, keepdims=True)
     alpha = np.exp(scores)  # exp(-inf) = 0 on padded steps
     alpha /= alpha.sum(axis=1, keepdims=True)
-    items = s.reshape(T, n, -1)
-    out = Node(np.einsum("nt,tnd->nd", alpha, items), op="attention_pool",
-               parents=(states, w, b, u))
+    a = alpha[post, step]  # each pair's weight
+    by_post = np.argsort(post, kind="stable")  # each post's pairs, one run per post
+    runs = np.concatenate(([0], np.cumsum(step[packing.last] + 1)[:-1]))
+    out = Node(np.add.reduceat((s * a[:, None])[by_post], runs, axis=0),
+               op="attention_pool", parents=(states, w, b, u))
     if out.needs_grad:
         def _backward():
-            g = out.grad
-            d_alpha = np.einsum("nd,tnd->nt", g, items)
-            d_score = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-            d_s = d_score.T.reshape(-1)  # step-major, as states
+            g = out.grad[post]  # each pair's post's pooled gradient
+            d_a = np.einsum("ld,ld->l", g, s)
+            d_s = a * (d_a - np.bincount(post, weights=d_a * a, minlength=n)[post])
             if u.needs_grad:
                 u.grad += proj.T @ d_s
             d_pre = np.outer(d_s, u.value) * (1.0 - proj * proj)
@@ -402,7 +416,7 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
             if w.needs_grad:
                 w.grad += s.T @ d_pre
             if states.needs_grad:
-                states.grad += d_pre @ wv.T + (alpha.T[:, :, None] * g).reshape(T * n, -1)
+                states.grad += d_pre @ wv.T + a[:, None] * g
 
         out._backward = _backward
     return alpha, out

@@ -94,10 +94,17 @@ def _prepare_splits(posts, vocab, args):
     return tuple(corpus_mod.encode(part, vocab, args.tokenizer) for part in splits)
 
 
-def _check_vocab_hash(manifest, vocab, what):
+def _check_vocab(model, vocab, what):
+    """The embedding file's vocabulary must be the one the checkpoint was
+    trained on: its hash, where the checkpoint records one, and its size,
+    which indexes the checkpoint's embedding table."""
+    manifest = model.manifest
     if manifest.get("vocab_hash") and manifest["vocab_hash"] != vocab.content_hash():
         raise NpdError(f"{what}: embedding vocabulary hash {vocab.content_hash()} does "
                        f"not match checkpoint vocab hash {manifest['vocab_hash']}")
+    if len(vocab) != model.embedding.shape[0]:
+        raise NpdError(f"{what}: embedding vocabulary has {len(vocab)} tokens but the "
+                       f"checkpoint's embedding table has {model.embedding.shape[0]} rows")
 
 
 def cmd_synth(args) -> int:
@@ -162,7 +169,7 @@ def cmd_eval(args) -> int:
                        f"{model.variant.value}")
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
-    _check_vocab_hash(model.manifest, vocab, "eval")
+    _check_vocab(model, vocab, "eval")
     split_seed = int(model.manifest.get("split_seed", 0))
     train_frac = float(model.manifest.get("train_frac", 0.7))
     parts = corpus_mod.split(posts, train_frac=train_frac, seed=split_seed)
@@ -235,7 +242,7 @@ def cmd_predict(args) -> int:
     """
     model = load_checkpoint(args.model)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
-    _check_vocab_hash(model.manifest, vocab, "predict")
+    _check_vocab(model, vocab, "predict")
     mode = model.manifest["tokenizer_mode"]
     texts = filter(None, (line.strip() for line in sys.stdin))
     # a non-blank line has a non-space character, so it yields at least one token

@@ -2,13 +2,15 @@
 gradient-reversed gender/location discriminators, and five 2-class emotion
 heads, with every ablation variant wired from the same parts.
 
-Forward passes are batched: posts are padded to the batch's longest
-sequence and a {0,1} validity mask keeps padded steps out of both the
-recurrence and the attention (weight exactly 0). The encoder is one input
-matmul and one fused lstm_seq node, which runs the recurrence packed: each
-step only on the posts still running, with no work for padded steps. Its
-[T*b x h] step-major output holds every step's hidden state, and a post's
-final state fills its padded steps, so the last block is its final state.
+Forward passes are batched. Posts are padded to the batch's longest
+sequence, and the {0,1} validity mask is turned once per batch into a
+packing (autodiff.pack) that lists the batch's L live (step, post) pairs.
+The whole encoder then runs on those pairs only: the embedding gather and
+the input matmul are [L x ...], the fused lstm_seq node runs each step on
+the posts still running and returns the [L x h] state after every pair,
+the attention pools score those rows, and each post's final state is the
+row packing.last picks. Padded steps are never computed. Attention weights
+are reported as a dense [b x T] array, exactly 0 on padding.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
 update.
@@ -169,27 +171,27 @@ class NpdModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _embed_all_steps(self, ids: np.ndarray) -> Node:
-        """All step inputs as one [T*b x e] matrix, step-major, so the input
-        half of the gate projection is a single large matmul."""
-        flat = ids.T.reshape(-1)  # step-major
+    def _embed_all_steps(self, ids: np.ndarray, packing: ad.Packing) -> Node:
+        """The inputs of the batch's live (step, post) pairs as one [L x e]
+        matrix in packing's order, so the input half of the gate projection
+        is a single matmul over live pairs only."""
+        flat = ids[packing.post, packing.step]
         if self.finetune_embeddings:
             return ad.rows(self.params["f.embed"], flat)
         return ad.constant(self.embedding[flat])
 
-    def _encode(self, ids: np.ndarray, mask: np.ndarray) -> Node:
-        """Run the LSTM over padded ids: one input matmul, then one fused
-        recurrence node. Returns every step's hidden state as a [T*b x h]
-        node, step-major; padding carries the state forward, so the last
-        block holds each post's final state."""
+    def _encode(self, ids: np.ndarray, packing: ad.Packing) -> Node:
+        """Run the LSTM over the padded ids' live pairs: one input matmul,
+        then one fused recurrence node. Returns the hidden state after every
+        live pair as an [L x h] node in packing's order."""
         p = self.params
-        pre_x = ad.matmul(self._embed_all_steps(ids), p["f.lstm.wx"])  # [T*b x 4h]
+        pre_x = ad.matmul(self._embed_all_steps(ids, packing), p["f.lstm.wx"])  # [L x 4h]
         return ad.lstm_seq(pre_x, p["f.lstm.wh"], p["f.lstm.b"], p["f.lstm.h0"],
-                           p["f.lstm.c0"], mask)
+                           p["f.lstm.c0"], packing)
 
-    def _attend(self, states: Node, mask: np.ndarray, which: str):
+    def _attend(self, states: Node, packing: ad.Packing, which: str):
         att = (self.params[f"f.att_{which}.{name}"] for name in "wbu")
-        weights, pooled = ad.attention_pool(states, *att, mask)
+        weights, pooled = ad.attention_pool(states, *att, packing)
         return ad.constant(weights), pooled
 
     def _emotion_heads(self, head_in: Node) -> list[Node]:
@@ -227,15 +229,16 @@ class NpdModel:
             ids[i, :n] = post.ids
             mask[i, :n] = 1.0
 
-        states = self._encode(ids, mask)
+        packing = ad.pack(mask)
+        states = self._encode(ids, packing)
         wiring = self.wiring
 
         attention: dict[str, Node] = {}
         v_g = v_l = None
         if wiring.gender_attention:
-            attention["gender"], v_g = self._attend(states, mask, "g")
+            attention["gender"], v_g = self._attend(states, packing, "g")
         if wiring.location_attention:
-            attention["location"], v_l = self._attend(states, mask, "l")
+            attention["location"], v_l = self._attend(states, packing, "l")
 
         # each post's final state feeds the parts no attention pool feeds. It is
         # built only where read: backward never runs an unread node's closure,
@@ -243,7 +246,7 @@ class NpdModel:
         h_last = None
         if (v_g is None and v_l is None or wiring.gender_discriminator and v_g is None
                 or wiring.location_discriminator and v_l is None):
-            h_last = ad.row_block(states, (T - 1) * b, T * b)
+            h_last = ad.rows(states, packing.last)
 
         if v_g is not None and v_l is not None:
             head_in = ad.concat(v_g, v_l)

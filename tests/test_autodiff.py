@@ -315,15 +315,6 @@ class TestBatchOps:
         np.testing.assert_allclose(m.grad[picked], -1.0 / (3 * m0[picked]), rtol=1e-15)
         np.testing.assert_array_equal(m.grad[~picked], 0.0)
 
-    def test_row_block(self):
-        rng = np.random.default_rng(25)
-        m0 = rng.standard_normal((6, 3))
-        m = ad.param(m0)
-        ad.backward(probe_loss(ad.row_block(m, 2, 5), np.ones((3, 3))))
-        expect = np.zeros_like(m0)
-        expect[2:5] = 1.0
-        np.testing.assert_array_equal(m.grad, expect)
-
     def test_clip_passthrough_gradient(self):
         # gold entries below, inside and above the clip range [0.2, 0.6]
         x = ad.param([[0.1, 0.9], [0.5, 0.5], [0.3, 0.7]])
@@ -481,17 +472,51 @@ def test_ufunc_at_only_inside_add_rows():
     assert [c for c in calls if not (c[0] == name and lo <= c[1] <= hi)] == []
 
 
+def packing_of(lengths):
+    """The packing of a batch of posts of the given lengths."""
+    lengths = np.asarray(lengths)
+    return ad.pack(np.arange(lengths.max()) < lengths[:, None])
+
+
+def dense(packed, packing):
+    """A packed [L x d] array as a [T x n x d] step-major grid, 0 on padding."""
+    grid = np.zeros((len(packing.live), len(packing.order), packed.shape[1]))
+    grid[packing.step, packing.post] = packed
+    return grid
+
+
+class TestPack:
+    @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4], [1, 1, 1, 1]],
+                             ids=["ragged-ties", "one-post", "all-equal", "all-length-1"])
+    def test_layout(self, lengths):
+        packing = packing_of(lengths)
+        n, L = len(lengths), sum(lengths)
+        np.testing.assert_array_equal(packing.order, np.argsort(-np.array(lengths), kind="stable"))
+        np.testing.assert_array_equal(packing.live, [sum(k > t for k in lengths)
+                                                     for t in range(max(lengths))])
+        # every valid (step, post) cell once, step-major, each step's posts a
+        # prefix of the length order
+        assert len(packing.post) == len(packing.step) == L
+        expect = [(t, i) for t in range(max(lengths)) for i in packing.order if t < lengths[i]]
+        assert list(zip(packing.step.tolist(), packing.post.tolist())) == expect
+        np.testing.assert_array_equal(packing.post[packing.last], np.arange(n))
+        np.testing.assert_array_equal(packing.step[packing.last], np.array(lengths) - 1)
+        if max(lengths) == 1:
+            np.testing.assert_array_equal(packing.post, packing.order)  # L = n
+        for a in packing:
+            assert not a.flags.writeable
+
+
 def lstm_inputs(lengths, hd, seed):
-    """Random lstm_seq inputs for posts of the given lengths, padded to the longest."""
+    """Random lstm_seq inputs for posts of the given lengths: the [T x n x 4h]
+    grid of every (step, post) cell's input, the four parameters, and the
+    batch's packing."""
     rng = np.random.default_rng(seed)
     n, T = len(lengths), max(lengths)
-    mask = np.zeros((n, T))
-    for i, k in enumerate(lengths):
-        mask[i, :k] = 1.0
-    arrays = [rng.standard_normal((T * n, 4 * hd)), 0.5 * rng.standard_normal((hd, 4 * hd)),
-              0.5 * rng.standard_normal(4 * hd), 0.5 * rng.standard_normal(hd),
-              0.5 * rng.standard_normal(hd)]
-    return arrays, mask
+    grid = rng.standard_normal((T, n, 4 * hd))
+    params = [0.5 * rng.standard_normal((hd, 4 * hd)), 0.5 * rng.standard_normal(4 * hd),
+              0.5 * rng.standard_normal(hd), 0.5 * rng.standard_normal(hd)]
+    return grid, params, packing_of(lengths)
 
 
 class TestLstmSeq:
@@ -499,114 +524,109 @@ class TestLstmSeq:
     @pytest.mark.parametrize("lengths", [[1, 6, 13, 30], [5, 1, 9, 5, 9]],
                              ids=["ascending", "unsorted-ties"])
     def test_grad_fd_all_inputs(self, lengths):
-        arrays, mask = lstm_inputs(lengths, hd=4, seed=61)
-        probe = linear_probe((max(lengths) * len(lengths), 4), seed=62)
+        grid, params, packing = lstm_inputs(lengths, hd=4, seed=61)
+        arrays = [grid[packing.step, packing.post]] + params
+        probe = linear_probe((sum(lengths), 4), seed=62)
         nodes = [ad.param(a) for a in arrays]
-        ad.backward(probe_loss(ad.lstm_seq(*nodes, mask), probe))
-        live = (mask.T > 0).reshape(-1)  # step-major rows of pre_x; padded ones get 0
+        ad.backward(probe_loss(ad.lstm_seq(*nodes, packing), probe))
 
         def f(k, v):
             args = [ad.constant(v if j == k else a) for j, a in enumerate(arrays)]
-            return float((ad.lstm_seq(*args, mask).value * probe).sum())
+            return float((ad.lstm_seq(*args, packing).value * probe).sum())
 
-        def f_live(v):
-            pre_x = arrays[0].copy()
-            pre_x[live] = v
-            return f(0, pre_x)
-
-        assert_grad_close(nodes[0].grad[live], numeric_grad(f_live, arrays[0][live]))
-        for k in range(1, 5):
+        for k in range(5):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
     @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4, 4]],
                              ids=["ties", "one-row", "all-equal"])
     def test_row_permutation_permutes_outputs_and_grads(self, lengths):
-        """Packing sorts rows by length; whatever order the batch arrives in,
-        permuting its rows permutes the output rows and pre_x's gradient rows
+        """Packing sorts posts by length; whatever order the batch arrives in,
+        permuting its posts permutes the output states and pre_x's gradient
         the same way and leaves the shared parameters' gradients alone."""
-        arrays, mask = lstm_inputs(lengths, hd=3, seed=66)
-        n, T = mask.shape
+        grid, params, _ = lstm_inputs(lengths, hd=3, seed=66)
+        n, T = len(lengths), max(lengths)
         probe = linear_probe((T, n, 3), seed=67)
 
         def run(perm):
-            def rows(a):  # permute the rows of a [T*n x d] step-major array
-                return a.reshape(T, n, -1)[:, perm].reshape(T * n, -1)
-
-            nodes = [ad.param(rows(arrays[0]))] + [ad.param(a) for a in arrays[1:]]
-            out = ad.lstm_seq(*nodes, mask[perm])
-            ad.backward(probe_loss(out, rows(probe)))
-            return out.value.reshape(T, n, -1), [node.grad for node in nodes]
+            packing = packing_of(np.array(lengths)[perm])
+            pre_x = ad.param(grid[:, perm][packing.step, packing.post])
+            nodes = [pre_x] + [ad.param(a) for a in params]
+            out = ad.lstm_seq(*nodes, packing)
+            ad.backward(probe_loss(out, probe[:, perm][packing.step, packing.post]))
+            return (dense(out.value, packing), dense(pre_x.grad, packing),
+                    [node.grad for node in nodes[1:]])
 
         identity = np.arange(n)
-        out, grads = run(identity)
+        out, d_pre_x, grads = run(identity)
         for perm in (identity[::-1], np.random.default_rng(68).permutation(n)):
-            p_out, p_grads = run(perm)
+            p_out, p_d_pre_x, p_grads = run(perm)
             np.testing.assert_allclose(p_out, out[:, perm], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(p_grads[0].reshape(T, n, -1),
-                                       grads[0].reshape(T, n, -1)[:, perm], rtol=0, atol=1e-12)
-            for g, p_g in zip(grads[1:], p_grads[1:]):
+            np.testing.assert_allclose(p_d_pre_x, d_pre_x[:, perm], rtol=0, atol=1e-12)
+            for g, p_g in zip(grads, p_grads):
                 np.testing.assert_allclose(p_g, g, rtol=0, atol=1e-12)
 
     def test_mask_with_a_gap_rejected(self):
-        arrays, mask = lstm_inputs([3, 3], hd=2, seed=69)
+        """lstm_seq's mask is checked where it is packed."""
+        mask = np.ones((2, 3))
         mask[1, 1] = 0.0
         with pytest.raises(ContractError):
-            ad.lstm_seq(*map(ad.constant, arrays), mask)
+            ad.pack(mask)
 
-    def test_padded_rows_of_pre_x_get_zero_grad(self):
-        arrays, mask = lstm_inputs([2, 9, 5], hd=3, seed=63)
-        nodes = [ad.param(a) for a in arrays]
-        out = ad.lstm_seq(*nodes, mask)
-        ad.backward(probe_loss(out, linear_probe(out.value.shape)))
-        padded = (mask.T == 0).reshape(-1)  # step-major rows of pre_x
-        assert padded.any()
-        np.testing.assert_array_equal(nodes[0].grad[padded], 0.0)
-        assert np.all(nodes[0].grad[~padded] != 0.0)
+    def test_last_pair_is_final_state(self):
+        """The rows packing.last picks are each post's state after its last
+        step, as a dense loop over the padded batch computes it: the loop
+        runs every step for every post and keeps the old state where the
+        mask is 0."""
+        lengths = [2, 9, 5, 1, 9]
+        grid, (wh, b, h0, c0), packing = lstm_inputs(lengths, hd=3, seed=64)
+        out = ad.lstm_seq(ad.constant(grid[packing.step, packing.post]),
+                          *map(ad.constant, (wh, b, h0, c0)), packing).value
 
-    def test_padding_carries_state(self):
-        arrays, mask = lstm_inputs([2, 7], hd=3, seed=64)
-        states = ad.lstm_seq(*map(ad.constant, arrays), mask).value.reshape(7, 2, 3)
-        for t in range(2, 7):
-            np.testing.assert_array_equal(states[t, 0], states[1, 0])
+        mask = (np.arange(max(lengths)) < np.array(lengths)[:, None])[:, :, None]
+        h, c = np.tile(h0, (len(lengths), 1)), np.tile(c0, (len(lengths), 1))
+        for t in range(max(lengths)):
+            pre = grid[t] + h @ wh + b
+            i, f, o = sigmoid(pre[:, :3]), sigmoid(pre[:, 3:6]), sigmoid(pre[:, 6:9])
+            c_new = f * c + i * np.tanh(pre[:, 9:])
+            h = np.where(mask[:, t], o * np.tanh(c_new), h)
+            c = np.where(mask[:, t], c_new, c)
+        np.testing.assert_allclose(out[packing.last], h, rtol=0, atol=1e-12)
 
     def test_all_ones_mask_matches_straightline_recurrence(self):
-        arrays, mask = lstm_inputs([8, 8, 8], hd=5, seed=65)
-        pre_x, wh, b, h0, c0 = arrays
-        out = ad.lstm_seq(*map(ad.constant, arrays), mask).value
-
-        def sig(z):
-            return 1.0 / (1.0 + np.exp(-z))
+        grid, (wh, b, h0, c0), packing = lstm_inputs([8, 8, 8], hd=5, seed=65)
+        pre_x = grid.reshape(24, 20)  # equal lengths keep the batch order: packed is step-major
+        out = ad.lstm_seq(*map(ad.constant, (pre_x, wh, b, h0, c0)), packing).value
 
         h, c = np.tile(h0, (3, 1)), np.tile(c0, (3, 1))
         for t in range(8):
             pre = pre_x[3 * t : 3 * t + 3] + h @ wh + b
-            i, f, o, g = sig(pre[:, :5]), sig(pre[:, 5:10]), sig(pre[:, 10:15]), np.tanh(pre[:, 15:])
+            i, f, o, g = (sigmoid(pre[:, :5]), sigmoid(pre[:, 5:10]), sigmoid(pre[:, 10:15]),
+                          np.tanh(pre[:, 15:]))
             c = f * c + i * g
             h = o * np.tanh(c)
             np.testing.assert_allclose(out[3 * t : 3 * t + 3], h, rtol=0, atol=1e-12)
 
 
 def attention_inputs(lengths, hd, seed, a=3):
-    """Random attention_pool inputs for posts of the given lengths, padded to the longest."""
+    """Random attention_pool inputs for posts of the given lengths: the [T x n
+    x h] grid of every (step, post) cell's state, the three parameters, and
+    the batch's packing."""
     rng = np.random.default_rng(seed)
-    n, T = len(lengths), max(lengths)
-    mask = (np.arange(T) < np.array(lengths)[:, None]).astype(np.float64)
-    arrays = [rng.standard_normal((T * n, hd)), rng.standard_normal((hd, a)),
-              0.5 * rng.standard_normal(a), rng.standard_normal(a)]
-    return arrays, mask
+    grid = rng.standard_normal((max(lengths), len(lengths), hd))
+    params = [rng.standard_normal((hd, a)), 0.5 * rng.standard_normal(a), rng.standard_normal(a)]
+    return grid, params, packing_of(lengths)
 
 
-def attention_reference(states, w, b, u, mask):
-    """Weights and pooled states computed one post at a time over its valid steps only."""
-    n, T = mask.shape
-    items = states.reshape(T, n, -1)
-    weights, pooled = np.zeros((n, T)), np.zeros((n, items.shape[2]))
+def attention_reference(states, w, b, u, packing):
+    """Weights and pooled states computed one post at a time over its own steps only."""
+    n, T = len(packing.order), len(packing.live)
+    weights, pooled = np.zeros((n, T)), np.zeros((n, states.shape[1]))
     for i in range(n):
-        k = int(mask[i].sum())
-        z = np.tanh(items[:k, i] @ w + b) @ u
+        items = states[packing.post == i]  # in step order
+        z = np.tanh(items @ w + b) @ u
         e = np.exp(z - z.max())
-        weights[i, :k] = e / e.sum()
-        pooled[i] = weights[i, :k] @ items[:k, i]
+        weights[i, : len(items)] = e / e.sum()
+        pooled[i] = weights[i, : len(items)] @ items
     return weights, pooled
 
 
@@ -614,69 +634,74 @@ class TestAttentionPool:
     LENGTHS = [5, 1, 7, 5, 7, 3]  # ragged, with ties and a length-1 post
 
     def test_grad_fd_all_inputs(self):
-        arrays, mask = attention_inputs(self.LENGTHS, hd=4, seed=81)
+        grid, params, packing = attention_inputs(self.LENGTHS, hd=4, seed=81)
+        arrays = [grid[packing.step, packing.post]] + params
         probe = linear_probe((len(self.LENGTHS), 4), seed=82)
         nodes = [ad.param(a) for a in arrays]
-        weights, pooled = ad.attention_pool(*nodes, mask)
-        ref_weights, ref_pooled = attention_reference(*arrays, mask)
+        weights, pooled = ad.attention_pool(*nodes, packing)
+        ref_weights, ref_pooled = attention_reference(*arrays, packing)
         np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
         np.testing.assert_allclose(pooled.value, ref_pooled, rtol=0, atol=1e-14)
         ad.backward(probe_loss(pooled, probe))
 
         def f(k, v):
             args = [v if j == k else a for j, a in enumerate(arrays)]
-            return float((attention_reference(*args, mask)[1] * probe).sum())
+            return float((attention_reference(*args, packing)[1] * probe).sum())
 
         for k in range(4):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
     def test_padded_steps_get_zero_weight_and_zero_grad(self):
-        arrays, mask = attention_inputs(self.LENGTHS, hd=3, seed=83)
-        arrays[0][: len(self.LENGTHS)] += 50.0  # padded steps would dominate an unmasked softmax
-        states = ad.param(arrays[0])
-        weights, pooled = ad.attention_pool(states, *map(ad.constant, arrays[1:]), mask)
-        np.testing.assert_array_equal(weights[mask == 0], 0.0)
-        assert np.all(weights[mask > 0] > 0.0)
+        """The dense weights are exactly 0 on padded steps, which have no row
+        in the packed states, so they can neither take weight nor gradient."""
+        grid, params, packing = attention_inputs(self.LENGTHS, hd=3, seed=83)
+        states = ad.param(grid[packing.step, packing.post])
+        weights, pooled = ad.attention_pool(states, *map(ad.constant, params), packing)
+        valid = np.arange(max(self.LENGTHS)) < np.array(self.LENGTHS)[:, None]
+        np.testing.assert_array_equal(weights[~valid], 0.0)
+        assert np.all(weights[valid] > 0.0)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         ad.backward(probe_loss(pooled, linear_probe(pooled.value.shape, seed=84)))
-        padded = (mask.T == 0).reshape(-1)  # step-major rows of states
-        assert padded.any()
-        np.testing.assert_array_equal(states.grad[padded], 0.0)
-        assert np.all(states.grad[~padded] != 0.0)
+        assert states.grad.shape == (sum(self.LENGTHS), 3)
+        assert np.all(states.grad != 0.0)
 
     @pytest.mark.parametrize("lengths", [LENGTHS, [4], [3, 3, 3]],
                              ids=["ties", "one-row", "all-equal"])
     def test_row_permutation_permutes_outputs_and_grads(self, lengths):
-        arrays, mask = attention_inputs(lengths, hd=3, seed=85)
-        n, T = mask.shape
+        grid, params, _ = attention_inputs(lengths, hd=3, seed=85)
+        n = len(lengths)
         probe = linear_probe((n, 3), seed=86)
 
         def run(perm):
-            states = ad.param(arrays[0].reshape(T, n, -1)[:, perm].reshape(T * n, -1))
-            nodes = [states] + [ad.param(a) for a in arrays[1:]]
-            weights, pooled = ad.attention_pool(*nodes, mask[perm])
+            packing = packing_of(np.array(lengths)[perm])
+            states = ad.param(grid[:, perm][packing.step, packing.post])
+            nodes = [states] + [ad.param(a) for a in params]
+            weights, pooled = ad.attention_pool(*nodes, packing)
             ad.backward(probe_loss(pooled, probe[perm]))
-            return weights, pooled.value, [node.grad for node in nodes]
+            return (weights, pooled.value, dense(states.grad, packing),
+                    [node.grad for node in nodes[1:]])
 
         identity = np.arange(n)
-        weights, pooled, grads = run(identity)
+        weights, pooled, d_states, grads = run(identity)
         for perm in (identity[::-1], np.random.default_rng(87).permutation(n)):
-            p_weights, p_pooled, p_grads = run(perm)
+            p_weights, p_pooled, p_d_states, p_grads = run(perm)
             np.testing.assert_allclose(p_weights, weights[perm], rtol=0, atol=1e-12)
             np.testing.assert_allclose(p_pooled, pooled[perm], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(p_grads[0].reshape(T, n, -1),
-                                       grads[0].reshape(T, n, -1)[:, perm], rtol=0, atol=1e-12)
-            for g, p_g in zip(grads[1:], p_grads[1:]):
+            np.testing.assert_allclose(p_d_states, d_states[:, perm], rtol=0, atol=1e-12)
+            for g, p_g in zip(grads, p_grads):
                 np.testing.assert_allclose(p_g, g, rtol=0, atol=1e-12)
 
     def test_shape_mismatch_names_shapes(self):
-        arrays, mask = attention_inputs([2, 3], hd=4, seed=88)
-        arrays[1] = np.ones((5, 3))
-        with pytest.raises(DimensionError, match=r"\(6, 4\).*\(5, 3\).*\(3,\).*\(2, 3\)"):
-            ad.attention_pool(*map(ad.constant, arrays), mask)
+        grid, params, packing = attention_inputs([2, 3], hd=4, seed=88)
+        params[0] = np.ones((5, 3))
+        states = grid[packing.step, packing.post]
+        with pytest.raises(DimensionError,
+                           match=r"\(5, 4\).*\(5, 3\).*\(3,\).*\(3,\).*5 packed pairs"):
+            ad.attention_pool(*map(ad.constant, [states] + params), packing)
 
     def test_row_without_valid_step_rejected(self):
-        arrays, mask = attention_inputs([2, 3], hd=2, seed=89)
+        """attention_pool's mask is checked where it is packed."""
+        mask = np.ones((2, 3))
         mask[0] = 0.0
         with pytest.raises(ContractError):
-            ad.attention_pool(*map(ad.constant, arrays), mask)
+            ad.pack(mask)

@@ -259,6 +259,29 @@ def test_bad_checkpoint_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, ed
     assert err.startswith(f"error: {path}: ") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("vocab_hash", ["kept", "empty"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_embedding_rows_off_the_vocabulary_exit_1(mini_pipeline, tmp_path, monkeypatch, capsys,
+                                                   command, vocab_hash):
+    """A checkpoint whose embedding table is smaller than the vocabulary
+    would index past its end; the hash alone cannot tell, as it hashes the
+    vocabulary only."""
+    model = load_checkpoint(str(mini_pipeline["model"]))
+    vocab_size = model.embedding.shape[0]
+    if vocab_hash == "empty":
+        model.manifest["vocab_hash"] = ""
+    model.embedding = model.embedding[:5]
+    path = tmp_path / "cut.bin"
+    save_checkpoint(str(path), model)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(corpus_texts(mini_pipeline, 3))))
+    extra = ["--corpus", str(mini_pipeline["corpus"])] if command == "eval" else []
+    code = main([command, "--model", str(path),
+                 "--embeddings", str(mini_pipeline["embeddings"]), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{vocab_size} tokens" in err and "5 rows" in err and "Traceback" not in err
+
+
 # (bytes of a synth --config file, text the error must contain besides the path)
 BAD_SYNTH_CONFIGS = [
     (b'{"n_posts": 5', "malformed JSON"),

@@ -118,7 +118,7 @@ class TestAttention:
         states = ad.constant(np.array([[big, 0.0, 0.0, 0.0],
                                        [-big, 0.0, 0.0, 0.0],
                                        [-big, 0.0, 0.0, 0.0]]))  # T=3 steps of one post
-        weights, _ = model._attend(states, np.ones((1, 3)), "g")
+        weights, _ = model._attend(states, ad.pack(np.ones((1, 3))), "g")
         assert weights.value[0, 0] > 0.999
 
 

@@ -254,6 +254,23 @@ def test_training_step_leaves_no_cyclic_garbage(variant):
     assert garbage == 0
 
 
+def test_npd_train_step_builds_no_padded_node():
+    """The encoder runs on live (step, post) pairs only: no node of a training
+    step's graph has a row for every cell of the padded [b x T] batch."""
+    rng = np.random.default_rng(21)
+    lengths = [1, 9, 4]
+    batch = [make_post(rng, k) for k in lengths]
+    model = small_model("NPD", seed=21, finetune_embeddings=True)
+    cfg = TrainingConfig(seed=21)
+    fwd = model.forward(batch, train_mode=True, rng=rng, dropout_rate=cfg.dropout_rate)
+    loss = batch_losses(model, fwd, batch, cfg)[-1]
+    nodes = ad.graph_order(loss)
+    padded = len(batch) * max(lengths)
+    assert [n for n in nodes if n.value.ndim and n.value.shape[0] == padded] == []
+    assert any(n.op == "lstm_seq" and n.value.shape[0] == sum(lengths) for n in nodes)
+    ad.backward(loss)
+
+
 def tiny_dataset(rng, n, m=5):
     return [make_post(rng, int(rng.integers(2, 7)), m=m) for _ in range(n)]
 
@@ -333,9 +350,10 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError) as caught:
             train(data, [], "LSTM", cfg, emb, num_locations=5,
                   dims=ModelDims(hidden_dim=4))
-        # the frozen embeddings enter the graph as one [T*b x e] constant
-        steps = max(len(p.ids) for p in data)
-        assert caught.value.tensor_name == f"const[{steps * len(data)}, {emb.shape[1]}]"
+        # the frozen embeddings enter the graph as one [L x e] constant, one
+        # row per live (step, post) pair
+        pairs = sum(len(p.ids) for p in data)
+        assert caught.value.tensor_name == f"const[{pairs}, {emb.shape[1]}]"
         assert caught.value.tensor_name in str(caught.value)
 
     def test_empty_train_split_rejected(self):
