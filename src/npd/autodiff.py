@@ -14,8 +14,8 @@ never stored or computed: lstm_seq runs each step on the posts still
 running and returns every pair's state, and attention_pool scores those
 states and reports its weights as a dense [n x T] array, 0 on padding.
 
-The op set is exactly what the emotion model and its losses call: matrix
-product, elementwise add/scale_shift/sigmoid, the bias add add_rowvec,
+The op set is exactly what the emotion model and its losses call: the
+dense layer affine (x W + b), elementwise add/scale_shift/sigmoid,
 row-wise softmax, 2-D concatenation, row gather, inverted dropout, the
 gradient-reversal node that flips the sign of gradients flowing into the
 shared encoder from the attribute discriminators, and fused nodes with
@@ -135,35 +135,24 @@ def sigmoid(x: Node) -> Node:
     return out
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product of an [n x k] matrix with a [k x m] matrix."""
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} do not multiply")
-    out = Node(av @ bv, op="matmul", parents=(a, b))
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """The dense layer x W + b: an [n x k] matrix times a [k x m] matrix, plus
+    a length-m bias added to every row."""
+    xv, wv, bv = x.value, w.value, b.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise DimensionError(f"affine: x {xv.shape}, w {wv.shape} and b {bv.shape} do not fit")
+    y = xv @ wv
+    y += bv
+    out = Node(y, op="affine", parents=(x, w, b))
     if out.needs_grad:
         def _backward():
             g = out.grad
-            if a.needs_grad:
-                a.grad += g @ bv.T
+            if x.needs_grad:
+                x.grad += g @ wv.T
+            if w.needs_grad:
+                w.grad += xv.T @ g
             if b.needs_grad:
-                b.grad += av.T @ g
-
-        out._backward = _backward
-    return out
-
-
-def add_rowvec(mat: Node, vec: Node) -> Node:
-    """Add a length-d vector to every row of an [n x d] matrix (bias add)."""
-    if mat.value.ndim != 2 or vec.value.ndim != 1 or mat.value.shape[1] != vec.value.shape[0]:
-        raise DimensionError(f"add_rowvec: {mat.value.shape} + {vec.value.shape}")
-    out = Node(mat.value + vec.value[None, :], op="add_rowvec", parents=(mat, vec))
-    if out.needs_grad:
-        def _backward():
-            if mat.needs_grad:
-                mat.grad += out.grad
-            if vec.needs_grad:
-                vec.grad += out.grad.sum(axis=0)
+                b.grad += g.sum(axis=0)
 
         out._backward = _backward
     return out
@@ -259,19 +248,20 @@ def pack(mask: np.ndarray) -> Packing:
     return packing
 
 
-def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
-             packing: Packing) -> Node:
+def lstm_seq(pre_x: Node, wh: Node, h0: Node, c0: Node, packing: Packing) -> Node:
     """A whole LSTM recurrence over a packed batch as one node.
 
     pre_x is the [L x 4h] input projection of the batch's L live (step,
-    post) pairs, in packing's order (see pack), with gates in the order i,
-    f, o, g. The output is the [L x h] hidden state after each pair, in the
-    same order, so its rows packing.last are the posts' final states.
+    post) pairs, bias included, in packing's order (see pack), with gates
+    in the order i, f, o, g. The output is the [L x h] hidden state after
+    each pair, in the same order, so its rows packing.last are the posts'
+    final states.
 
     Padded pairs have no row, so they are never computed, as in PyTorch's
     pack_padded_sequence: step t runs on one contiguous block of live[t]
-    rows, and the posts' states before it lead the block of step t - 1. b is
-    added into the inputs once, before the time loop. Backward turns the
+    rows, and the posts' states before it lead the block of step t - 1.
+    The gates are computed in a copy of pre_x's value; pre_x itself is
+    never written. Backward turns the
     stored gates into their local derivatives for all steps in one
     vectorised pass, in place, so each BPTT step only scales them by dh and
     dc; the result is pre_x's gradient as it stands, and wh's gradient is
@@ -281,17 +271,16 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
     n, L, T = len(packing.order), len(packing.post), len(live)
     hd = wh.value.shape[0]
     if (pre_x.value.shape != (L, 4 * hd) or wh.value.shape != (hd, 4 * hd)
-            or b.value.shape != (4 * hd,) or h0.value.shape != (hd,)
-            or c0.value.shape != (hd,)):
+            or h0.value.shape != (hd,) or c0.value.shape != (hd,)):
         raise DimensionError(
-            f"lstm_seq: pre_x {pre_x.value.shape}, wh {wh.value.shape}, b {b.value.shape}, "
+            f"lstm_seq: pre_x {pre_x.value.shape}, wh {wh.value.shape}, "
             f"h0 {h0.value.shape}, c0 {c0.value.shape} for {L} packed pairs")
     start = np.concatenate(([0], np.cumsum(live)))  # step t is packed rows start[t]:start[t+1]
     # H and C hold the n initial states, then the packed states: the state
     # before step t is block blk[t], the state after it block blk[t + 1]
     blk = np.concatenate(([0], n + start[:-1]))
 
-    x = pre_x.value + b.value  # [L x 4h], becomes the gates in place
+    x = pre_x.value.copy()  # [L x 4h], becomes the gates in place
     w = wh.value
     H = np.empty((n + L, hd))
     C = np.empty((n + L, hd))
@@ -317,7 +306,7 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
             np.tanh(c, out=tanh_c[s:e])
             np.multiply(g[:, 2 * hd : 3 * hd], tanh_c[s:e], out=H[n + s : n + e])
     h_t = H[n:]  # o tanh(c) of each pair
-    out = Node(h_t, op="lstm_seq", parents=(pre_x, wh, b, h0, c0))
+    out = Node(h_t, op="lstm_seq", parents=(pre_x, wh, h0, c0))
     if out.needs_grad:
         def _backward():
             steps = packing.step
@@ -363,8 +352,6 @@ def lstm_seq(pre_x: Node, wh: Node, b: Node, h0: Node, c0: Node,
                 pre_x.grad += x
             if wh.needs_grad:
                 wh.grad += H[prev].T @ x
-            if b.needs_grad:
-                b.grad += x.sum(axis=0)
             if h0.needs_grad:
                 h0.grad += dh.sum(axis=0)
             if c0.needs_grad:

@@ -189,6 +189,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:
         if v not in VARIANT_NAMES:

@@ -6,11 +6,13 @@ Forward passes are batched. Posts are padded to the batch's longest
 sequence, and the {0,1} validity mask is turned once per batch into a
 packing (autodiff.pack) that lists the batch's L live (step, post) pairs.
 The whole encoder then runs on those pairs only: the embedding gather and
-the input matmul are [L x ...], the fused lstm_seq node runs each step on
-the posts still running and returns the [L x h] state after every pair,
-the attention pools score those rows, and each post's final state is the
-row packing.last picks. Padded steps are never computed. Attention weights
-are reported as a dense [b x T] array, exactly 0 on padding.
+the gates' input projection are [L x ...], the fused lstm_seq node runs
+each step on the posts still running and returns the [L x h] state after
+every pair, the attention pools score those rows, and each post's final
+state is the row packing.last picks. Padded steps are never computed.
+Attention weights are reported as a dense [b x T] array, exactly 0 on
+padding. Every dense layer, the gates' input projection with their bias
+included, is one affine node x W + b.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
 update.
@@ -23,6 +25,7 @@ Checkpoint layout (little-endian, documented for external readers):
 """
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -174,20 +177,21 @@ class NpdModel:
     def _embed_all_steps(self, ids: np.ndarray, packing: ad.Packing) -> Node:
         """The inputs of the batch's live (step, post) pairs as one [L x e]
         matrix in packing's order, so the input half of the gate projection
-        is a single matmul over live pairs only."""
+        is a single affine node over live pairs only."""
         flat = ids[packing.post, packing.step]
         if self.finetune_embeddings:
             return ad.rows(self.params["f.embed"], flat)
         return ad.constant(self.embedding[flat])
 
     def _encode(self, ids: np.ndarray, packing: ad.Packing) -> Node:
-        """Run the LSTM over the padded ids' live pairs: one input matmul,
-        then one fused recurrence node. Returns the hidden state after every
-        live pair as an [L x h] node in packing's order."""
+        """Run the LSTM over the padded ids' live pairs: one affine input
+        projection with the gate bias, then one fused recurrence node.
+        Returns the hidden state after every live pair as an [L x h] node in
+        packing's order."""
         p = self.params
-        pre_x = ad.matmul(self._embed_all_steps(ids, packing), p["f.lstm.wx"])  # [L x 4h]
-        return ad.lstm_seq(pre_x, p["f.lstm.wh"], p["f.lstm.b"], p["f.lstm.h0"],
-                           p["f.lstm.c0"], packing)
+        pre_x = ad.affine(self._embed_all_steps(ids, packing), p["f.lstm.wx"],
+                          p["f.lstm.b"])  # [L x 4h]
+        return ad.lstm_seq(pre_x, p["f.lstm.wh"], p["f.lstm.h0"], p["f.lstm.c0"], packing)
 
     def _attend(self, states: Node, packing: ad.Packing, which: str):
         att = (self.params[f"f.att_{which}.{name}"] for name in "wbu")
@@ -198,16 +202,15 @@ class NpdModel:
         p = self.params
         out = []
         for j in range(len(EMOTIONS)):
-            hid = ad.sigmoid(ad.add_rowvec(ad.matmul(head_in, p[f"y.head{j}.w"]),
-                                           p[f"y.head{j}.b"]))
-            logits = ad.add_rowvec(ad.matmul(hid, p[f"y.head{j}.wo"]), p[f"y.head{j}.bo"])
+            hid = ad.sigmoid(ad.affine(head_in, p[f"y.head{j}.w"], p[f"y.head{j}.b"]))
+            logits = ad.affine(hid, p[f"y.head{j}.wo"], p[f"y.head{j}.bo"])
             out.append(ad.softmax_rows(logits))
         return out
 
     def _discriminate(self, vec: Node, which: str) -> Node:
         p = self.params
         x = ad.grad_reverse(vec, self.lambda_rev) if self.wiring.reversal else vec
-        logits = ad.add_rowvec(ad.matmul(x, p[f"{which}.w"]), p[f"{which}.b"])
+        logits = ad.affine(x, p[f"{which}.w"], p[f"{which}.b"])
         if which == "g":
             return ad.sigmoid(logits)
         return ad.softmax_rows(logits)
@@ -335,7 +338,8 @@ _MANIFEST_FIELDS = {
        for key in ("embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim")},
     "num_locations": ("an integer >= 2", lambda v: type(v) is int and v > 1),
     "seed": ("an integer", lambda v: type(v) is int),
-    "lambda_rev": ("a number", lambda v: type(v) in (int, float)),
+    "lambda_rev": ("a finite number >= 0",
+                   lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
     "finetune_embeddings": ("true or false", lambda v: type(v) is bool),
     "tokenizer_mode": ("a string", lambda v: type(v) is str),
 }

@@ -39,6 +39,8 @@ class ModelDims:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not (math.isfinite(self.lambda_rev) and self.lambda_rev >= 0):
+            raise ConfigError(f"lambda_rev must be nonnegative and finite, got {self.lambda_rev}")
 
 
 @dataclass

@@ -62,29 +62,57 @@ def probe_loss(out, probe):
     return loss
 
 
-class TestMatmul:
+def zero_bias(w):
+    """A zero-bias constant for an affine layer with weights w, for tests
+    that need only x W."""
+    return ad.constant(np.zeros(np.shape(w)[1]))
+
+
+class TestAffine:
     def test_identity(self):
         a = ad.constant(np.eye(2))
         b = ad.constant([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).value, b.value)
+        np.testing.assert_array_equal(ad.affine(a, b, zero_bias(b.value)).value, b.value)
 
     def test_zero(self):
         a = ad.constant([[1.0, 2.0]])
         b = ad.constant([[0.0], [0.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).value, [[0.0]])
+        np.testing.assert_array_equal(ad.affine(a, b, zero_bias(b.value)).value, [[0.0]])
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"2, 3.*4, 5"):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 5))))
+    @pytest.mark.parametrize("shapes,named", [
+        (((2, 3), (4, 5), (5,)), r"\(2, 3\).*\(4, 5\).*\(5,\)"),
+        (((2, 3), (3, 5), (4,)), r"\(2, 3\).*\(3, 5\).*\(4,\)"),
+    ], ids=["inner-dims", "bias-length"])
+    def test_shape_mismatch_names_all_shapes(self, shapes, named):
+        with pytest.raises(DimensionError, match=named):
+            ad.affine(*(ad.constant(np.ones(s)) for s in shapes))
 
     def test_grad_sum_ab(self):
         a0 = np.array([[1.0, 2.0], [3.0, 4.0]])
         b0 = np.array([[1.0], [1.0]])
         a = ad.param(a0)
-        out = probe_loss(ad.matmul(a, ad.constant(b0)), np.ones((2, 1)))
+        out = probe_loss(ad.affine(a, ad.constant(b0), zero_bias(b0)), np.ones((2, 1)))
         ad.backward(out)
         numeric = numeric_grad(lambda av: (av @ b0).sum(), a0)
         np.testing.assert_allclose(a.grad, numeric, atol=1e-6)
+
+    def test_grad_fd_all_inputs(self):
+        rng = np.random.default_rng(7)
+        arrays = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]
+        probe = linear_probe((3, 2))
+        nodes = [ad.param(a) for a in arrays]
+        ad.backward(probe_loss(ad.affine(*nodes), probe))
+
+        def f(k, v):
+            x, w, b = (v if j == k else a for j, a in enumerate(arrays))
+            return float(((x @ w + b) * probe).sum())
+
+        for k in range(3):
+            assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
+
+
+class TestMatmul:
+    """The matrix product x W, run through affine with a zero-bias constant."""
 
     @pytest.mark.parametrize(
         "sa,sb",
@@ -95,7 +123,7 @@ class TestMatmul:
         a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
         probe = linear_probe(np.matmul(a0, b0).shape)
         a, b = ad.param(a0), ad.param(b0)
-        loss = probe_loss(ad.matmul(a, b), probe)
+        loss = probe_loss(ad.affine(a, b, zero_bias(b0)), probe)
         ad.backward(loss)
         assert_grad_close(a.grad, numeric_grad(lambda v: float((np.matmul(v, b0) * probe).sum()), a0))
         assert_grad_close(b.grad, numeric_grad(lambda v: float((np.matmul(a0, v) * probe).sum()), b0))
@@ -204,7 +232,7 @@ class TestGradReverse:
 
         def build(reversed_path: bool):
             w = ad.param(w0)
-            h = ad.sigmoid(ad.matmul(w, ad.constant(v0)))
+            h = ad.sigmoid(ad.affine(w, ad.constant(v0), zero_bias(v0)))
             h = ad.grad_reverse(h, 1.0) if reversed_path else h
             loss = probe_loss(ad.sigmoid(h), np.ones((3, 1)))
             ad.backward(loss)
@@ -238,7 +266,7 @@ class TestBackward:
             rng = np.random.default_rng(9)
             w = ad.param(rng.standard_normal((4, 4)))
             x = ad.constant(rng.standard_normal((4, 1)))
-            h = ad.sigmoid(ad.matmul(w, x))
+            h = ad.sigmoid(ad.affine(w, x, zero_bias(x.value)))
             ad.backward(ad.sum_squares([ad.sigmoid(h), h]))
             return w.grad.copy()
 
@@ -285,11 +313,13 @@ class TestBatchOps:
     """Gradient checks for the batched-sequence plumbing ops."""
 
     def test_add_rowvec(self):
+        """A row vector added to every row of a matrix: affine with an
+        identity-weight constant."""
         rng = np.random.default_rng(21)
         m0, v0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
         probe = linear_probe((4, 3))
         m, v = ad.param(m0), ad.param(v0)
-        ad.backward(probe_loss(ad.add_rowvec(m, v), probe))
+        ad.backward(probe_loss(ad.affine(m, ad.constant(np.eye(3)), v), probe))
         assert_grad_close(m.grad, numeric_grad(lambda a: float(((a + v0) * probe).sum()), m0))
         assert_grad_close(v.grad, numeric_grad(lambda a: float(((m0 + a) * probe).sum()), v0))
 
@@ -413,7 +443,7 @@ class TestInvariants:
         for _ in range(20):
             w = ad.param(rng.standard_normal((5, 5)))
             x = ad.constant(rng.standard_normal((1, 5)))
-            h = ad.sigmoid(ad.matmul(x, w))
+            h = ad.sigmoid(ad.affine(x, w, zero_bias(w.value)))
             p = ad.softmax_rows(h)
             loss = ad.nll(p, rng.integers(5, size=1), 1e-12, 1.0)
             ad.backward(loss)
@@ -423,7 +453,8 @@ class TestInvariants:
     def test_grad_shape_matches_value_shape(self):
         rng = np.random.default_rng(56)
         nodes = [
-            ad.matmul(ad.param(rng.standard_normal((2, 3))), ad.param(rng.standard_normal((3, 4)))),
+            ad.affine(ad.param(rng.standard_normal((2, 3))), ad.param(rng.standard_normal((3, 4))),
+                      ad.constant(np.zeros(4))),
             ad.softmax_rows(ad.param(rng.standard_normal((1, 6)))),
             ad.concat(ad.param(rng.standard_normal((1, 2))), ad.param(rng.standard_normal((1, 3)))),
         ]
@@ -509,14 +540,14 @@ class TestPack:
 
 def lstm_inputs(lengths, hd, seed):
     """Random lstm_seq inputs for posts of the given lengths: the [T x n x 4h]
-    grid of every (step, post) cell's input, the four parameters, and the
-    batch's packing."""
+    grid of every (step, post) cell's input with a gate bias added in, the
+    three parameters wh, h0 and c0, and the batch's packing."""
     rng = np.random.default_rng(seed)
     n, T = len(lengths), max(lengths)
     grid = rng.standard_normal((T, n, 4 * hd))
-    params = [0.5 * rng.standard_normal((hd, 4 * hd)), 0.5 * rng.standard_normal(4 * hd),
-              0.5 * rng.standard_normal(hd), 0.5 * rng.standard_normal(hd)]
-    return grid, params, packing_of(lengths)
+    wh, b = 0.5 * rng.standard_normal((hd, 4 * hd)), 0.5 * rng.standard_normal(4 * hd)
+    params = [wh, 0.5 * rng.standard_normal(hd), 0.5 * rng.standard_normal(hd)]
+    return grid + b, params, packing_of(lengths)
 
 
 class TestLstmSeq:
@@ -534,7 +565,7 @@ class TestLstmSeq:
             args = [ad.constant(v if j == k else a) for j, a in enumerate(arrays)]
             return float((ad.lstm_seq(*args, packing).value * probe).sum())
 
-        for k in range(5):
+        for k in range(4):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
     @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4, 4]],
@@ -578,14 +609,14 @@ class TestLstmSeq:
         runs every step for every post and keeps the old state where the
         mask is 0."""
         lengths = [2, 9, 5, 1, 9]
-        grid, (wh, b, h0, c0), packing = lstm_inputs(lengths, hd=3, seed=64)
+        grid, (wh, h0, c0), packing = lstm_inputs(lengths, hd=3, seed=64)
         out = ad.lstm_seq(ad.constant(grid[packing.step, packing.post]),
-                          *map(ad.constant, (wh, b, h0, c0)), packing).value
+                          *map(ad.constant, (wh, h0, c0)), packing).value
 
         mask = (np.arange(max(lengths)) < np.array(lengths)[:, None])[:, :, None]
         h, c = np.tile(h0, (len(lengths), 1)), np.tile(c0, (len(lengths), 1))
         for t in range(max(lengths)):
-            pre = grid[t] + h @ wh + b
+            pre = grid[t] + h @ wh
             i, f, o = sigmoid(pre[:, :3]), sigmoid(pre[:, 3:6]), sigmoid(pre[:, 6:9])
             c_new = f * c + i * np.tanh(pre[:, 9:])
             h = np.where(mask[:, t], o * np.tanh(c_new), h)
@@ -593,13 +624,13 @@ class TestLstmSeq:
         np.testing.assert_allclose(out[packing.last], h, rtol=0, atol=1e-12)
 
     def test_all_ones_mask_matches_straightline_recurrence(self):
-        grid, (wh, b, h0, c0), packing = lstm_inputs([8, 8, 8], hd=5, seed=65)
+        grid, (wh, h0, c0), packing = lstm_inputs([8, 8, 8], hd=5, seed=65)
         pre_x = grid.reshape(24, 20)  # equal lengths keep the batch order: packed is step-major
-        out = ad.lstm_seq(*map(ad.constant, (pre_x, wh, b, h0, c0)), packing).value
+        out = ad.lstm_seq(*map(ad.constant, (pre_x, wh, h0, c0)), packing).value
 
         h, c = np.tile(h0, (3, 1)), np.tile(c0, (3, 1))
         for t in range(8):
-            pre = pre_x[3 * t : 3 * t + 3] + h @ wh + b
+            pre = pre_x[3 * t : 3 * t + 3] + h @ wh  # the bias is in pre_x
             i, f, o, g = (sigmoid(pre[:, :5]), sigmoid(pre[:, 5:10]), sigmoid(pre[:, 10:15]),
                           np.tanh(pre[:, 15:]))
             c = f * c + i * g

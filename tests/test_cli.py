@@ -237,6 +237,8 @@ BAD_CHECKPOINTS = [
     ("negative hidden_dim", _with("hidden_dim", -1), "'hidden_dim'"),
     ("no tokenizer_mode", _without("tokenizer_mode"), "'tokenizer_mode'"),
     ("embed_dim off the embedding", _with("embed_dim", 5), "embed_dim"),
+    ("negative lambda_rev", _with("lambda_rev", -2.0), "'lambda_rev'"),
+    ("NaN lambda_rev", _with("lambda_rev", math.nan), "'lambda_rev'"),
 ]
 
 
@@ -326,6 +328,9 @@ BAD_TRAINING_OPTIONS = [
     (["--grad-clip", "inf"], "grad_clip"),
     (["--grad-clip", "nan"], "grad_clip"),
     (["--lambda-rev", "nan"], "lambda_rev"),
+    # a later --variant overrides the NPD the test passes: LSTM has no
+    # reversal node, so only the option check can reject the value
+    (["--variant", "LSTM", "--lambda-rev", "-1"], "lambda_rev"),
 ]
 
 
@@ -347,6 +352,20 @@ class TestBadTrainingOptions:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "--seeds" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_ablate_jobs_below_1_exits_1(self, mini_pipeline, tmp_path, capsys, jobs):
+        # small sizes, so that without the check the grid runs in seconds and
+        # the test fails on its exit code
+        out = tmp_path / "grid.tsv"
+        code = main(["ablate", "--corpus", str(mini_pipeline["corpus"]), "--variants", "LSTM",
+                     "--seeds", "1", "--vocab-size", "400", "--embed-dim", "12",
+                     "--embed-epochs", "1", "--hidden-dim", "8", "--epochs", "1",
+                     "--jobs", jobs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--jobs" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 # (subcommand, extra arguments, text the error must contain)
