@@ -15,16 +15,18 @@ running and returns every pair's state, and attention_pool scores those
 states and reports its weights as a dense [n x T] array, 0 on padding.
 
 The op set is exactly what the emotion model and its losses call: the
-dense layer affine (x W + b), elementwise add/scale_shift/sigmoid,
-row-wise softmax, 2-D concatenation, row gather, inverted dropout, the
-gradient-reversal node that flips the sign of gradients flowing into the
-shared encoder from the attribute discriminators, and fused nodes with
-hand-written backwards: the packed LSTM recurrence lstm_seq, the attribute
-attention attention_pool (scores, per-post softmax and pooling), and the
-losses nll, the clipped mean negative log-likelihood of each row's gold
-class, and sum_squares, the L2 penalty over a list of parameters.
+dense layer affine (x W + b), elementwise sigmoid, row-wise softmax, 2-D
+concatenation, row gather, inverted dropout, the gradient-reversal node
+that flips the sign of gradients flowing into the shared encoder from the
+attribute discriminators, and fused nodes with hand-written backwards: the
+packed LSTM recurrence lstm_seq, the attribute attention attention_pool
+(scores, per-post softmax and pooling), and the losses nll, the clipped
+mean negative log-likelihood of each row's gold class, sum_squares, the L2
+penalty over a list of parameters, and weighted_total, the weighted sum of
+0-d loss terms that makes the training objective.
 """
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -97,32 +99,6 @@ def _add_rows(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     d = table.shape[1]
     flat = idx.reshape(-1, 1) * d + np.arange(d)
     np.add.at(table.reshape(-1), flat.reshape(-1), vals.reshape(-1))
-
-
-def add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
-    out = Node(a.value + b.value, op="add", parents=(a, b))
-    if out.needs_grad:
-        def _backward():
-            if a.needs_grad:
-                a.grad += out.grad
-            if b.needs_grad:
-                b.grad += out.grad
-
-        out._backward = _backward
-    return out
-
-
-def scale_shift(x: Node, k: float, c: float = 0.0) -> Node:
-    """k*x + c with python-scalar k, c."""
-    out = Node(k * x.value + c, op="scale_shift", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += k * out.grad
-
-        out._backward = _backward
-    return out
 
 
 def sigmoid(x: Node) -> Node:
@@ -213,9 +189,9 @@ class Packing(NamedTuple):
     """Where each live (step, post) pair of a padded batch sits in packed
     [L x ...] buffers, from pack. Pairs are step-major, and within a step the
     posts run longest first, so step t's pairs are one contiguous block of
-    live[t] rows, led by the posts still running after it."""
+    live[t] rows, led by the posts still running after it. Every post runs
+    at step 0, so the first n pairs list the posts longest first (stable)."""
 
-    order: np.ndarray  # [n] posts by length, longest first (stable)
     live: np.ndarray   # [T] posts still running at step t
     post: np.ndarray   # [L] the post of each packed pair
     step: np.ndarray   # [L] the step of each packed pair
@@ -242,7 +218,7 @@ def pack(mask: np.ndarray) -> Packing:
     live = (lengths > np.arange(T)[:, None]).sum(axis=1)
     step, ranks = np.nonzero(np.arange(n) < live[:, None])
     start = np.concatenate(([0], np.cumsum(live)))
-    packing = Packing(order, live, order[ranks], step, start[lengths - 1] + rank)
+    packing = Packing(live, order[ranks], step, start[lengths - 1] + rank)
     for a in packing:
         a.flags.writeable = False
     return packing
@@ -268,7 +244,7 @@ def lstm_seq(pre_x: Node, wh: Node, h0: Node, c0: Node, packing: Packing) -> Nod
     one matmul after the time loop.
     """
     live = packing.live
-    n, L, T = len(packing.order), len(packing.post), len(live)
+    n, L, T = len(packing.last), len(packing.post), len(live)
     hd = wh.value.shape[0]
     if (pre_x.value.shape != (L, 4 * hd) or wh.value.shape != (hd, 4 * hd)
             or h0.value.shape != (hd,) or c0.value.shape != (hd,)):
@@ -373,7 +349,7 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
     each post's sum of its pairs' weights times their states.
     """
     post, step = packing.post, packing.step
-    n, T = len(packing.order), len(packing.live)
+    n, T = len(packing.last), len(packing.live)
     s, wv = states.value, w.value
     if (s.ndim != 2 or wv.ndim != 2 or s.shape != (len(post), wv.shape[0])
             or b.value.shape != (wv.shape[1],) or u.value.shape != (wv.shape[1],)):
@@ -414,9 +390,10 @@ def nll(probs: Node, gold: np.ndarray, lo: float, hi: float) -> Node:
 
     probs is an [n x k] matrix of class probabilities and gold holds one
     class index per row; the value is -(1/n) * sum_i log clip(probs[i,
-    gold[i]], lo, hi). The clip keeps the log finite on collapsed
-    probabilities, and gradient flows only into picked entries it left
-    unchanged.
+    gold[i]], lo, hi). A one-column probs is P(class 1) of a two-class
+    label, so gold 0 picks 1 - probs[i, 0]. The clip keeps the log finite on
+    collapsed probabilities, and gradient flows only into picked entries it
+    left unchanged.
     """
     p = probs.value
     j = np.asarray(gold, dtype=np.int64)
@@ -424,14 +401,20 @@ def nll(probs: Node, gold: np.ndarray, lo: float, hi: float) -> Node:
         raise DimensionError(f"nll: probabilities {p.shape} with gold shape {j.shape}")
     n = p.shape[0]
     r = np.arange(n)
-    picked = p[r, j]
+    if p.shape[1] == 1:  # P(class 1): gold 0 picks 1 - p, whose gradient flips sign
+        if not np.isin(j, (0, 1)).all():
+            raise ContractError("nll: a one-column probs needs gold labels 0 and 1")
+        picked = np.where(j == 1, p[:, 0], 1.0 - p[:, 0])
+        col, sign = np.zeros_like(j), 2.0 * j - 1.0
+    else:
+        picked, col, sign = p[r, j], j, 1.0
     clipped = np.clip(picked, lo, hi)
     out = Node((-1.0 / n) * np.log(clipped).sum(), op="nll", parents=(probs,))
     if out.needs_grad:
         inside = (picked >= lo) & (picked <= hi)
 
         def _backward():
-            probs.grad[r, j] += (-1.0 / n) * out.grad / clipped * inside
+            probs.grad[r, col] += sign * ((-1.0 / n) * out.grad / clipped * inside)
 
         out._backward = _backward
     return out
@@ -446,6 +429,23 @@ def sum_squares(nodes: list[Node]) -> Node:
             for w in nodes:
                 if w.needs_grad:
                     w.grad += 2.0 * out.grad * w.value
+
+        out._backward = _backward
+    return out
+
+
+def weighted_total(terms: Sequence[Node], weights: Sequence[float]) -> Node:
+    """The 0-d node sum_i weights[i] * terms[i] of 0-d terms and float weights, left to right."""
+    if len(terms) != len(weights) or any(t.value.ndim != 0 for t in terms):
+        raise DimensionError(f"weighted_total: {len(weights)} weights for terms of shapes "
+                             f"{[t.value.shape for t in terms]}, expected 0-d terms")
+    out = Node(sum(w * t.value for t, w in zip(terms, weights)), op="weighted_total",
+               parents=tuple(terms))
+    if out.needs_grad:
+        def _backward():
+            for t, w in zip(terms, weights):
+                if t.needs_grad:
+                    t.grad += w * out.grad
 
         out._backward = _backward
     return out

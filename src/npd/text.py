@@ -236,6 +236,8 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
             raise DataError(f"{path}:1: malformed embedding header, expected "
                             f"'<vocab_size> <embed_dim>'")
         size, dim = int(header[0]), int(header[1])
+        if dim < 1:
+            raise DataError(f"{path}:1: embedding dimension must be >= 1, got {dim}")
         tokens, rows = [], []
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(" ")

@@ -1,7 +1,9 @@
 """Losses, AdaGrad, and the joint adversarial training loop.
 
 The total objective is a weighted sum of the emotion cross-entropy and the
-two attribute-discriminator negative log-likelihoods. Discriminator heads
+two attribute-discriminator negative log-likelihoods: one nll node per
+emotion head and per discriminator, a sum_squares node for the emotion
+heads' L2 penalty, and weighted_total nodes for the sums. Discriminator heads
 descend their own losses while the shared encoder ascends them through the
 gradient-reversal nodes, so one backward pass plus one AdaGrad step per
 batch realizes the saddle-point update on all four parameter partitions
@@ -85,25 +87,20 @@ def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Nod
     """Mean over the batch of the summed per-emotion 2-class cross-entropy,
     plus (l2_lambda/2) * ||emotion-head parameters||^2.
 
-    One nll node per emotion head, their sum, and one sum_squares node for
-    the penalty."""
-    loss = None
-    for j, p in enumerate(probs):
-        term = ad.nll(p, gold_bits[:, j], _PROB_FLOOR, 1.0)
-        loss = term if loss is None else ad.add(loss, term)
+    One nll node per emotion head and, when l2_lambda > 0, one sum_squares
+    node for the penalty, summed by one weighted_total node."""
+    terms = [ad.nll(p, gold_bits[:, j], _PROB_FLOOR, 1.0) for j, p in enumerate(probs)]
+    weights = [1.0] * len(terms)
     if l2_lambda > 0.0:
-        loss = ad.add(loss, ad.scale_shift(ad.sum_squares(head_params), l2_lambda / 2.0))
-    return loss
+        terms.append(ad.sum_squares(head_params))
+        weights.append(l2_lambda / 2.0)
+    return ad.weighted_total(terms, weights)
 
 
 def gender_loss(gender_prob: Node, gold_bits: np.ndarray) -> Node:
-    """Mean binary NLL of the predicted male-probability against gold bits.
-
-    The [b x 1] male-probability p becomes the 2-class matrix [1 - p, p]
-    (female, male), so one nll node with the clamp range [eps, 1 - eps]
-    scores both labels."""
-    both = ad.concat(ad.scale_shift(gender_prob, -1.0, 1.0), gender_prob)
-    return ad.nll(both, gold_bits, _BCE_EPS, 1.0 - _BCE_EPS)
+    """Mean binary NLL of the [b x 1] male-probability against gold bits,
+    one nll node with the clamp range [eps, 1 - eps]."""
+    return ad.nll(gender_prob, gold_bits, _BCE_EPS, 1.0 - _BCE_EPS)
 
 
 def location_loss(location_probs: Node, gold: np.ndarray) -> Node:
@@ -113,17 +110,15 @@ def location_loss(location_probs: Node, gold: np.ndarray) -> Node:
 
 def total_loss(j_y: Node, j_gend: Node | None, j_loc: Node | None,
                cfg: TrainingConfig) -> Node:
-    """lambda1*J_y + lambda2*J_gend + lambda3*J_loc.
+    """lambda1*J_y + lambda2*J_gend + lambda3*J_loc, one weighted_total node
+    over the terms the variant has.
 
     The adversarial sign for the encoder comes from the reversal nodes in
     the forward graph, never from the weights here.
     """
-    out = ad.scale_shift(j_y, cfg.lambda1)
-    if j_gend is not None:
-        out = ad.add(out, ad.scale_shift(j_gend, cfg.lambda2))
-    if j_loc is not None:
-        out = ad.add(out, ad.scale_shift(j_loc, cfg.lambda3))
-    return out
+    pairs = [(t, w) for t, w in ((j_y, cfg.lambda1), (j_gend, cfg.lambda2), (j_loc, cfg.lambda3))
+             if t is not None]
+    return ad.weighted_total([t for t, _ in pairs], [w for _, w in pairs])
 
 
 def batch_losses(model: NpdModel, result: ForwardResult, batch: list[TokenizedPost],

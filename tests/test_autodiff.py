@@ -133,11 +133,6 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.constant(0.0)).value == 0.5
 
-    def test_add_mul_shape_mismatch(self):
-        a, b = ad.constant(np.ones(3)), ad.constant(np.ones(4))
-        with pytest.raises(DimensionError):
-            ad.add(a, b)
-
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ad.sigmoid(ad.constant([-1e3, -50.0, 0.0, 50.0, 1e3])).value
         assert np.all(np.isfinite(out))
@@ -273,9 +268,9 @@ class TestBackward:
         np.testing.assert_array_equal(run(), run())
 
     def test_reused_node_accumulates(self):
-        x = ad.param([2.0])
-        ad.backward(ad.add(x, x))
-        np.testing.assert_array_equal(x.grad, [2.0])
+        x = ad.param(2.0)
+        ad.backward(ad.weighted_total([x, x], [1.0, 1.0]))
+        np.testing.assert_array_equal(x.grad, 2.0)
 
 
 class TestDropout:
@@ -359,7 +354,9 @@ class TestBatchOps:
         x0 = np.array([[0.1, 0.2], [0.05, 0.15]])
         gold = np.array([0, 1])
         x = ad.param(x0)
-        ad.backward(ad.nll(ad.scale_shift(x, 3.0, 0.1), gold, 1e-12, 1.0))
+        # 3x + 0.1 through affine with a constant 3I and bias 0.1
+        ad.backward(ad.nll(ad.affine(x, ad.constant(3.0 * np.eye(2)), ad.constant(np.full(2, 0.1))),
+                           gold, 1e-12, 1.0))
 
         def f(a):
             return -float(np.log(3 * a[[0, 1], gold] + 0.1).mean())
@@ -401,12 +398,12 @@ class TestLossNodes:
         np.testing.assert_array_equal(p.grad[~live], 0.0)
 
     def test_nll_two_class_from_one_probability(self):
-        """The gender loss path: [1 - p, p] from a [b x 1] probability."""
+        """The gender loss path: a [b x 1] probability p scores [1 - p, p]."""
         rng = np.random.default_rng(72)
         q0 = rng.uniform(0.05, 0.95, size=(5, 1))
         g = np.array([1, 0, 0, 1, 1])
         q = ad.param(q0)
-        loss = ad.nll(ad.concat(ad.scale_shift(q, -1.0, 1.0), q), g, 1e-12, 1.0 - 1e-12)
+        loss = ad.nll(q, g, 1e-12, 1.0 - 1e-12)
 
         def f(a):
             p = a[:, 0]
@@ -416,6 +413,47 @@ class TestLossNodes:
         ad.backward(loss)
         assert_grad_close(q.grad, numeric_grad(f, q0))
 
+    def test_nll_one_column_matches_two_column_bits(self):
+        """On a [b x 1] column p, nll gives the same value and gradient bits as
+        on the [1 - p, p] matrix built in numpy, clamped rows included."""
+        rng = np.random.default_rng(74)
+        p0 = np.concatenate([rng.uniform(0.05, 0.95, size=(6, 1)), [[1e-15], [1.0 - 1e-15]]])
+        gold = np.array([1, 0, 0, 1, 1, 0, 1, 0])
+        lo, hi = 1e-12, 1.0 - 1e-12
+        col = ad.param(p0)
+        both = ad.param(np.concatenate([1.0 - p0, p0], axis=1))
+        one, two = ad.nll(col, gold, lo, hi), ad.nll(both, gold, lo, hi)
+        assert one.value.tobytes() == two.value.tobytes()
+        ad.backward(one)
+        ad.backward(two)
+        # d/dp of [1 - p, p] at the gold column: -grad[:, 0] + grad[:, 1],
+        # one of the two being 0
+        expect = (both.grad[:, 1] - both.grad[:, 0])[:, None]
+        assert col.grad.tobytes() == expect.tobytes()
+        assert col.grad[-2:].tolist() == [[0.0], [0.0]]  # clamped rows
+
+    def test_nll_one_column_rejects_other_labels(self):
+        with pytest.raises(ContractError):
+            ad.nll(ad.constant(np.full((2, 1), 0.5)), np.array([0, 2]), 1e-12, 1.0)
+
+    def test_weighted_total_left_to_right_and_grad(self):
+        rng = np.random.default_rng(75)
+        v = rng.standard_normal(4)
+        w = [0.7, 1.3, -0.4, 2.5]
+        terms = [ad.param(v[0]), ad.constant(v[1]), ad.param(v[2]), ad.param(v[3])]
+        out = ad.weighted_total(terms, w)
+        expect = ((w[0] * v[0] + w[1] * v[1]) + w[2] * v[2]) + w[3] * v[3]
+        assert out.value.shape == () and out.value.tobytes() == np.float64(expect).tobytes()
+        ad.backward(ad.weighted_total([out], [2.0]))
+        assert [float(t.grad) for t in terms] == [1.4, 0.0, -0.8, 5.0]  # none into the constant
+
+    def test_weighted_total_shape_mismatch(self):
+        a, b = ad.constant(1.0), ad.constant(np.ones(3))
+        with pytest.raises(DimensionError):
+            ad.weighted_total([a, b], [1.0, 1.0])
+        with pytest.raises(DimensionError):
+            ad.weighted_total([a, a], [1.0])
+
     def test_nll_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.nll(ad.constant(np.full((3, 2), 0.5)), np.array([0, 1]), 1e-12, 1.0)
@@ -424,7 +462,7 @@ class TestLossNodes:
         rng = np.random.default_rng(73)
         arrays = [rng.standard_normal((3, 4)), rng.standard_normal(5), rng.standard_normal((2, 2))]
         nodes = [ad.param(a) for a in arrays]
-        loss = ad.scale_shift(ad.sum_squares(nodes), 0.3)
+        loss = ad.weighted_total([ad.sum_squares(nodes)], [0.3])
 
         def f(k, v):
             parts = [v if j == k else a for j, a in enumerate(arrays)]
@@ -511,7 +549,7 @@ def packing_of(lengths):
 
 def dense(packed, packing):
     """A packed [L x d] array as a [T x n x d] step-major grid, 0 on padding."""
-    grid = np.zeros((len(packing.live), len(packing.order), packed.shape[1]))
+    grid = np.zeros((len(packing.live), len(packing.last), packed.shape[1]))
     grid[packing.step, packing.post] = packed
     return grid
 
@@ -522,18 +560,17 @@ class TestPack:
     def test_layout(self, lengths):
         packing = packing_of(lengths)
         n, L = len(lengths), sum(lengths)
-        np.testing.assert_array_equal(packing.order, np.argsort(-np.array(lengths), kind="stable"))
+        order = np.argsort(-np.array(lengths), kind="stable")
+        np.testing.assert_array_equal(packing.post[:n], order)  # step 0 holds every post
         np.testing.assert_array_equal(packing.live, [sum(k > t for k in lengths)
                                                      for t in range(max(lengths))])
         # every valid (step, post) cell once, step-major, each step's posts a
         # prefix of the length order
         assert len(packing.post) == len(packing.step) == L
-        expect = [(t, i) for t in range(max(lengths)) for i in packing.order if t < lengths[i]]
+        expect = [(t, i) for t in range(max(lengths)) for i in order if t < lengths[i]]
         assert list(zip(packing.step.tolist(), packing.post.tolist())) == expect
         np.testing.assert_array_equal(packing.post[packing.last], np.arange(n))
         np.testing.assert_array_equal(packing.step[packing.last], np.array(lengths) - 1)
-        if max(lengths) == 1:
-            np.testing.assert_array_equal(packing.post, packing.order)  # L = n
         for a in packing:
             assert not a.flags.writeable
 
@@ -650,7 +687,7 @@ def attention_inputs(lengths, hd, seed, a=3):
 
 def attention_reference(states, w, b, u, packing):
     """Weights and pooled states computed one post at a time over its own steps only."""
-    n, T = len(packing.order), len(packing.live)
+    n, T = len(packing.last), len(packing.live)
     weights, pooled = np.zeros((n, T)), np.zeros((n, states.shape[1]))
     for i in range(n):
         items = states[packing.post == i]  # in step order

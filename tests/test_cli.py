@@ -346,6 +346,19 @@ class TestBadTrainingOptions:
         assert code == 1
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
+    def test_zero_dimension_embeddings_exit_1(self, mini_pipeline, tmp_path, capsys):
+        vocab, _ = text.load_embeddings(str(mini_pipeline["embeddings"]))
+        emb = tmp_path / "emb0.txt"
+        emb.write_text(f"{len(vocab)} 0\n" + "".join(f"{t}\n" for t in vocab.id_to_token),
+                       encoding="utf-8")
+        out = tmp_path / "m.bin"
+        code = main(["train", "--corpus", str(mini_pipeline["corpus"]), "--embeddings", str(emb),
+                     "--variant", "NPD", "--out", str(out), "--hidden-dim", "4", "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {emb}:1: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_ablate_non_integer_seed_exits_1(self, mini_pipeline, capsys):
         code = main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
                      "--variants", "LSTM", "--seeds", "1,x"])

@@ -205,6 +205,7 @@ BAD_EMBEDDINGS = [
     ("non-numeric header", GOOD_EMBEDDINGS.replace("3 2", "3 two", 1), 1),
     ("one-field header", GOOD_EMBEDDINGS.replace("3 2", "3", 1), 1),
     ("negative header", GOOD_EMBEDDINGS.replace("3 2", "-3 2", 1), 1),
+    ("zero dimension", "3 0\n<pad>\n<oov>\nalpha\n", 1),
     ("non-numeric value", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 x"), 3),
     ("nan value", GOOD_EMBEDDINGS.replace("1.0 2.0", "nan 2.0"), 4),
     ("inf value", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 inf"), 3),

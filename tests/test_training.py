@@ -206,7 +206,7 @@ class TestAdaGrad:
         opt = AdaGrad({"w": w}, mu=0.05)
         prev = np.abs(w.value).copy()
         for _ in range(10):
-            loss = ad.scale_shift(ad.sum_squares([w]), 0.05)
+            loss = ad.weighted_total([ad.sum_squares([w])], [0.05])
             ad.backward(loss)
             opt.step()
             cur = np.abs(w.value)
@@ -269,6 +269,26 @@ def test_npd_train_step_builds_no_padded_node():
     assert [n for n in nodes if n.value.ndim and n.value.shape[0] == padded] == []
     assert any(n.op == "lstm_seq" and n.value.shape[0] == sum(lengths) for n in nodes)
     ad.backward(loss)
+
+
+# every op a training step builds, over all variants with frozen and
+# fine-tuned embeddings
+TRAIN_STEP_OPS = {"affine", "attention_pool", "concat", "const", "dropout", "grad_reverse",
+                  "lstm_seq", "nll", "param", "rows", "sigmoid", "softmax_rows",
+                  "sum_squares", "weighted_total"}
+
+
+def test_training_step_op_set():
+    ops = set()
+    for variant in ALL_VARIANTS:
+        for finetune in (False, True):
+            rng = np.random.default_rng(22)
+            batch = [make_post(rng, k) for k in (5, 3, 7)]
+            model = small_model(variant, seed=22, finetune_embeddings=finetune)
+            cfg = TrainingConfig(seed=22)
+            fwd = model.forward(batch, train_mode=True, rng=rng, dropout_rate=cfg.dropout_rate)
+            ops |= {n.op for n in ad.graph_order(batch_losses(model, fwd, batch, cfg)[-1])}
+    assert ops == TRAIN_STEP_OPS
 
 
 def tiny_dataset(rng, n, m=5):
