@@ -18,9 +18,9 @@ from . import corpus as corpus_mod
 from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
 from .errors import ConfigError, DivergenceError, NpdError
-from .evaluation import ablate, evaluate, format_report_table
-from .model import VARIANT_NAMES, load_checkpoint, save_checkpoint
-from .training import ModelDims, TrainingConfig, train, write_log
+from .evaluation import evaluate, format_report_table
+from .model import VARIANT_NAMES, ModelDims, load_checkpoint, save_checkpoint
+from .training import TrainingConfig, ablate, train, write_log
 
 PREDICT_BATCH = 128  # predict's lines per forward pass; evaluate's default batch size
 
@@ -65,15 +65,11 @@ def _parse_list(raw, flag, kind):
                           f"got {raw!r}") from None
 
 
-def _parse_lambdas(raw):
-    parts = _parse_list(raw, "--lambdas", float)
-    if len(parts) != 3:
-        raise ConfigError(f"--lambdas needs 3 comma-separated values, got {raw!r}")
-    return parts
-
-
 def _training_config(args):
-    l1, l2_, l3 = _parse_lambdas(args.lambdas)
+    lambdas = _parse_list(args.lambdas, "--lambdas", float)
+    if len(lambdas) != 3:
+        raise ConfigError(f"--lambdas needs 3 comma-separated values, got {args.lambdas!r}")
+    l1, l2_, l3 = lambdas
     cfg = TrainingConfig(mu=args.lr, lambda1=l1, lambda2=l2_, lambda3=l3,
                          l2_lambda=args.l2, batch_size=args.batch_size,
                          dropout_rate=args.dropout, max_epochs=args.epochs,
@@ -84,9 +80,11 @@ def _training_config(args):
 
 
 def _model_dims(args):
-    return ModelDims(hidden_dim=args.hidden_dim, attention_dim=args.attention_dim,
+    dims = ModelDims(hidden_dim=args.hidden_dim, attention_dim=args.attention_dim,
                      head_hidden_dim=args.head_hidden_dim, lambda_rev=args.lambda_rev,
                      finetune_embeddings=args.finetune_embeddings)
+    dims.validate()
+    return dims
 
 
 def _prepare_splits(posts, vocab, args):
@@ -170,9 +168,8 @@ def cmd_eval(args) -> int:
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab(model, vocab, "eval")
-    split_seed = int(model.manifest.get("split_seed", 0))
-    train_frac = float(model.manifest.get("train_frac", 0.7))
-    parts = corpus_mod.split(posts, train_frac=train_frac, seed=split_seed)
+    parts = corpus_mod.split(posts, train_frac=model.manifest.get("train_frac", 0.7),
+                             seed=model.manifest.get("split_seed", 0))
     chosen = {"train": 0, "dev": 1, "test": 2}[args.split]
     encoded = corpus_mod.encode(parts[chosen], vocab, model.manifest["tokenizer_mode"])
     report = evaluate(model, encoded)
@@ -196,13 +193,13 @@ def cmd_ablate(args) -> int:
         if v not in VARIANT_NAMES:
             raise NpdError(f"unknown variant {v!r}; choose from {','.join(VARIANT_NAMES)}")
     seeds = _parse_list(args.seeds, "--seeds", int)
+    cfg, dims = _training_config(args), _model_dims(args)
     posts, m = corpus_mod.load_with_meta(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args)
     splits = _prepare_splits(posts, vocab, args)
-    cfg = _training_config(args)
-    reports = ablate(splits, variants, seeds, cfg, table.matrix, m,
-                     dims=_model_dims(args), vocab_hash=vocab.content_hash(),
-                     tokenizer_mode=args.tokenizer, jobs=args.jobs)
+    reports = ablate(splits, variants, seeds, cfg, table.matrix, m, dims=dims,
+                     vocab_hash=vocab.content_hash(), tokenizer_mode=args.tokenizer,
+                     jobs=args.jobs)
     out = format_report_table(reports)
     sys.stdout.write(out)
     if args.out:

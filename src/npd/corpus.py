@@ -12,12 +12,13 @@ null-signal control corpora.
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, DataError
 from .seeding import substream
+from .text import read_lines, tokenize
 
 EMOTIONS = ("happiness", "sadness", "anger", "surprise", "fear")
 GENDERS = ("female", "male")
@@ -51,8 +52,8 @@ class Post:
     location: int
 
     def validate(self, m: int | None = None, where: str = "post"):
-        if not isinstance(self.text, str) or not self.text:
-            raise DataError(f"{where}: text must be a nonempty string, got {self.text!r}")
+        if not isinstance(self.text, str) or not self.text.strip():  # no token in either mode
+            raise DataError(f"{where}: text must have a non-space character, got {self.text!r}")
         bad = sorted(set(self.emotions) - set(EMOTIONS))
         if bad:
             raise DataError(f"{where}: unknown emotion name {bad[0]!r} "
@@ -77,48 +78,42 @@ class TokenizedPost:
 def load_with_meta(path: str) -> tuple[list[Post], int]:
     """Load a JSONL corpus; returns (posts, m).
 
-    An optional first record {"m": <int>} declares the location-class count;
-    otherwise m is inferred as max(location) + 1.
+    An optional first record {"m": <int>} bounds every location; otherwise
+    m is max(location) + 1. Each bad line is a DataError naming path:line.
     """
     posts: list[Post] = []
     declared_m = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-            if lineno == 1 and isinstance(rec, dict) and "text" not in rec and "m" in rec:
-                declared_m = rec["m"]
-                if not _is_int(declared_m) or declared_m < 1:
-                    raise DataError(f"{where}: header m must be a positive integer, "
-                                    f"got {declared_m!r}")
-                continue
-            if not isinstance(rec, dict):
-                raise DataError(f"{where}: expected a JSON object")
-            missing = {"text", "emotions", "gender", "location"} - rec.keys()
-            if missing:
-                raise DataError(f"{where}: missing key {sorted(missing)[0]!r}")
-            emotions = rec["emotions"]
-            if not isinstance(emotions, list) or not all(isinstance(e, str) for e in emotions):
-                raise DataError(f"{where}: emotions must be a list of emotion names, "
-                                f"got {emotions!r}")
-            post = Post(text=rec["text"], emotions=set(emotions),
-                        gender=rec["gender"], location=rec["location"])
-            post.validate(where=where)
-            posts.append(post)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
+        if lineno == 1 and isinstance(rec, dict) and "text" not in rec and "m" in rec:
+            declared_m = rec["m"]
+            if not _is_int(declared_m) or declared_m < 1:
+                raise DataError(f"{where}: header m must be a positive integer, "
+                                f"got {declared_m!r}")
+            continue
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: expected a JSON object")
+        missing = {"text", "emotions", "gender", "location"} - rec.keys()
+        if missing:
+            raise DataError(f"{where}: missing key {sorted(missing)[0]!r}")
+        emotions = rec["emotions"]
+        if not isinstance(emotions, list) or not all(isinstance(e, str) for e in emotions):
+            raise DataError(f"{where}: emotions must be a list of emotion names, "
+                            f"got {emotions!r}")
+        post = Post(text=rec["text"], emotions=set(emotions),
+                    gender=rec["gender"], location=rec["location"])
+        post.validate(m=declared_m, where=where)
+        posts.append(post)
     if declared_m is None:
-        m = max((p.location for p in posts), default=0) + 1 if posts else 0
-    else:
-        m = declared_m
-        for i, p in enumerate(posts):
-            if p.location >= m:
-                raise DataError(f"{path}: post {i} has location {p.location} >= declared m={m}")
-    return posts, m
+        return posts, max((p.location for p in posts), default=-1) + 1
+    return posts, declared_m
 
 
 def save(path: str, posts: list[Post], m: int | None = None) -> None:
@@ -344,8 +339,6 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
 
 def encode(posts: list[Post], vocab, mode: str = "whitespace") -> list[TokenizedPost]:
     """Map posts to token ids and label bits; rejects posts that tokenize to nothing."""
-    from .text import tokenize
-
     out = []
     for i, p in enumerate(posts):
         ids = vocab.encode(tokenize(p.text, mode))

@@ -1,14 +1,12 @@
-"""Per-emotion precision/recall/F1, model evaluation, and the ablation harness.
+"""Per-emotion precision/recall/F1, model evaluation, and the report table.
 
 Average F1 is the unweighted mean of the five per-emotion F1 scores; any
 zero denominator (no predicted positives, no gold positives, or both) makes
-the affected quantity 0. The ablation harness retrains each (variant, seed)
-pair against identical splits, vocabulary, and pretrained embeddings, and
-can fan runs out over worker processes.
+the affected quantity 0. The ablation harness that fills the report table
+lives beside train, in training.ablate.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,57 +103,6 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
         gender_accuracy=gender_hits / len(posts) if has_gender else None,
         location_accuracy=location_hits / len(posts) if has_location else None,
     )
-
-
-def _run_one(args) -> EvalReport:
-    from .training import ModelDims, TrainingConfig, train
-
-    (train_posts, dev_posts, test_posts, variant, seed, cfg_kwargs, dims_kwargs,
-     embedding, num_locations, vocab_hash, tokenizer_mode) = args
-    cfg = TrainingConfig(**{**cfg_kwargs, "seed": seed})
-    dims = ModelDims(**dims_kwargs)
-    result = train(train_posts, dev_posts, variant, cfg, embedding, num_locations,
-                   dims=dims, vocab_hash=vocab_hash, tokenizer_mode=tokenizer_mode)
-    return evaluate(result.model, test_posts)
-
-
-def ablate(splits, variants: list[str], seeds: list[int], cfg, embedding: np.ndarray,
-           num_locations: int, dims=None, vocab_hash: str = "",
-           tokenizer_mode: str = "whitespace", jobs: int = 1) -> list[EvalReport]:
-    """Retrain and score every (variant, seed) pair on shared splits.
-
-    splits is the (train, dev, test) triple of tokenized posts; cfg is the
-    base TrainingConfig whose seed field is overridden per run. A run that
-    raises is recorded as a failed row and the grid continues.
-    """
-    from .training import ModelDims
-
-    if not variants or not seeds:
-        raise ContractError("ablate: need at least one variant and one seed")
-    train_posts, dev_posts, test_posts = splits
-    dims = dims or ModelDims()
-    cfg_kwargs = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    dims_kwargs = {k: getattr(dims, k) for k in dims.__dataclass_fields__}
-    tasks = [(train_posts, dev_posts, test_posts, variant, seed, cfg_kwargs,
-              dims_kwargs, embedding, num_locations, vocab_hash, tokenizer_mode)
-             for variant in variants for seed in seeds]
-
-    reports: list[EvalReport] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, t) for t in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    reports.append(fut.result())
-                except Exception as exc:
-                    reports.append(EvalReport.failed(task[3], task[4], str(exc)))
-    else:
-        for task in tasks:
-            try:
-                reports.append(_run_one(task))
-            except Exception as exc:
-                reports.append(EvalReport.failed(task[3], task[4], str(exc)))
-    return reports
 
 
 def seed_mean_average_f1(reports: list[EvalReport]) -> dict[str, float]:

@@ -79,6 +79,25 @@ _WIRING = {
 
 
 @dataclass
+class ModelDims:
+    """Architecture knobs; a None attention or head size means hidden_dim."""
+
+    hidden_dim: int = 128
+    attention_dim: int | None = None
+    head_hidden_dim: int | None = None
+    lambda_rev: float = 1.0
+    finetune_embeddings: bool = False
+
+    def validate(self):
+        for name in ("hidden_dim", "attention_dim", "head_hidden_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not (math.isfinite(self.lambda_rev) and self.lambda_rev >= 0):
+            raise ConfigError(f"lambda_rev must be nonnegative and finite, got {self.lambda_rev}")
+
+
+@dataclass
 class ForwardResult:
     """Graph outputs of one batched forward pass."""
 
@@ -273,23 +292,23 @@ class NpdModel:
 
 
 def build_model(variant, embedding: np.ndarray, num_locations: int, seed: int,
-                hidden_dim: int = 128, attention_dim: int | None = None,
-                head_hidden_dim: int | None = None, lambda_rev: float = 1.0,
-                finetune_embeddings: bool = False, vocab_hash: str = "",
+                dims: ModelDims | None = None, vocab_hash: str = "",
                 tokenizer_mode: str = "whitespace", extra_manifest: dict | None = None) -> NpdModel:
-    """Assemble a fresh model with seeded initialization."""
+    """Assemble a fresh model with seeded initialization; dims defaults to ModelDims()."""
+    dims = dims or ModelDims()
+    dims.validate()
     manifest = {
         "variant": ModelVariant(variant).value,
         "embed_dim": int(embedding.shape[1]),
-        "hidden_dim": int(hidden_dim),
-        "attention_dim": int(attention_dim if attention_dim is not None else hidden_dim),
-        "head_hidden_dim": int(head_hidden_dim if head_hidden_dim is not None else hidden_dim),
+        "hidden_dim": int(dims.hidden_dim),
+        "attention_dim": int(dims.attention_dim or dims.hidden_dim),
+        "head_hidden_dim": int(dims.head_hidden_dim or dims.hidden_dim),
         "num_emotions": len(EMOTIONS),
         "num_locations": int(num_locations),
         "vocab_hash": vocab_hash,
         "seed": int(seed),
-        "lambda_rev": float(lambda_rev),
-        "finetune_embeddings": bool(finetune_embeddings),
+        "lambda_rev": float(dims.lambda_rev),
+        "finetune_embeddings": bool(dims.finetune_embeddings),
         "tokenizer_mode": tokenizer_mode,
     }
     if extra_manifest:
@@ -331,6 +350,8 @@ def _read(fh, size: int, path: str, section: str) -> bytes:
     return fh.read(size)
 
 
+_ABSENT = object()
+
 # every manifest field that NpdModel and the CLI read: (what it must be, its test)
 _MANIFEST_FIELDS = {
     "variant": ("one of " + ", ".join(VARIANT_NAMES), lambda v: v in VARIANT_NAMES),
@@ -342,6 +363,11 @@ _MANIFEST_FIELDS = {
                    lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
     "finetune_embeddings": ("true or false", lambda v: type(v) is bool),
     "tokenizer_mode": ("a string", lambda v: type(v) is str),
+    # fields the CLI reads where present
+    "split_seed": ("an integer", lambda v: v is _ABSENT or type(v) is int),
+    "train_frac": ("a finite number in (0, 1)",
+                   lambda v: v is _ABSENT or type(v) in (int, float) and 0 < v < 1),
+    "vocab_hash": ("a string", lambda v: v is _ABSENT or type(v) is str),
 }
 
 
@@ -349,7 +375,7 @@ def _check_manifest(manifest, path: str) -> None:
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: checkpoint manifest must be a JSON object")
     for key, (want, ok) in _MANIFEST_FIELDS.items():
-        if not ok(manifest.get(key)):
+        if not ok(manifest.get(key, _ABSENT)):
             got = repr(manifest[key]) if key in manifest else "no such field"
             raise DataError(f"{path}: checkpoint manifest field {key!r} must be {want}, got {got}")
 

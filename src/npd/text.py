@@ -25,6 +25,17 @@ PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
 
+def read_lines(path: str):
+    """Yield (line number, line) over a UTF-8 text file, decoding one line at a
+    time, so bytes that are not UTF-8 raise a DataError naming path:line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+
+
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:
     """Split text into tokens: one per non-whitespace character, or on whitespace runs."""
     if mode == "char":
@@ -228,28 +239,33 @@ def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None
 
 
 def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
-    """Read a save_embeddings file; every malformed or non-finite entry is a
-    DataError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(x.isdecimal() for x in header):
-            raise DataError(f"{path}:1: malformed embedding header, expected "
-                            f"'<vocab_size> <embed_dim>'")
-        size, dim = int(header[0]), int(header[1])
-        if dim < 1:
-            raise DataError(f"{path}:1: embedding dimension must be >= 1, got {dim}")
-        tokens, rows = [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(f"{path}:{lineno}: expected token + {dim} values")
-            tokens.append(parts[0])
-            try:
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-    if len(tokens) != size:
-        raise DataError(f"{path}: header declares {size} rows, found {len(tokens)}")
+    """Read a save_embeddings file; every malformed or non-finite entry, and
+    a token seen twice, is a DataError naming path:line."""
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2 or not all(x.isdecimal() for x in header):
+        raise DataError(f"{path}:1: malformed embedding header, expected "
+                        f"'<vocab_size> <embed_dim>'")
+    size, dim = int(header[0]), int(header[1])
+    if dim < 1:
+        raise DataError(f"{path}:1: embedding dimension must be >= 1, got {dim}")
+    first_line: dict[str, int] = {}  # token -> its line, in file order
+    rows = []
+    for lineno, line in lines:
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise DataError(f"{path}:{lineno}: expected token + {dim} values")
+        token = parts[0]
+        if token in first_line:
+            raise DataError(f"{path}:{lineno}: token {token!r} repeats line {first_line[token]}")
+        first_line[token] = lineno
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    if len(first_line) != size:
+        raise DataError(f"{path}: header declares {size} rows, found {len(first_line)}")
+    tokens = list(first_line)
     if tokens[:2] != [PAD_TOKEN, OOV_TOKEN]:
         raise DataError(f"{path}: first rows must be {PAD_TOKEN} and {OOV_TOKEN}")
     matrix = np.asarray(rows, dtype=np.float64)

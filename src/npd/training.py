@@ -8,41 +8,31 @@ descend their own losses while the shared encoder ascends them through the
 gradient-reversal nodes, so one backward pass plus one AdaGrad step per
 batch realizes the saddle-point update on all four parameter partitions
 simultaneously, with a shared learning rate.
+
+The ablation harness, ablate, lives here too: it retrains every (variant,
+seed) pair on shared splits and embeddings, in worker processes if asked.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from multiprocessing import get_context
 
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluation
 from .autodiff import Node
-from .corpus import EMOTIONS, TokenizedPost
+from .corpus import TokenizedPost
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import ForwardResult, ModelVariant, NpdModel, build_model
+from .evaluation import EvalReport
+from .model import ForwardResult, ModelDims, NpdModel, build_model
 from .seeding import substream
 
 _PROB_FLOOR = 1e-300   # emotion heads: guards log(0) on collapsed softmax
 _BCE_EPS = 1e-12       # discriminators: clamp range [eps, 1-eps]
-
-
-@dataclass
-class ModelDims:
-    """Architecture knobs threaded from the CLI into model construction."""
-
-    hidden_dim: int = 128
-    attention_dim: int | None = None
-    head_hidden_dim: int | None = None
-    lambda_rev: float = 1.0
-    finetune_embeddings: bool = False
-
-    def validate(self):
-        for name in ("hidden_dim", "attention_dim", "head_hidden_dim"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not (math.isfinite(self.lambda_rev) and self.lambda_rev >= 0):
-            raise ConfigError(f"lambda_rev must be nonnegative and finite, got {self.lambda_rev}")
 
 
 @dataclass
@@ -208,24 +198,13 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
     backward pass, and one AdaGrad step over all partitions. Early-stops
     when dev average F1 has not improved for cfg.patience epochs.
     """
-    from .evaluation import evaluate  # local import; evaluation.ablate calls back here
-
     cfg.validate()
     if not train_posts:
         raise ContractError("train: empty training split")
-    dims = dims or ModelDims()
-    dims.validate()
-    variant = ModelVariant(variant)
-    model = build_model(variant, embedding, num_locations, cfg.seed,
-                        hidden_dim=dims.hidden_dim, attention_dim=dims.attention_dim,
-                        head_hidden_dim=dims.head_hidden_dim, lambda_rev=dims.lambda_rev,
-                        finetune_embeddings=dims.finetune_embeddings,
+    model = build_model(variant, embedding, num_locations, cfg.seed, dims=dims,
                         vocab_hash=vocab_hash, tokenizer_mode=tokenizer_mode,
                         extra_manifest=extra_manifest)
     result = TrainResult(model=model)
-    if cfg.max_epochs == 0:
-        return result
-
     opt = AdaGrad(model.params, cfg.mu, cfg.adagrad_eps)
     rng_shuffle = substream(cfg.seed, "shuffle")
     rng_dropout = substream(cfg.seed, "dropout")
@@ -257,7 +236,8 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
                                   float(j_g.value) if j_g is not None else 0.0,
                                   float(j_l.value) if j_l is not None else 0.0])
         means = sums / n
-        dev_f1 = evaluate(model, dev_posts).average_f1 if dev_posts else float("nan")
+        # looked up on the module, so a tracer that patches evaluation.evaluate sees it
+        dev_f1 = evaluation.evaluate(model, dev_posts).average_f1 if dev_posts else float("nan")
         result.log.append(EpochLog(epoch, means[0], means[1], means[2], dev_f1))
 
         if dev_posts:
@@ -274,3 +254,43 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
     if best_state is not None:
         model.load_state(best_state)
     return result
+
+
+def _run_one(splits, cfg: TrainingConfig, variant, seed: int, **train_kwargs) -> EvalReport:
+    """Train one (variant, seed) pair on the train and dev splits; score it on test."""
+    result = train(*splits[:2], variant, replace(cfg, seed=seed), **train_kwargs)
+    return evaluation.evaluate(result.model, splits[2])
+
+
+def ablate(splits, variants: list[str], seeds: list[int], cfg: TrainingConfig,
+           embedding: np.ndarray, num_locations: int, dims: ModelDims | None = None,
+           vocab_hash: str = "", tokenizer_mode: str = "whitespace",
+           jobs: int = 1) -> list[EvalReport]:
+    """Retrain and score every (variant, seed) pair on shared splits.
+
+    splits is the (train, dev, test) triple of tokenized posts; each run
+    takes cfg with its seed replaced. cfg and dims are validated before any
+    run; a run that raises, here or in one of the jobs worker processes, is
+    a failed row and the grid continues.
+    """
+    if not variants or not seeds:
+        raise ContractError("ablate: need at least one variant and one seed")
+    cfg.validate()
+    dims = dims or ModelDims()
+    dims.validate()
+    run = functools.partial(_run_one, splits, cfg, embedding=embedding,
+                            num_locations=num_locations, dims=dims, vocab_hash=vocab_hash,
+                            tokenizer_mode=tokenizer_mode)
+    pairs = [(variant, seed) for variant in variants for seed in seeds]
+    reports: list[EvalReport] = []
+    # spawn, not fork: a fork copies the BLAS thread pool's locks but not its threads
+    with ProcessPoolExecutor(jobs, get_context("spawn")) if jobs > 1 else nullcontext() as pool:
+        # each call returns the run's report or raises what the run raised
+        calls = [pool.submit(run, v, s).result if pool else functools.partial(run, v, s)
+                 for v, s in pairs]
+        for (variant, seed), call in zip(pairs, calls):
+            try:
+                reports.append(call())
+            except Exception as exc:
+                reports.append(EvalReport.failed(variant, seed, str(exc)))
+    return reports

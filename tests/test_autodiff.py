@@ -110,15 +110,9 @@ class TestAffine:
         for k in range(3):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
-
-class TestMatmul:
-    """The matrix product x W, run through affine with a zero-bias constant."""
-
-    @pytest.mark.parametrize(
-        "sa,sb",
-        [((3, 4), (4, 2))],
-    )
-    def test_grad_all_rank_cases(self, sa, sb):
+    def test_grad_fd_product_with_zero_bias(self):
+        """The matrix product x W, run through affine with a zero-bias constant."""
+        sa, sb = (3, 4), (4, 2)
         rng = np.random.default_rng(7)
         a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
         probe = linear_probe(np.matmul(a0, b0).shape)
@@ -127,6 +121,17 @@ class TestMatmul:
         ad.backward(loss)
         assert_grad_close(a.grad, numeric_grad(lambda v: float((np.matmul(v, b0) * probe).sum()), a0))
         assert_grad_close(b.grad, numeric_grad(lambda v: float((np.matmul(a0, v) * probe).sum()), b0))
+
+    def test_grad_fd_bias_broadcast_over_rows(self):
+        """A row vector added to every row of a matrix: affine with an
+        identity-weight constant."""
+        rng = np.random.default_rng(21)
+        m0, v0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
+        probe = linear_probe((4, 3))
+        m, v = ad.param(m0), ad.param(v0)
+        ad.backward(probe_loss(ad.affine(m, ad.constant(np.eye(3)), v), probe))
+        assert_grad_close(m.grad, numeric_grad(lambda a: float(((a + v0) * probe).sum()), m0))
+        assert_grad_close(v.grad, numeric_grad(lambda a: float(((m0 + a) * probe).sum()), v0))
 
 
 class TestElementwise:
@@ -307,17 +312,6 @@ class TestDropout:
 class TestBatchOps:
     """Gradient checks for the batched-sequence plumbing ops."""
 
-    def test_add_rowvec(self):
-        """A row vector added to every row of a matrix: affine with an
-        identity-weight constant."""
-        rng = np.random.default_rng(21)
-        m0, v0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
-        probe = linear_probe((4, 3))
-        m, v = ad.param(m0), ad.param(v0)
-        ad.backward(probe_loss(ad.affine(m, ad.constant(np.eye(3)), v), probe))
-        assert_grad_close(m.grad, numeric_grad(lambda a: float(((a + v0) * probe).sum()), m0))
-        assert_grad_close(v.grad, numeric_grad(lambda a: float(((m0 + a) * probe).sum()), v0))
-
     def test_rows_gather_accumulates(self):
         t = ad.param(np.arange(8.0).reshape(4, 2))
         out = ad.rows(t, np.array([1, 1, 3]))
@@ -329,7 +323,11 @@ class TestBatchOps:
         with pytest.raises(ContractError):
             ad.rows(ad.constant(np.ones((2, 2))), np.array([2]))
 
-    def test_pick_cols(self):
+
+class TestLossNodes:
+    """FD checks for the fused loss nodes nll and sum_squares."""
+
+    def test_nll_picks_the_gold_column(self):
         m0 = np.array([[0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
         m = ad.param(m0)
         out = ad.nll(m, np.array([1, 0, 1]), 1e-12, 1.0)
@@ -340,7 +338,7 @@ class TestBatchOps:
         np.testing.assert_allclose(m.grad[picked], -1.0 / (3 * m0[picked]), rtol=1e-15)
         np.testing.assert_array_equal(m.grad[~picked], 0.0)
 
-    def test_clip_passthrough_gradient(self):
+    def test_nll_clamp_range_value_and_grad(self):
         # gold entries below, inside and above the clip range [0.2, 0.6]
         x = ad.param([[0.1, 0.9], [0.5, 0.5], [0.3, 0.7]])
         loss = ad.nll(x, np.array([0, 1, 1]), 0.2, 0.6)
@@ -350,7 +348,7 @@ class TestBatchOps:
         np.testing.assert_allclose(x.grad, [[0.0, 0.0], [0.0, -1.0 / 1.5], [0.0, 0.0]],
                                    rtol=1e-15, atol=0)
 
-    def test_log_scale_shift(self):
+    def test_nll_grad_fd_through_affine(self):
         x0 = np.array([[0.1, 0.2], [0.05, 0.15]])
         gold = np.array([0, 1])
         x = ad.param(x0)
@@ -362,10 +360,6 @@ class TestBatchOps:
             return -float(np.log(3 * a[[0, 1], gold] + 0.1).mean())
 
         assert_grad_close(x.grad, numeric_grad(f, x0))
-
-
-class TestLossNodes:
-    """FD checks for the fused loss nodes nll and sum_squares."""
 
     def test_nll_grad_fd_repeated_gold(self):
         rng = np.random.default_rng(71)
@@ -539,6 +533,20 @@ def test_ufunc_at_only_inside_add_rows():
     [(name, lo, hi)] = inside
     assert name == "autodiff.py" and calls
     assert [c for c in calls if not (c[0] == name and lo <= c[1] <= hi)] == []
+
+
+def test_no_import_inside_a_function():
+    """The package's modules import each other at the top only, so their
+    imports form a DAG that one read of each module's head shows, and a
+    name a tracer patches on a module is looked up there at each call."""
+    local = []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [(path.name, node.lineno) for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
 
 
 def packing_of(lengths):

@@ -192,6 +192,17 @@ class TestMalformedInputs:
                      "--embeddings", str(path)]) == 1
         assert f"{path}:4: " in capsys.readouterr().err
 
+    def test_non_utf8_embeddings(self, mini_pipeline, tmp_path, capsys):
+        lines = mini_pipeline["embeddings"].read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["eval", "--model", str(mini_pipeline["model"]),
+                     "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:4: ") and "UTF-8" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_checkpoint_tensor(self, mini_pipeline, tmp_path, capsys, value):
         model = load_checkpoint(str(mini_pipeline["model"]))
@@ -239,6 +250,11 @@ BAD_CHECKPOINTS = [
     ("embed_dim off the embedding", _with("embed_dim", 5), "embed_dim"),
     ("negative lambda_rev", _with("lambda_rev", -2.0), "'lambda_rev'"),
     ("NaN lambda_rev", _with("lambda_rev", math.nan), "'lambda_rev'"),
+    ("null split_seed", _with("split_seed", None), "'split_seed'"),
+    ("string split_seed", _with("split_seed", "abc"), "'split_seed'"),
+    ("string train_frac", _with("train_frac", "x"), "'train_frac'"),
+    ("train_frac 1", _with("train_frac", 1.0), "'train_frac'"),
+    ("number vocab_hash", _with("vocab_hash", 5), "'vocab_hash'"),
 ]
 
 
@@ -254,11 +270,12 @@ def test_bad_checkpoint_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, ed
         load_checkpoint(str(path))
     assert str(path) in str(caught.value) and named in str(caught.value)
     monkeypatch.setattr("sys.stdin", io.StringIO("a b\n"))
-    code = main(["predict", "--model", str(path),
-                 "--embeddings", str(mini_pipeline["embeddings"])])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith(f"error: {path}: ") and named in err and "Traceback" not in err
+    for extra in (["predict"], ["eval", "--corpus", str(mini_pipeline["corpus"])]):
+        code = main([*extra, "--model", str(path),
+                     "--embeddings", str(mini_pipeline["embeddings"])])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("vocab_hash", ["kept", "empty"])
@@ -390,23 +407,35 @@ BAD_SIZE_OPTIONS = [
     ("train", ["--hidden-dim", "-3"], "hidden_dim"),
     ("train", ["--attention-dim", "0"], "attention_dim"),
     ("train", ["--head-hidden-dim", "0"], "head_hidden_dim"),
+    ("ablate", ["--hidden-dim", "0"], "hidden_dim"),
+    ("ablate", ["--attention-dim", "0"], "attention_dim"),
+    ("ablate", ["--lambda-rev", "-1"], "lambda_rev"),
+    ("ablate", ["--lr", "nan"], "mu"),
+    ("ablate", ["--dropout", "1"], "dropout_rate"),
 ]
 
 
 @pytest.mark.parametrize("command,extra,named", BAD_SIZE_OPTIONS,
                          ids=[f"{c} {' '.join(e)}" for c, e, _ in BAD_SIZE_OPTIONS])
-def test_bad_size_option_exits_1(mini_pipeline, tmp_path, capsys, command, extra, named):
+def test_bad_size_option_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, command, extra,
+                                named):
     out = tmp_path / "out"
     args = ["--corpus", str(mini_pipeline["corpus"]), "--out", str(out)]
     if command == "embed":
         args += ["--embed-dim", "4", "--embed-epochs", "1"]
-    else:
+    elif command == "train":
         args += ["--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD",
                  "--hidden-dim", "4", "--epochs", "1"]
+    else:
+        # ablate checks its options before skip-gram pretraining starts
+        monkeypatch.setattr(text, "train_skipgram", lambda *a: pytest.fail("skip-gram ran"))
+        args += ["--variants", "LSTM", "--seeds", "1", "--vocab-size", "400",
+                 "--embed-dim", "12", "--embed-epochs", "1", "--hidden-dim", "4", "--epochs", "1"]
     code = main([command, *args, *extra])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err and "FAILED" not in captured.out
     assert not out.exists()
 
 

@@ -108,7 +108,8 @@ class TestLoadSave:
 GOOD_RECORD = {"text": "w1 w2", "emotions": ["fear"], "gender": "male", "location": 1}
 
 # (case, the bad record, what the error must name); a header record is line 1
-# of its file, any other record is line 2, after the header {"m": 3}
+# of its file, any other record is line 2, after the header {"m": 3}. A bytes
+# record is written as it is, for bytes that JSON cannot carry
 MALFORMED_RECORDS = [
     ("m not a number", {"m": "abc"}, "header m"),
     ("m fractional", {"m": 2.7}, "header m"),
@@ -126,6 +127,10 @@ MALFORMED_RECORDS = [
     ("location fractional", {**GOOD_RECORD, "location": 1.5}, "location"),
     ("location string", {**GOOD_RECORD, "location": "1"}, "location"),
     ("location null", {**GOOD_RECORD, "location": None}, "location"),
+    ("location at the header's m", {**GOOD_RECORD, "location": 3}, "location"),
+    ("text whitespace only", {**GOOD_RECORD, "text": " \t "}, "text"),
+    ("text not UTF-8", b'{"text": "w1 \xff", "emotions": [], "gender": "male", "location": 1}',
+     "UTF-8"),
 ]
 
 
@@ -133,10 +138,12 @@ class TestMalformedRecords:
     @pytest.mark.parametrize("case,record,names", MALFORMED_RECORDS,
                              ids=[c for c, _, _ in MALFORMED_RECORDS])
     def test_wrong_field_type(self, tmp_path, capsys, case, record, names):
-        lines = [record, GOOD_RECORD] if "m" in record else [{"m": 3}, record]
-        lineno = 1 if "m" in record else 2
+        header = isinstance(record, dict) and "m" in record
+        lines = [record, GOOD_RECORD] if header else [{"m": 3}, record]
+        lineno = 1 if header else 2
         path = tmp_path / "c.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        path.write_bytes(b"".join((r if isinstance(r, bytes) else json.dumps(r).encode("utf-8"))
+                                  + b"\n" for r in lines))
         where = f"{path}:{lineno}: "
         with pytest.raises(DataError) as caught:
             load_with_meta(str(path))

@@ -1,26 +1,27 @@
-"""F1 scoring, evaluation, and ablation-harness tests.
+"""F1 scoring, evaluation, and ablation-harness (training.ablate) tests.
 
 Every F1 the evaluator reports is re-derived by a brute-force recount over
 raw prediction/gold pairs.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from npd import autodiff as ad
 from npd.corpus import EMOTIONS
-from npd.errors import ContractError
+from npd.errors import ConfigError, ContractError
 from npd.evaluation import (
     ConfusionCounts,
     EvalReport,
-    ablate,
     evaluate,
     f1_score,
     format_report_table,
     seed_mean_average_f1,
 )
-from npd.model import ForwardResult, ModelVariant
-from npd.training import ModelDims, TrainingConfig
+from npd.model import ForwardResult, ModelDims, ModelVariant
+from npd.training import TrainingConfig, ablate, train
 
 from test_model import make_post, small_model
 from test_training import tiny_dataset, tiny_embedding
@@ -175,13 +176,10 @@ class TestAblate:
         self.dims = ModelDims(hidden_dim=4)
 
     def test_single_pair_equals_direct_run(self):
-        from npd.training import train
-
         reports = ablate(self.splits, ["LSTM"], [7], self.cfg, self.embedding, 5,
                          dims=self.dims)
         assert len(reports) == 1
-        cfg = TrainingConfig(**{**{k: getattr(self.cfg, k)
-                                   for k in self.cfg.__dataclass_fields__}, "seed": 7})
+        cfg = dataclasses.replace(self.cfg, seed=7)
         direct = evaluate(train(self.splits[0], self.splits[1], "LSTM", cfg,
                                 self.embedding, 5, dims=self.dims).model,
                           self.splits[2])
@@ -192,6 +190,29 @@ class TestAblate:
         reports = ablate(self.splits, ["LSTM"], [3, 3], self.cfg,
                          self.embedding, 5, dims=self.dims)
         assert reports[0].f1 == reports[1].f1
+
+    def test_worker_processes_give_the_serial_reports(self):
+        args = (self.splits, ["NOT_A_VARIANT", "LSTM", "NPD"], [1, 2], self.cfg,
+                self.embedding, 5)
+        serial = ablate(*args, dims=self.dims, jobs=1)
+        pooled = ablate(*args, dims=self.dims, jobs=2)
+        assert [r.error is None for r in serial] == [False, False, True, True, True, True]
+        assert format_report_table(pooled) == format_report_table(serial)
+        for a, b in zip(serial, pooled):
+            assert (a.variant, a.seed, a.error) == (b.variant, b.seed, b.error)
+            assert a.f1 == b.f1 or a.error is not None
+            assert (a.gender_accuracy, a.location_accuracy) == \
+                (b.gender_accuracy, b.location_accuracy)
+
+    @pytest.mark.parametrize("cfg,dims,named", [
+        (TrainingConfig(mu=float("nan")), ModelDims(hidden_dim=4), "mu"),
+        (TrainingConfig(), ModelDims(hidden_dim=0), "hidden_dim"),
+        (TrainingConfig(), ModelDims(lambda_rev=-1.0), "lambda_rev"),
+    ], ids=["mu", "hidden_dim", "lambda_rev"])
+    def test_bad_config_raises_before_any_run(self, monkeypatch, cfg, dims, named):
+        monkeypatch.setattr("npd.training.train", lambda *a, **k: pytest.fail("a run started"))
+        with pytest.raises(ConfigError, match=named):
+            ablate(self.splits, ["LSTM"], [1], cfg, self.embedding, 5, dims=dims)
 
     def test_failed_run_recorded_and_grid_continues(self):
         reports = ablate(self.splits, ["NOT_A_VARIANT", "LSTM"], [1], self.cfg,

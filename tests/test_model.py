@@ -12,8 +12,8 @@ from test_autodiff import probe_loss
 from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ContractError, DataError
-from npd.model import ModelVariant, build_model, load_checkpoint, save_checkpoint
-from npd.training import TrainingConfig, batch_losses
+from npd.model import ModelDims, ModelVariant, build_model, load_checkpoint, save_checkpoint
+from npd.training import TrainingConfig, batch_losses, emotion_loss, gender_loss
 
 VOCAB = 24
 ALL_VARIANTS = [v.value for v in ModelVariant]
@@ -32,7 +32,7 @@ def small_model(variant, seed=0, embed_dim=8, hidden_dim=6, m=5, **kw):
     rng = np.random.default_rng(1000 + seed)
     table = rng.standard_normal((VOCAB, embed_dim)) * 0.3
     return build_model(variant, table, num_locations=m, seed=seed,
-                       hidden_dim=hidden_dim, **kw)
+                       dims=ModelDims(hidden_dim=hidden_dim, **kw))
 
 
 def param_values(model):
@@ -160,8 +160,6 @@ class TestDiscriminators:
         np.testing.assert_allclose(fwd.location_probs.value, 0.25, atol=1e-15)
 
     def _encoder_grads_from_gender_loss(self, lambda_rev, reversal=True):
-        from npd.training import gender_loss
-
         model = small_model("NPD_GENDER", seed=12, lambda_rev=lambda_rev)
         model.wiring = model.wiring._replace(reversal=reversal)
         rng = np.random.default_rng(12)
@@ -193,8 +191,6 @@ class TestDiscriminators:
             fwd = model.forward(batch)
             gold = np.stack([p.emotion_bits for p in batch])
             heads = [n for k, n in model.params.items() if k.startswith("y.")]
-            from npd.training import emotion_loss
-
             ad.backward(emotion_loss(fwd.emotion_probs, gold, heads, 0.0))
             return {k: v.grad.copy() for k, v in model.params.items()}
 

@@ -200,7 +200,7 @@ class TestPersistence:
 
 GOOD_EMBEDDINGS = "3 2\n<pad> 0.0 0.0\n<oov> 0.5 -0.5\nalpha 1.0 2.0\n"
 
-# (case, file text, line the error must name)
+# (case, file text or bytes, line the error must name)
 BAD_EMBEDDINGS = [
     ("non-numeric header", GOOD_EMBEDDINGS.replace("3 2", "3 two", 1), 1),
     ("one-field header", GOOD_EMBEDDINGS.replace("3 2", "3", 1), 1),
@@ -210,6 +210,8 @@ BAD_EMBEDDINGS = [
     ("nan value", GOOD_EMBEDDINGS.replace("1.0 2.0", "nan 2.0"), 4),
     ("inf value", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 inf"), 3),
     ("negative inf value", GOOD_EMBEDDINGS.replace("0.0 0.0", "-inf 0.0"), 2),
+    ("duplicate token", "4 2" + GOOD_EMBEDDINGS[3:] + "alpha 3.0 4.0\n", 5),
+    ("token not UTF-8", GOOD_EMBEDDINGS.encode("utf-8").replace(b"alpha", b"alph\xff"), 4),
 ]
 
 
@@ -225,6 +227,6 @@ class TestMalformedEmbeddings:
                              ids=[c[0] for c in BAD_EMBEDDINGS])
     def test_rejected_with_path_and_line(self, tmp_path, case, content, line):
         path = tmp_path / "emb.txt"
-        path.write_text(content, encoding="utf-8")
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         with pytest.raises(DataError, match=f"emb.txt:{line}: "):
             load_embeddings(path)

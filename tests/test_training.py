@@ -14,10 +14,9 @@ import pytest
 from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ConfigError, ContractError, DivergenceError
-from npd.model import build_model
+from npd.model import ModelDims, build_model
 from npd.training import (
     AdaGrad,
-    ModelDims,
     TrainingConfig,
     batch_losses,
     clip_global_norm,
@@ -309,7 +308,7 @@ class TestTrainLoop:
                        tiny_embedding(rng), num_locations=5,
                        dims=ModelDims(hidden_dim=4))
         assert result.log == []
-        fresh = build_model("LSTM", result.model.embedding, 5, 3, hidden_dim=4)
+        fresh = build_model("LSTM", result.model.embedding, 5, 3, dims=ModelDims(hidden_dim=4))
         for name in fresh.params:
             np.testing.assert_array_equal(result.model.params[name].value,
                                           fresh.params[name].value)
@@ -321,7 +320,7 @@ class TestTrainLoop:
         emb = tiny_embedding(rng)
         result = train(tiny_dataset(rng, 24), tiny_dataset(rng, 6), "NPD", cfg,
                        emb, num_locations=5, dims=ModelDims(hidden_dim=4))
-        fresh = build_model("NPD", emb, 5, 4, hidden_dim=4)
+        fresh = build_model("NPD", emb, 5, 4, dims=ModelDims(hidden_dim=4))
         for name in ("g.w", "g.b", "l.w", "l.b"):
             np.testing.assert_array_equal(result.model.params[name].value,
                                           fresh.params[name].value, err_msg=name)
