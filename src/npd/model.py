@@ -170,14 +170,6 @@ class NpdModel:
             p["l.w"], p["l.b"] = w((h, m)), zeros(m)
         return p
 
-    def partition(self) -> dict[str, list[str]]:
-        """Disjoint parameter partition by role: encoder f, emotion heads y,
-        gender head g, location head l."""
-        parts = {"f": [], "y": [], "g": [], "l": []}
-        for name in self.params:
-            parts[name.split(".", 1)[0]].append(name)
-        return parts
-
     def zero_grads(self) -> None:
         for node in self.params.values():
             node.grad[...] = 0.0

@@ -9,6 +9,11 @@ from one masked offset grid over all tokens, and each chunk's three row
 updates go through autodiff._add_rows: np.add.at over one flat element
 index, which gives bit-for-bit the result of the row-wise np.add.at at a
 fraction of its cost. Everything is deterministic given a seed.
+
+An embedding file is read with one np.loadtxt pass over all its values,
+fed one checked line at a time, so no Python float() runs per value and
+the line text never piles up in memory. Its values are decimal or
+exponent floats, nan and inf, in ASCII digits.
 """
 
 import hashlib
@@ -74,7 +79,11 @@ class Vocabulary:
 
 
 def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
-    """Keep the max_size most frequent tokens; ties go to the earlier first occurrence."""
+    """Keep the max_size most frequent tokens; ties go to the earlier first occurrence.
+
+    A corpus token spelled like PAD or OOV is not kept again: it maps to
+    the special's id.
+    """
     if max_size < 1:
         raise ConfigError(f"max_size must be >= 1, got {max_size}")
     counts: dict[str, int] = {}
@@ -89,6 +98,8 @@ def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
             counts[tok] += 1
     if not counts:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
+    for special in (PAD_TOKEN, OOV_TOKEN):
+        counts.pop(special, None)
     ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
     return Vocabulary(ranked[:max_size])
 
@@ -233,14 +244,40 @@ def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None
         raise ContractError(f"table rows {table.vocab_size} != vocab size {len(vocab)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{table.vocab_size} {table.embed_dim}\n")
-        for i, tok in enumerate(vocab.id_to_token):
-            vals = " ".join(repr(float(v)) for v in table.matrix[i])
-            fh.write(f"{tok} {vals}\n")
+        for tok, row in zip(vocab.id_to_token, table.matrix.tolist()):
+            fh.write(f"{tok} {' '.join(map(repr, row))}\n")
+
+
+def _parse_values(lines, dim: int) -> np.ndarray:
+    """The dim values after the token of each `token v1 ... vd` line, one
+    float64 row per line."""
+    return np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None,
+                      usecols=range(1, dim + 1), ndmin=2)
+
+
+def _embedding_rows(path: str, lines, dim: int, first_line: dict[str, int]):
+    """Yield the line of each (line number, line) pair in lines, after checking
+    that it holds a token and dim values and that its token is new;
+    first_line gets token -> line, in file order."""
+    for lineno, line in lines:
+        if line.count(" ") != dim:
+            raise DataError(f"{path}:{lineno}: expected token + {dim} values")
+        token = line[:line.index(" ")]
+        if token in first_line:
+            raise DataError(f"{path}:{lineno}: token {token!r} repeats line {first_line[token]}")
+        first_line[token] = lineno
+        yield line
 
 
 def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
     """Read a save_embeddings file; every malformed or non-finite entry, and
-    a token seen twice, is a DataError naming path:line."""
+    a token seen twice, is a DataError naming path:line.
+
+    All values are parsed in one np.loadtxt pass, fed one line at a time.
+    It accepts the float() syntax except underscores between digits and
+    non-ASCII digits: a line holding those is rejected as non-numeric, as
+    save_embeddings never writes them.
+    """
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2 or not all(x.isdecimal() for x in header):
@@ -250,27 +287,33 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
     if dim < 1:
         raise DataError(f"{path}:1: embedding dimension must be >= 1, got {dim}")
     first_line: dict[str, int] = {}  # token -> its line, in file order
-    rows = []
-    for lineno, line in lines:
-        parts = line.rstrip("\n").split(" ")
-        if len(parts) != dim + 1:
-            raise DataError(f"{path}:{lineno}: expected token + {dim} values")
-        token = parts[0]
-        if token in first_line:
-            raise DataError(f"{path}:{lineno}: token {token!r} repeats line {first_line[token]}")
-        first_line[token] = lineno
-        try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    rows = _embedding_rows(path, lines, dim, first_line)
+    first = next(rows, None)  # np.loadtxt warns on empty input
+    try:
+        matrix = np.empty((0, dim)) if first is None else _parse_values(
+            itertools.chain([first], rows), dim)
+    except ValueError as exc:
+        raise DataError(f"{path}:{_first_unparsed_line(path, dim)}: non-numeric value") from exc
     if len(first_line) != size:
         raise DataError(f"{path}: header declares {size} rows, found {len(first_line)}")
     tokens = list(first_line)
     if tokens[:2] != [PAD_TOKEN, OOV_TOKEN]:
         raise DataError(f"{path}: first rows must be {PAD_TOKEN} and {OOV_TOKEN}")
-    matrix = np.asarray(rows, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise DataError(f"{path}:{int(bad[0]) + 2}: non-finite value")
     vocab = Vocabulary(tokens[2:])
     return vocab, EmbeddingTable(matrix)
+
+
+def _first_unparsed_line(path: str, dim: int) -> int:
+    """The first row line that _parse_values rejects on its own. Called after
+    a whole-file parse failed, so every line before it passed the row checks."""
+    lines = read_lines(path)
+    next(lines)  # the header
+    for lineno, line in enumerate(_embedding_rows(path, lines, dim, {}), start=2):
+        try:
+            _parse_values([line], dim)
+        except ValueError:
+            return lineno
+    raise ContractError(f"{path}: the whole-file parse failed but no single line does")

@@ -101,6 +101,19 @@ class TestPipeline:
             assert len(weights) == 3
             assert abs(sum(weights) - 1.0) < 1e-6
 
+    def test_embed_corpus_spelling_the_specials(self, mini_pipeline, tmp_path):
+        """Corpus tokens spelled <pad> or <oov> share the specials' rows."""
+        lines = mini_pipeline["corpus"].read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"text": "', '"text": "<pad> <oov> ', 1)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        emb = tmp_path / "emb.txt"
+        assert main(["embed", "--corpus", str(corpus), "--out", str(emb),
+                     "--vocab-size", "400", "--embed-dim", "4", "--embed-epochs", "1"]) == 0
+        vocab, _ = text.load_embeddings(str(emb))
+        assert vocab.id_to_token[:2] == ["<pad>", "<oov>"]
+        assert vocab.id_to_token.count("<pad>") == vocab.id_to_token.count("<oov>") == 1
+
     def test_ablate_grid(self, mini_pipeline, capsys, tmp_path):
         out_file = tmp_path / "table.tsv"
         assert main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
@@ -167,6 +180,10 @@ TRUNCATIONS = [
 ]
 
 
+BAD_VALUE_RUNS = [(command, value) for command in ("eval", "predict")
+                  for value in ("x", "nan", "-inf", "1_0")]
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case,section", TRUNCATIONS, ids=[c for c, _ in TRUNCATIONS])
     def test_truncated_checkpoint(self, mini_pipeline, tmp_path, capsys, case, section):
@@ -180,17 +197,22 @@ class TestMalformedInputs:
                      "--embeddings", str(mini_pipeline["embeddings"])]) == 1
         assert "truncated" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["x", "nan", "-inf"])
-    def test_bad_embedding_value(self, mini_pipeline, tmp_path, capsys, value):
+    @pytest.mark.parametrize("command,value", BAD_VALUE_RUNS,
+                             ids=[v if c == "eval" else f"{c}-{v}" for c, v in BAD_VALUE_RUNS])
+    def test_bad_embedding_value(self, mini_pipeline, tmp_path, monkeypatch, capsys,
+                                 command, value):
+        """predict reads only the vocabulary of the file, and still rejects it."""
         lines = mini_pipeline["embeddings"].read_text(encoding="utf-8").splitlines()
         token, _, *rest = lines[3].split(" ")
         lines[3] = " ".join([token, value, *rest])
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["eval", "--model", str(mini_pipeline["model"]),
-                     "--corpus", str(mini_pipeline["corpus"]),
+        monkeypatch.setattr("sys.stdin", io.StringIO("neutral_0001 neutral_0002\n"))
+        inputs = {"eval": ["--corpus", str(mini_pipeline["corpus"])], "predict": []}[command]
+        assert main([command, "--model", str(mini_pipeline["model"]), *inputs,
                      "--embeddings", str(path)]) == 1
-        assert f"{path}:4: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"{path}:4: " in captured.err and captured.out == ""
 
     def test_non_utf8_embeddings(self, mini_pipeline, tmp_path, capsys):
         lines = mini_pipeline["embeddings"].read_bytes().split(b"\n")

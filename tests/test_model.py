@@ -214,15 +214,12 @@ class TestForwardVariants:
     def test_lstm_variant_has_no_attribute_parameters(self):
         model = small_model("LSTM")
         assert not any(k.startswith(("g.", "l.")) for k in model.params)
-        parts = model.partition()
-        assert parts["g"] == [] and parts["l"] == []
 
     def test_partition_covers_every_parameter_once(self):
+        """AdaGrad and batch_losses' "y." filter sort parameters by this prefix."""
         for variant in ALL_VARIANTS:
             model = small_model(variant)
-            parts = model.partition()
-            names = sorted(n for group in parts.values() for n in group)
-            assert names == sorted(model.params)
+            assert {name.split(".", 1)[0] for name in model.params} <= {"f", "y", "g", "l"}
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_forward_matches_oracle(self, variant):

@@ -1,5 +1,7 @@
 """Tokenizer, vocabulary, skip-gram, and embedding persistence tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,11 @@ class TestVocabulary:
             build_vocab([], max_size=5)
         with pytest.raises(ConfigError):
             build_vocab([[]], max_size=5)
+
+    def test_special_spellings_in_corpus_keep_their_ids(self):
+        vocab = build_vocab([["a", "<pad>", "<pad>"], ["<oov>", "b"]], max_size=10)
+        assert vocab.id_to_token == ["<pad>", "<oov>", "a", "b"]
+        assert vocab.encode(["<pad>", "<oov>", "b"]) == [0, 1, 3]
 
     def test_encode_decode_identity(self):
         vocab = build_vocab([["red", "green", "blue"]], max_size=10)
@@ -212,6 +219,18 @@ BAD_EMBEDDINGS = [
     ("negative inf value", GOOD_EMBEDDINGS.replace("0.0 0.0", "-inf 0.0"), 2),
     ("duplicate token", "4 2" + GOOD_EMBEDDINGS[3:] + "alpha 3.0 4.0\n", 5),
     ("token not UTF-8", GOOD_EMBEDDINGS.encode("utf-8").replace(b"alpha", b"alph\xff"), 4),
+    ("too few values", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5"), 3),
+    ("too many values", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 -0.5 1.5"), 3),
+    ("empty value", GOOD_EMBEDDINGS.replace("1.0 2.0", "1.0 "), 4),
+    # float() takes these three; the file format does not
+    ("underscore in digits", GOOD_EMBEDDINGS.replace("0.5 -0.5", "1_0 -0.5"), 3),
+    ("arabic-indic digit", GOOD_EMBEDDINGS.replace("0.5 -0.5", "0.5 \u0661"), 3),
+    ("fullwidth digit", GOOD_EMBEDDINGS.replace("0.5 -0.5", "\uff11 -0.5"), 3),
+    ("bad value on last line", GOOD_EMBEDDINGS.replace("1.0 2.0", "1.0 y"), 4),
+    ("bad value on unterminated last line", GOOD_EMBEDDINGS.replace("1.0 2.0\n", "1.0 y"), 4),
+    ("header only, zero rows", "0 2\n", None),
+    ("header only, three rows", "3 2\n", None),
+    ("specials not first", "3 2\nalpha 1.0 2.0\n<pad> 0.0 0.0\n<oov> 0.5 -0.5\n", None),
 ]
 
 
@@ -226,7 +245,32 @@ class TestMalformedEmbeddings:
     @pytest.mark.parametrize("case,content,line", BAD_EMBEDDINGS,
                              ids=[c[0] for c in BAD_EMBEDDINGS])
     def test_rejected_with_path_and_line(self, tmp_path, case, content, line):
+        """line None: the fault is the file's, so the error names no line."""
         path = tmp_path / "emb.txt"
         path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-        with pytest.raises(DataError, match=f"emb.txt:{line}: "):
-            load_embeddings(path)
+        where = "emb.txt: " if line is None else f"emb.txt:{line}: "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. np.loadtxt's empty-input warning
+            with pytest.raises(DataError, match=where):
+                load_embeddings(path)
+
+    def test_crlf_file_loads_bit_identically(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(GOOD_EMBEDDINGS.replace("\n", "\r\n").encode("utf-8"))
+        vocab, table = load_embeddings(path)
+        path.write_text(GOOD_EMBEDDINGS, encoding="utf-8")
+        ref_vocab, ref_table = load_embeddings(path)
+        assert vocab.id_to_token == ref_vocab.id_to_token
+        assert table.matrix.tobytes() == ref_table.matrix.tobytes()
+
+    def test_large_table_round_trips_bit_identically(self, tmp_path):
+        """Spans many orders of magnitude, subnormals included, so any parse
+        that rounds differently from float() shows."""
+        rng = np.random.default_rng(17)
+        vocab = Vocabulary([f"t{i}" for i in range(1998)])
+        matrix = rng.standard_normal((2000, 100)) * 10.0 ** rng.integers(-320, 300, size=(2000, 100))
+        path = tmp_path / "emb.txt"
+        save_embeddings(path, vocab, EmbeddingTable(matrix))
+        vocab2, table2 = load_embeddings(path)
+        assert vocab2.id_to_token == vocab.id_to_token
+        np.testing.assert_array_equal(table2.matrix.view(np.int64), matrix.view(np.int64))
