@@ -2,9 +2,12 @@
 
 Tensors are plain numpy float64 ndarrays (row-major); a Node wraps a value
 tensor together with a same-shaped gradient buffer and a backward closure.
-Graphs are built dynamically per batch and consumed by backward. Gradients
-accumulate with ``+=`` across node reuse; callers zero them between
-optimizer steps.
+Each op computes its value, defines _backward(g), which adds the parents'
+shares of the node's gradient g to their grads, and returns
+Node(value, op, parents, backward=_backward). No closure refers to its own
+node, so no graph is a reference cycle and reference counting frees it.
+Graphs are built per batch and consumed by backward; gradients accumulate
+with ``+=`` across node reuse, and callers zero them between optimizer steps.
 
 Batches of variable-length posts are padded to the longest one, and pack
 turns the {0,1} validity mask into a packing: the batch's L live (step,
@@ -37,24 +40,24 @@ from .errors import ConfigError, ContractError, DimensionError
 class Node:
     """One vertex of the computation graph.
 
-    value and grad always share a shape; parents are ordered; _backward,
-    when set, propagates this node's grad into its parents' grads.
-    needs_grad marks nodes on a path from a parameter; gradient work into
-    pure-constant subgraphs is skipped. grad is a zero buffer created on
-    first read, so a node whose gradient nobody reads never allocates one.
+    value and grad always share a shape; parents are ordered. needs_grad
+    marks nodes on a path from a parameter; only they keep their closure as
+    _backward, so gradient work into pure-constant subgraphs is skipped.
+    grad is a zero buffer created on first read, so a node whose gradient
+    nobody reads never allocates one.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_backward", "needs_grad")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (),
-                 needs_grad: bool | None = None):
+                 needs_grad: bool | None = None, backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.op = op
         self.parents = parents
-        self._backward = None
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in parents)
         self.needs_grad = needs_grad
+        self._backward = backward if needs_grad else None
 
     def __getattr__(self, name):
         # called only for a slot not yet set; of those, grad starts as zeros
@@ -102,13 +105,12 @@ def _add_rows(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
 
 
 def sigmoid(x: Node) -> Node:
-    out = Node(_sigmoid_stable(x.value), op="sigmoid", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += out.value * (1.0 - out.value) * out.grad
+    y = _sigmoid_stable(x.value)
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        x.grad += y * (1.0 - y) * g
+
+    return Node(y, op="sigmoid", parents=(x,), backward=_backward)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
@@ -119,19 +121,16 @@ def affine(x: Node, w: Node, b: Node) -> Node:
         raise DimensionError(f"affine: x {xv.shape}, w {wv.shape} and b {bv.shape} do not fit")
     y = xv @ wv
     y += bv
-    out = Node(y, op="affine", parents=(x, w, b))
-    if out.needs_grad:
-        def _backward():
-            g = out.grad
-            if x.needs_grad:
-                x.grad += g @ wv.T
-            if w.needs_grad:
-                w.grad += xv.T @ g
-            if b.needs_grad:
-                b.grad += g.sum(axis=0)
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        if x.needs_grad:
+            x.grad += g @ wv.T
+        if w.needs_grad:
+            w.grad += xv.T @ g
+        if b.needs_grad:
+            b.grad += g.sum(axis=0)
+
+    return Node(y, op="affine", parents=(x, w, b), backward=_backward)
 
 
 def concat(a: Node, b: Node) -> Node:
@@ -140,16 +139,15 @@ def concat(a: Node, b: Node) -> Node:
     if av.ndim != 2 or bv.ndim != 2 or av.shape[0] != bv.shape[0]:
         raise DimensionError(f"concat: incompatible shapes {av.shape}, {bv.shape}")
     p = av.shape[1]
-    out = Node(np.concatenate([av, bv], axis=1), op="concat", parents=(a, b))
-    if out.needs_grad:
-        def _backward():
-            if a.needs_grad:
-                a.grad += out.grad[:, :p]
-            if b.needs_grad:
-                b.grad += out.grad[:, p:]
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        if a.needs_grad:
+            a.grad += g[:, :p]
+        if b.needs_grad:
+            b.grad += g[:, p:]
+
+    return Node(np.concatenate([av, bv], axis=1), op="concat", parents=(a, b),
+                backward=_backward)
 
 
 def softmax_rows(logits: Node) -> Node:
@@ -159,14 +157,11 @@ def softmax_rows(logits: Node) -> Node:
         raise DimensionError(f"softmax_rows: expected nonempty matrix, got {x.shape}")
     e = np.exp(x - x.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    out = Node(p, op="softmax_rows", parents=(logits,))
-    if out.needs_grad:
-        def _backward():
-            g = out.grad
-            logits.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        logits.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
+
+    return Node(p, op="softmax_rows", parents=(logits,), backward=_backward)
 
 
 def rows(table: Node, ids: np.ndarray) -> Node:
@@ -176,13 +171,11 @@ def rows(table: Node, ids: np.ndarray) -> Node:
         raise DimensionError(f"rows: expected matrix, got {table.value.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
         raise ContractError(f"rows: id out of range for table with {table.value.shape[0]} rows")
-    out = Node(table.value[idx], op="rows", parents=(table,))
-    if out.needs_grad:
-        def _backward():
-            _add_rows(table.grad, idx, out.grad)
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        _add_rows(table.grad, idx, g)
+
+    return Node(table.value[idx], op="rows", parents=(table,), backward=_backward)
 
 
 class Packing(NamedTuple):
@@ -282,59 +275,56 @@ def lstm_seq(pre_x: Node, wh: Node, h0: Node, c0: Node, packing: Packing) -> Nod
             np.tanh(c, out=tanh_c[s:e])
             np.multiply(g[:, 2 * hd : 3 * hd], tanh_c[s:e], out=H[n + s : n + e])
     h_t = H[n:]  # o tanh(c) of each pair
-    out = Node(h_t, op="lstm_seq", parents=(pre_x, wh, h0, c0))
-    if out.needs_grad:
-        def _backward():
-            steps = packing.step
-            prev = blk[steps] + np.arange(L) - start[steps]  # H and C rows of each previous state
-            gi, gf, go, gg = (x[:, j * hd : (j + 1) * hd] for j in range(4))
-            # each gate's slot becomes d c_t / d pre (d h_t / d pre for o), in
-            # place; f stays as dc's carry factor, and a = o (1 - tanh(c)^2),
-            # dh's share of dc, takes tanh(c)'s buffer
-            f = gf.copy()
-            u = C[prev]
-            u *= f
-            np.subtract(1.0, gf, out=gf)
-            gf *= u  # (1 - f) f c_prev
-            a = tanh_c
-            np.multiply(h_t, a, out=a)
-            np.subtract(go, a, out=a)
-            np.subtract(1.0, go, out=go)
-            go *= h_t  # (1 - o) o tanh(c)
-            np.multiply(gi, gg, out=u)
-            np.multiply(u, gg, out=gg)
-            np.subtract(gi, gg, out=gg)  # i (1 - g^2)
-            np.subtract(1.0, gi, out=gi)
-            gi *= u  # (1 - i) i g
 
-            d_out = out.grad
-            w_t = np.ascontiguousarray(w.T)
-            dh = np.zeros((n, hd))  # rows in length order, as the blocks
-            dc = np.zeros((n, hd))
-            tmp = np.empty((n, hd))
-            for t in range(T - 1, -1, -1):
-                k, s, e = live[t], start[t], start[t + 1]
-                dhk, dck = dh[:k], dc[:k]
-                dhk += d_out[s:e]
-                np.multiply(dhk, a[s:e], out=tmp[:k])
-                dck += tmp[:k]
-                d = x[s:e].reshape(k, 4, hd)
-                d[:, :2] *= dck[:, None]
-                d[:, 2] *= dhk
-                d[:, 3] *= dck
-                np.matmul(x[s:e], w_t, out=dhk)
-                dck *= f[s:e]
-            if pre_x.needs_grad:
-                pre_x.grad += x
-            if wh.needs_grad:
-                wh.grad += H[prev].T @ x
-            if h0.needs_grad:
-                h0.grad += dh.sum(axis=0)
-            if c0.needs_grad:
-                c0.grad += dc.sum(axis=0)
+    def _backward(d_out):
+        steps = packing.step
+        prev = blk[steps] + np.arange(L) - start[steps]  # H and C rows of each previous state
+        gi, gf, go, gg = (x[:, j * hd : (j + 1) * hd] for j in range(4))
+        # each gate's slot becomes d c_t / d pre (d h_t / d pre for o), in
+        # place; f stays as dc's carry factor, and a = o (1 - tanh(c)^2),
+        # dh's share of dc, takes tanh(c)'s buffer
+        f = gf.copy()
+        u = C[prev]
+        u *= f
+        np.subtract(1.0, gf, out=gf)
+        gf *= u  # (1 - f) f c_prev
+        a = tanh_c
+        np.multiply(h_t, a, out=a)
+        np.subtract(go, a, out=a)
+        np.subtract(1.0, go, out=go)
+        go *= h_t  # (1 - o) o tanh(c)
+        np.multiply(gi, gg, out=u)
+        np.multiply(u, gg, out=gg)
+        np.subtract(gi, gg, out=gg)  # i (1 - g^2)
+        np.subtract(1.0, gi, out=gi)
+        gi *= u  # (1 - i) i g
 
-        out._backward = _backward
-    return out
+        w_t = np.ascontiguousarray(w.T)
+        dh = np.zeros((n, hd))  # rows in length order, as the blocks
+        dc = np.zeros((n, hd))
+        tmp = np.empty((n, hd))
+        for t in range(T - 1, -1, -1):
+            k, s, e = live[t], start[t], start[t + 1]
+            dhk, dck = dh[:k], dc[:k]
+            dhk += d_out[s:e]
+            np.multiply(dhk, a[s:e], out=tmp[:k])
+            dck += tmp[:k]
+            d = x[s:e].reshape(k, 4, hd)
+            d[:, :2] *= dck[:, None]
+            d[:, 2] *= dhk
+            d[:, 3] *= dck
+            np.matmul(x[s:e], w_t, out=dhk)
+            dck *= f[s:e]
+        if pre_x.needs_grad:
+            pre_x.grad += x
+        if wh.needs_grad:
+            wh.grad += H[prev].T @ x
+        if h0.needs_grad:
+            h0.grad += dh.sum(axis=0)
+        if c0.needs_grad:
+            c0.grad += dc.sum(axis=0)
+
+    return Node(h_t, op="lstm_seq", parents=(pre_x, wh, h0, c0), backward=_backward)
 
 
 def attention_pool(states: Node, w: Node, b: Node, u: Node,
@@ -364,25 +354,24 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
     a = alpha[post, step]  # each pair's weight
     by_post = np.argsort(post, kind="stable")  # each post's pairs, one run per post
     runs = np.concatenate(([0], np.cumsum(step[packing.last] + 1)[:-1]))
-    out = Node(np.add.reduceat((s * a[:, None])[by_post], runs, axis=0),
-               op="attention_pool", parents=(states, w, b, u))
-    if out.needs_grad:
-        def _backward():
-            g = out.grad[post]  # each pair's post's pooled gradient
-            d_a = np.einsum("ld,ld->l", g, s)
-            d_s = a * (d_a - np.bincount(post, weights=d_a * a, minlength=n)[post])
-            if u.needs_grad:
-                u.grad += proj.T @ d_s
-            d_pre = np.outer(d_s, u.value) * (1.0 - proj * proj)
-            if b.needs_grad:
-                b.grad += d_pre.sum(axis=0)
-            if w.needs_grad:
-                w.grad += s.T @ d_pre
-            if states.needs_grad:
-                states.grad += d_pre @ wv.T + a[:, None] * g
 
-        out._backward = _backward
-    return alpha, out
+    def _backward(d_pooled):
+        g = d_pooled[post]  # each pair's post's pooled gradient
+        d_a = np.einsum("ld,ld->l", g, s)
+        d_s = a * (d_a - np.bincount(post, weights=d_a * a, minlength=n)[post])
+        if u.needs_grad:
+            u.grad += proj.T @ d_s
+        d_pre = np.outer(d_s, u.value) * (1.0 - proj * proj)
+        if b.needs_grad:
+            b.grad += d_pre.sum(axis=0)
+        if w.needs_grad:
+            w.grad += s.T @ d_pre
+        if states.needs_grad:
+            states.grad += d_pre @ wv.T + a[:, None] * g
+
+    pooled = np.add.reduceat((s * a[:, None])[by_post], runs, axis=0)
+    return alpha, Node(pooled, op="attention_pool", parents=(states, w, b, u),
+                       backward=_backward)
 
 
 def nll(probs: Node, gold: np.ndarray, lo: float, hi: float) -> Node:
@@ -409,29 +398,25 @@ def nll(probs: Node, gold: np.ndarray, lo: float, hi: float) -> Node:
     else:
         picked, col, sign = p[r, j], j, 1.0
     clipped = np.clip(picked, lo, hi)
-    out = Node((-1.0 / n) * np.log(clipped).sum(), op="nll", parents=(probs,))
-    if out.needs_grad:
+
+    def _backward(g):
         inside = (picked >= lo) & (picked <= hi)
+        probs.grad[r, col] += sign * ((-1.0 / n) * g / clipped * inside)
 
-        def _backward():
-            probs.grad[r, col] += sign * ((-1.0 / n) * out.grad / clipped * inside)
-
-        out._backward = _backward
-    return out
+    return Node((-1.0 / n) * np.log(clipped).sum(), op="nll", parents=(probs,),
+                backward=_backward)
 
 
 def sum_squares(nodes: list[Node]) -> Node:
     """Sum of the squared entries of every node in the list, as a 0-d node."""
-    out = Node(sum(float((w.value * w.value).sum()) for w in nodes), op="sum_squares",
-               parents=tuple(nodes))
-    if out.needs_grad:
-        def _backward():
-            for w in nodes:
-                if w.needs_grad:
-                    w.grad += 2.0 * out.grad * w.value
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        for w in nodes:
+            if w.needs_grad:
+                w.grad += 2.0 * g * w.value
+
+    return Node(sum(float((w.value * w.value).sum()) for w in nodes), op="sum_squares",
+                parents=tuple(nodes), backward=_backward)
 
 
 def weighted_total(terms: Sequence[Node], weights: Sequence[float]) -> Node:
@@ -439,16 +424,14 @@ def weighted_total(terms: Sequence[Node], weights: Sequence[float]) -> Node:
     if len(terms) != len(weights) or any(t.value.ndim != 0 for t in terms):
         raise DimensionError(f"weighted_total: {len(weights)} weights for terms of shapes "
                              f"{[t.value.shape for t in terms]}, expected 0-d terms")
-    out = Node(sum(w * t.value for t, w in zip(terms, weights)), op="weighted_total",
-               parents=tuple(terms))
-    if out.needs_grad:
-        def _backward():
-            for t, w in zip(terms, weights):
-                if t.needs_grad:
-                    t.grad += w * out.grad
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        for t, w in zip(terms, weights):
+            if t.needs_grad:
+                t.grad += w * g
+
+    return Node(sum(w * t.value for t, w in zip(terms, weights)), op="weighted_total",
+                parents=tuple(terms), backward=_backward)
 
 
 def grad_reverse(x: Node, lambda_rev: float) -> Node:
@@ -460,13 +443,11 @@ def grad_reverse(x: Node, lambda_rev: float) -> Node:
     """
     if not (np.isfinite(lambda_rev) and lambda_rev >= 0):
         raise ConfigError(f"grad_reverse: lambda_rev must be >= 0 and finite, got {lambda_rev}")
-    out = Node(x.value, op="grad_reverse", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += -lambda_rev * out.grad
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        x.grad += -lambda_rev * g
+
+    return Node(x.value, op="grad_reverse", parents=(x,), backward=_backward)
 
 
 def dropout(x: Node, rate: float, rng: np.random.Generator) -> Node:
@@ -477,13 +458,11 @@ def dropout(x: Node, rate: float, rng: np.random.Generator) -> Node:
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout: rate must be in [0, 1), got {rate}")
     keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
-    out = Node(x.value * keep, op="dropout", parents=(x,))
-    if out.needs_grad:
-        def _backward():
-            x.grad += out.grad * keep
 
-        out._backward = _backward
-    return out
+    def _backward(g):
+        x.grad += g * keep
+
+    return Node(x.value * keep, op="dropout", parents=(x,), backward=_backward)
 
 
 def graph_order(root: Node) -> list[Node]:
@@ -512,18 +491,18 @@ def backward(loss: Node) -> None:
     consuming the graph.
 
     Runs each node's backward closure exactly once, in reverse topological
-    order, and drops it once it has run; nodes not on a path to the loss
-    keep their (zero) gradients. Constants have no closure, so the walk
-    passes over them at no cost. A closure refers to its own node, so a
-    graph that still holds its closures is a reference cycle that only the
-    cyclic garbage collector frees; without them, the graph's buffers are
-    released as soon as the caller drops the loss. A second backward over
-    the same graph would therefore propagate nothing past the loss.
+    order, on the node's grad, and drops it once it has run; nodes not on a
+    path to the loss keep their (zero) gradients. Constants have no closure,
+    so the walk passes over them at no cost. Dropping a closure frees the
+    forward buffers it holds (lstm_seq's gates and states, say) while
+    backward goes on, so the peak never holds every node's buffers at once.
+    A second backward over the same graph therefore propagates nothing past
+    the loss.
     """
     if loss.value.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     loss.grad += 1.0
     for node in reversed(graph_order(loss)):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
             node._backward = None

@@ -93,6 +93,7 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
             has_location = True
             pred = fwd.location_probs.value.argmax(axis=1)
             location_hits += int((pred == np.array([p.location for p in batch])).sum())
+        del fwd  # free this batch's graph before the next one is built
     f1 = [f1_score(counts, j) for j in range(len(EMOTIONS))]
     return EvalReport(
         variant=model.variant.value,

@@ -254,13 +254,9 @@ class NpdModel:
         if wiring.location_attention:
             attention["location"], v_l = self._attend(states, packing, "l")
 
-        # each post's final state feeds the parts no attention pool feeds. It is
-        # built only where read: backward never runs an unread node's closure,
-        # so that node and the states it holds would wait for the cyclic GC
-        h_last = None
-        if (v_g is None and v_l is None or wiring.gender_discriminator and v_g is None
-                or wiring.location_discriminator and v_l is None):
-            h_last = ad.rows(states, packing.last)
+        # each post's final state feeds the parts no attention pool feeds; where
+        # nothing reads it, reference counting frees it when forward returns
+        h_last = ad.rows(states, packing.last)
 
         if v_g is not None and v_l is not None:
             head_in = ad.concat(v_g, v_l)

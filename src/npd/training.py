@@ -54,7 +54,6 @@ class TrainingConfig:
     max_epochs: int = 50
     patience: int = 5
     grad_clip: float = 5.0  # global-norm cap; 0 disables (gradient-check mode)
-    adagrad_eps: float = 1e-8
     seed: int = 0
 
     def validate(self):
@@ -145,7 +144,8 @@ class AdaGrad:
 
 
 def clip_global_norm(params: dict[str, Node], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm, and
+    return the norm they had; a max_norm of 0 leaves them unchanged."""
     total = math.sqrt(sum(float(np.sum(n.grad * n.grad)) for n in params.values()))
     if max_norm > 0.0 and total > max_norm:
         scale = max_norm / total
@@ -205,7 +205,7 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
                         vocab_hash=vocab_hash, tokenizer_mode=tokenizer_mode,
                         extra_manifest=extra_manifest)
     result = TrainResult(model=model)
-    opt = AdaGrad(model.params, cfg.mu, cfg.adagrad_eps)
+    opt = AdaGrad(model.params, cfg.mu)
     rng_shuffle = substream(cfg.seed, "shuffle")
     rng_dropout = substream(cfg.seed, "dropout")
     param_names = {id(node): name for name, node in model.params.items()}
@@ -228,8 +228,7 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
                     f"non-finite loss at epoch {epoch}; first bad tensor: {bad}",
                     tensor_name=bad)
             ad.backward(j)
-            if cfg.grad_clip > 0.0:
-                clip_global_norm(model.params, cfg.grad_clip)
+            clip_global_norm(model.params, cfg.grad_clip)
             opt.step()
             w = len(batch)
             sums += w * np.array([float(j_y.value),

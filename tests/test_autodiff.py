@@ -53,13 +53,11 @@ def linear_probe(shape, seed=0):
 def probe_loss(out, probe):
     """The scalar sum(out * probe) as a hand-built node, so a check of one op
     goes through no other op of the engine."""
-    loss = ad.Node((out.value * probe).sum(), op="probe", parents=(out,))
 
-    def _backward():
-        out.grad += loss.grad * probe
+    def _backward(g):
+        out.grad += g * probe
 
-    loss._backward = _backward
-    return loss
+    return ad.Node((out.value * probe).sum(), op="probe", parents=(out,), backward=_backward)
 
 
 def zero_bias(w):
@@ -276,6 +274,15 @@ class TestBackward:
         x = ad.param(2.0)
         ad.backward(ad.weighted_total([x, x], [1.0, 1.0]))
         np.testing.assert_array_equal(x.grad, 2.0)
+
+    def test_closure_kept_only_on_a_path_from_a_param(self):
+        def f(g):
+            pass
+
+        consts = (ad.constant(1.0), ad.constant(2.0))
+        assert ad.Node(3.0, op="t", parents=consts, backward=f)._backward is None
+        node = ad.Node(3.0, op="t", parents=(consts[0], ad.param(2.0)), backward=f)
+        assert node._backward is f
 
 
 class TestDropout:
@@ -533,6 +540,27 @@ def test_ufunc_at_only_inside_add_rows():
     [(name, lo, hi)] = inside
     assert name == "autodiff.py" and calls
     assert [c for c in calls if not (c[0] == name and lo <= c[1] <= hi)] == []
+
+
+def test_backward_slot_set_only_by_node_and_backward():
+    """An op hands its closure to Node(..., backward=) and never sets
+    node._backward itself, so no closure refers to its own node and no graph
+    is a reference cycle; only Node.__init__ and backward, which drops each
+    closure it has run, assign the slot."""
+    where = []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # each node's innermost function: walk visits outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            where += [(path.name, scope.get(node, "<module>")) for t in targets
+                      if isinstance(t, ast.Attribute) and t.attr == "_backward"]
+    assert sorted(where) == [("autodiff.py", "__init__"), ("autodiff.py", "backward")]
 
 
 def test_no_import_inside_a_function():

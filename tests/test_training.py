@@ -14,6 +14,7 @@ import pytest
 from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ConfigError, ContractError, DivergenceError
+from npd.evaluation import evaluate
 from npd.model import ModelDims, build_model
 from npd.training import (
     AdaGrad,
@@ -230,8 +231,8 @@ class TestClip:
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_training_step_leaves_no_cyclic_garbage(variant):
-    """backward drops each closure it runs and forward builds no node that
-    nothing reads, so a step's graph is freed by reference counting alone."""
+    """No backward closure refers to its own node, so a step's graph holds no
+    reference cycle and reference counting alone frees it."""
     cfg = TrainingConfig(seed=20)
     rng = np.random.default_rng(20)
     batch = [make_post(rng, 5), make_post(rng, 3), make_post(rng, 7)]
@@ -251,6 +252,26 @@ def test_training_step_leaves_no_cyclic_garbage(variant):
     finally:
         gc.enable()
     assert garbage == 0
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_eval_leaves_no_cyclic_garbage(variant):
+    """An eval-mode forward keeps its closures, as nothing runs backward on
+    it; they hold no reference to their own nodes, so its graph is freed by
+    reference counting alone, after one forward and after a batched evaluate."""
+    rng = np.random.default_rng(23)
+    posts = [make_post(rng, k) for k in (5, 3, 7, 1, 4)]
+    model = small_model(variant, seed=23)
+    gc.collect()
+    gc.disable()
+    try:
+        model.forward(posts)
+        after_forward = gc.collect()
+        evaluate(model, posts, batch_size=2)
+        after_evaluate = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_forward, after_evaluate) == (0, 0)
 
 
 def test_npd_train_step_builds_no_padded_node():
