@@ -8,25 +8,32 @@ Node(value, op, parents, backward=_backward). No closure refers to its own
 node, so no graph is a reference cycle and reference counting frees it.
 Graphs are built per batch and consumed by backward; gradients accumulate
 with ``+=`` across node reuse, and callers zero them between optimizer steps.
+A node keeps its closure only if some parent needs a gradient, so a forward
+over constants alone (the model's frozen view, which evaluation runs on)
+holds no closure, and each op's buffers are freed as soon as its value is
+no longer read.
 
 Batches of variable-length posts are padded to the longest one, and pack
 turns the {0,1} validity mask into a packing: the batch's L live (step,
 post) pairs, step-major, each step's posts longest first. The ops that see
 the time axis work in that packed [L x ...] layout, so padded pairs are
-never stored or computed: lstm_seq runs each step on the posts still
-running and returns every pair's state, and attention_pool scores those
-states and reports its weights as a dense [n x T] array, 0 on padding.
+never stored or computed: lstm_seq projects every pair's input into its
+gate buffer in one GEMM, runs each step on the posts still running and
+returns every pair's state, and attention_pool scores those states, pools
+them step by step and reports its weights as a dense [n x T] array, 0 on
+padding.
 
 The op set is exactly what the emotion model and its losses call: the
 dense layer affine (x W + b), elementwise sigmoid, row-wise softmax, 2-D
 concatenation, row gather, inverted dropout, the gradient-reversal node
 that flips the sign of gradients flowing into the shared encoder from the
 attribute discriminators, and fused nodes with hand-written backwards: the
-packed LSTM recurrence lstm_seq, the attribute attention attention_pool
-(scores, per-post softmax and pooling), and the losses nll, the clipped
-mean negative log-likelihood of each row's gold class, sum_squares, the L2
-penalty over a list of parameters, and weighted_total, the weighted sum of
-0-d loss terms that makes the training objective.
+packed LSTM lstm_seq (input projection and recurrence), the attribute
+attention attention_pool (scores, per-post softmax and pooling), and the
+losses nll, the clipped mean negative log-likelihood of each row's gold
+class, sum_squares, the L2 penalty over a list of parameters, and
+weighted_total, the weighted sum of 0-d loss terms that makes the training
+objective.
 """
 
 from collections.abc import Sequence
@@ -217,39 +224,46 @@ def pack(mask: np.ndarray) -> Packing:
     return packing
 
 
-def lstm_seq(pre_x: Node, wh: Node, h0: Node, c0: Node, packing: Packing) -> Node:
-    """A whole LSTM recurrence over a packed batch as one node.
+def lstm_seq(inputs: Node, wx: Node, b: Node, wh: Node, h0: Node, c0: Node,
+             packing: Packing) -> Node:
+    """A whole LSTM recurrence over a packed batch as one node, input
+    projection included.
 
-    pre_x is the [L x 4h] input projection of the batch's L live (step,
-    post) pairs, bias included, in packing's order (see pack), with gates
-    in the order i, f, o, g. The output is the [L x h] hidden state after
-    each pair, in the same order, so its rows packing.last are the posts'
-    final states.
+    inputs is the [L x e] input of the batch's L live (step, post) pairs in
+    packing's order (see pack); wx [e x 4h], b [4h] and wh [h x 4h] hold the
+    gates in the order i, f, o, g. The output is the [L x h] hidden state
+    after each pair, in the same order, so its rows packing.last are the
+    posts' final states.
 
     Padded pairs have no row, so they are never computed, as in PyTorch's
     pack_padded_sequence: step t runs on one contiguous block of live[t]
-    rows, and the posts' states before it lead the block of step t - 1.
-    The gates are computed in a copy of pre_x's value; pre_x itself is
-    never written. Backward turns the
-    stored gates into their local derivatives for all steps in one
-    vectorised pass, in place, so each BPTT step only scales them by dh and
-    dc; the result is pre_x's gradient as it stands, and wh's gradient is
-    one matmul after the time loop.
+    rows, and the posts' states before it lead the block of step t - 1. The
+    input projection inputs wx + b is one GEMM over all pairs, written
+    straight into the node's own gate buffer, so only the recurrent product
+    runs inside the time loop. Backward turns the stored gates into their
+    local derivatives for all steps in one vectorised pass, in place, so
+    each BPTT step only scales them by dh and dc; the result is the gates'
+    pre-activation gradient d, and wx, b, wh and inputs take theirs from d
+    in one product each after the time loop.
     """
     live = packing.live
     n, L, T = len(packing.last), len(packing.post), len(live)
     hd = wh.value.shape[0]
-    if (pre_x.value.shape != (L, 4 * hd) or wh.value.shape != (hd, 4 * hd)
+    xv, wxv = inputs.value, wx.value
+    if (xv.ndim != 2 or xv.shape[0] != L or wxv.shape != (xv.shape[1], 4 * hd)
+            or b.value.shape != (4 * hd,) or wh.value.shape != (hd, 4 * hd)
             or h0.value.shape != (hd,) or c0.value.shape != (hd,)):
         raise DimensionError(
-            f"lstm_seq: pre_x {pre_x.value.shape}, wh {wh.value.shape}, "
-            f"h0 {h0.value.shape}, c0 {c0.value.shape} for {L} packed pairs")
+            f"lstm_seq: inputs {xv.shape}, wx {wxv.shape}, b {b.value.shape}, "
+            f"wh {wh.value.shape}, h0 {h0.value.shape}, c0 {c0.value.shape} "
+            f"for {L} packed pairs")
     start = np.concatenate(([0], np.cumsum(live)))  # step t is packed rows start[t]:start[t+1]
     # H and C hold the n initial states, then the packed states: the state
     # before step t is block blk[t], the state after it block blk[t + 1]
     blk = np.concatenate(([0], n + start[:-1]))
 
-    x = pre_x.value.copy()  # [L x 4h], becomes the gates in place
+    x = xv @ wxv  # [L x 4h], becomes the gates in place
+    x += b.value
     w = wh.value
     H = np.empty((n + L, hd))
     C = np.empty((n + L, hd))
@@ -315,8 +329,12 @@ def lstm_seq(pre_x: Node, wh: Node, h0: Node, c0: Node, packing: Packing) -> Nod
             d[:, 3] *= dck
             np.matmul(x[s:e], w_t, out=dhk)
             dck *= f[s:e]
-        if pre_x.needs_grad:
-            pre_x.grad += x
+        if inputs.needs_grad:
+            inputs.grad += x @ wxv.T
+        if wx.needs_grad:
+            wx.grad += xv.T @ x
+        if b.needs_grad:
+            b.grad += x.sum(axis=0)
         if wh.needs_grad:
             wh.grad += H[prev].T @ x
         if h0.needs_grad:
@@ -324,7 +342,7 @@ def lstm_seq(pre_x: Node, wh: Node, h0: Node, c0: Node, packing: Packing) -> Nod
         if c0.needs_grad:
             c0.grad += dc.sum(axis=0)
 
-    return Node(h_t, op="lstm_seq", parents=(pre_x, wh, h0, c0), backward=_backward)
+    return Node(h_t, op="lstm_seq", parents=(inputs, wx, b, wh, h0, c0), backward=_backward)
 
 
 def attention_pool(states: Node, w: Node, b: Node, u: Node,
@@ -336,7 +354,10 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
     u . tanh(states[j] W + b), so only live pairs are projected and scored.
     weights is the dense [n x T] array of each post's softmax over its own
     steps, padded steps getting exactly 0, and the [n x h] node pooled holds
-    each post's sum of its pairs' weights times their states.
+    each post's sum of its pairs' weights times their states. Pooling runs
+    step by step, as lstm_seq does: step t's block of live[t] pairs adds
+    into the first live[t] rows of an [n x h] buffer, so no [L x h] weighted
+    copy of the states is ever made.
     """
     post, step = packing.post, packing.step
     n, T = len(packing.last), len(packing.live)
@@ -352,8 +373,6 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
     alpha = np.exp(scores)  # exp(-inf) = 0 on padded steps
     alpha /= alpha.sum(axis=1, keepdims=True)
     a = alpha[post, step]  # each pair's weight
-    by_post = np.argsort(post, kind="stable")  # each post's pairs, one run per post
-    runs = np.concatenate(([0], np.cumsum(step[packing.last] + 1)[:-1]))
 
     def _backward(d_pooled):
         g = d_pooled[post]  # each pair's post's pooled gradient
@@ -369,7 +388,17 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
         if states.needs_grad:
             states.grad += d_pre @ wv.T + a[:, None] * g
 
-    pooled = np.add.reduceat((s * a[:, None])[by_post], runs, axis=0)
+    # step t's block adds into the first live[t] rows, which hold the posts
+    # in length order; one scatter through post[:n] restores batch order
+    acc = np.zeros((n, s.shape[1]))
+    tmp = np.empty_like(acc)
+    start = 0
+    for k in packing.live:
+        np.multiply(a[start : start + k, None], s[start : start + k], out=tmp[:k])
+        acc[:k] += tmp[:k]
+        start += k
+    pooled = np.empty_like(acc)
+    pooled[post[:n]] = acc
     return alpha, Node(pooled, op="attention_pool", parents=(states, w, b, u),
                        backward=_backward)
 

@@ -120,21 +120,27 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _pretrain_embeddings(posts, args):
-    """(vocabulary, skip-gram table) trained on the posts with the embed args."""
-    token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
-    vocab = text_mod.build_vocab(token_lists, args.vocab_size)
+def _skipgram_config(args):
     cfg = text_mod.SkipGramConfig(embed_dim=args.embed_dim, window=args.window,
                                   negatives_per_positive=args.negatives,
                                   epochs=args.embed_epochs, learning_rate=args.embed_lr,
                                   seed=args.seed)
+    cfg.validate()
+    return cfg
+
+
+def _pretrain_embeddings(posts, args, cfg):
+    """(vocabulary, skip-gram table) trained on the posts with the embed args."""
+    token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
+    vocab = text_mod.build_vocab(token_lists, args.vocab_size)
     encoded = [vocab.encode(toks) for toks in token_lists if toks]
     return vocab, text_mod.train_skipgram(encoded, len(vocab), cfg)
 
 
 def cmd_embed(args) -> int:
+    cfg = _skipgram_config(args)
     posts, _ = corpus_mod.load_with_meta(args.corpus)
-    vocab, table = _pretrain_embeddings(posts, args)
+    vocab, table = _pretrain_embeddings(posts, args, cfg)
     text_mod.save_embeddings(args.out, vocab, table)
     print(f"wrote {table.vocab_size} x {table.embed_dim} embeddings to {args.out}")
     return 0
@@ -193,9 +199,9 @@ def cmd_ablate(args) -> int:
         if v not in VARIANT_NAMES:
             raise NpdError(f"unknown variant {v!r}; choose from {','.join(VARIANT_NAMES)}")
     seeds = _parse_list(args.seeds, "--seeds", int)
-    cfg, dims = _training_config(args), _model_dims(args)
+    cfg, dims, sg_cfg = _training_config(args), _model_dims(args), _skipgram_config(args)
     posts, m = corpus_mod.load_with_meta(args.corpus)
-    vocab, table = _pretrain_embeddings(posts, args)
+    vocab, table = _pretrain_embeddings(posts, args, sg_cfg)
     splits = _prepare_splits(posts, vocab, args)
     reports = ablate(splits, variants, seeds, cfg, table.matrix, m, dims=dims,
                      vocab_hash=vocab.content_hash(), tokenizer_mode=args.tokenizer,
@@ -235,14 +241,16 @@ def cmd_predict(args) -> int:
     """Print one JSON record per non-blank stdin line, in input order.
 
     Lines are read in chunks of up to PREDICT_BATCH (128) non-blank lines.
-    Each chunk takes one batched forward pass, and its records are printed,
-    in input order, before the next chunk is read, so memory stays bounded
-    on long inputs.
+    Each chunk takes one batched forward pass on the checkpoint's frozen view
+    (NpdModel.frozen), so no graph keeps a backward closure, and its records
+    are printed, in input order, before the next chunk is read, so memory
+    stays bounded on long inputs.
     """
     model = load_checkpoint(args.model)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab(model, vocab, "predict")
     mode = model.manifest["tokenizer_mode"]
+    frozen = model.frozen()
     texts = filter(None, (line.strip() for line in sys.stdin))
     # a non-blank line has a non-space character, so it yields at least one token
     while token_lists := [text_mod.tokenize(t, mode)
@@ -251,7 +259,7 @@ def cmd_predict(args) -> int:
                                           emotion_bits=np.zeros(5, dtype=np.int64),
                                           gender_bit=0, location=0)
                  for tokens in token_lists]
-        fwd = model.forward(posts, train_mode=False)
+        fwd = frozen.forward(posts, train_mode=False)
         for i, tokens in enumerate(token_lists):
             print(json.dumps(_predict_record(fwd, i, tokens)))
     return 0
@@ -333,6 +341,10 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory, no permission, a full disk
+        print(f"error: {exc.strerror}: {exc.filename}" if exc.filename is not None
+              else f"error: {exc}", file=sys.stderr)
         return 1
     except NpdError as exc:
         print(f"error: {exc}", file=sys.stderr)

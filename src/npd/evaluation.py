@@ -66,12 +66,14 @@ class EvalReport:
 
 
 def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128) -> EvalReport:
-    """Run the frozen model over a labeled set in eval mode and score it.
+    """Run the model over a labeled set in eval mode and score it.
 
-    Present/absent is thresholded at p(present) > 0.5. Posts are batched in
-    order of length, which cuts padding; every count is a sum over posts, so
-    the report does not depend on that order. Side-effect free: parameters
-    and their gradients are untouched.
+    The forwards run on model.frozen(), whose parameters are constants over
+    the model's own arrays, so no graph keeps a backward closure and the
+    model's parameters and gradients are untouched. Present/absent is
+    thresholded at p(present) > 0.5. Posts are batched in order of length,
+    which cuts padding; every count is a sum over posts, so the report does
+    not depend on that order.
     """
     if not posts:
         raise ContractError("evaluate: empty evaluation set")
@@ -79,9 +81,10 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     counts = ConfusionCounts.zeros()
     gender_hits = location_hits = 0
     has_gender = has_location = False
+    frozen = model.frozen()
     for start in range(0, len(posts), batch_size):
         batch = by_length[start : start + batch_size]
-        fwd = model.forward(batch, train_mode=False)
+        fwd = frozen.forward(batch, train_mode=False)
         gold = np.stack([p.emotion_bits for p in batch])
         present = np.stack([probs.value[:, 1] for probs in fwd.emotion_probs], axis=1)
         counts.add((present > 0.5).astype(np.int64), gold)

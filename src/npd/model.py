@@ -5,17 +5,19 @@ heads, with every ablation variant wired from the same parts.
 Forward passes are batched. Posts are padded to the batch's longest
 sequence, and the {0,1} validity mask is turned once per batch into a
 packing (autodiff.pack) that lists the batch's L live (step, post) pairs.
-The whole encoder then runs on those pairs only: the embedding gather and
-the gates' input projection are [L x ...], the fused lstm_seq node runs
-each step on the posts still running and returns the [L x h] state after
-every pair, the attention pools score those rows, and each post's final
-state is the row packing.last picks. Padded steps are never computed.
-Attention weights are reported as a dense [b x T] array, exactly 0 on
-padding. Every dense layer, the gates' input projection with their bias
-included, is one affine node x W + b.
+The whole encoder then runs on those pairs only: the embedding gather is
+[L x e], the fused lstm_seq node projects those inputs onto the gates with
+their bias and runs each step on the posts still running, returning the
+[L x h] state after every pair, the attention pools score those rows, and
+each post's final state is the row packing.last picks. Padded steps are
+never computed. Attention weights are reported as a dense [b x T] array,
+exactly 0 on padding. Every dense layer of the emotion heads and the
+discriminators is one affine node x W + b.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
-update.
+update. frozen() gives a view of the model whose parameters are constants
+over the same arrays; evaluation forwards run on it, so their graphs keep
+no backward closures.
 
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
@@ -24,6 +26,7 @@ Checkpoint layout (little-endian, documented for external readers):
   save/load round-trips bit-exactly.
 """
 
+import copy
 import json
 import math
 import os
@@ -170,6 +173,17 @@ class NpdModel:
             p["l.w"], p["l.b"] = w((h, m)), zeros(m)
         return p
 
+    def frozen(self) -> "NpdModel":
+        """A shallow copy whose params are constants over this model's arrays.
+
+        Its forwards build graphs with no backward closure, so each op's
+        buffers are freed as soon as nothing reads its value, and they leave
+        this model's values and gradients untouched.
+        """
+        view = copy.copy(self)
+        view.params = {name: ad.constant(node.value) for name, node in self.params.items()}
+        return view
+
     def zero_grads(self) -> None:
         for node in self.params.values():
             node.grad[...] = 0.0
@@ -187,22 +201,20 @@ class NpdModel:
 
     def _embed_all_steps(self, ids: np.ndarray, packing: ad.Packing) -> Node:
         """The inputs of the batch's live (step, post) pairs as one [L x e]
-        matrix in packing's order, so the input half of the gate projection
-        is a single affine node over live pairs only."""
+        matrix in packing's order, so lstm_seq projects live pairs only."""
         flat = ids[packing.post, packing.step]
         if self.finetune_embeddings:
             return ad.rows(self.params["f.embed"], flat)
         return ad.constant(self.embedding[flat])
 
     def _encode(self, ids: np.ndarray, packing: ad.Packing) -> Node:
-        """Run the LSTM over the padded ids' live pairs: one affine input
-        projection with the gate bias, then one fused recurrence node.
-        Returns the hidden state after every live pair as an [L x h] node in
-        packing's order."""
+        """Run the LSTM over the padded ids' live pairs as one fused node,
+        input projection included. Returns the hidden state after every live
+        pair as an [L x h] node in packing's order."""
         p = self.params
-        pre_x = ad.affine(self._embed_all_steps(ids, packing), p["f.lstm.wx"],
-                          p["f.lstm.b"])  # [L x 4h]
-        return ad.lstm_seq(pre_x, p["f.lstm.wh"], p["f.lstm.h0"], p["f.lstm.c0"], packing)
+        return ad.lstm_seq(self._embed_all_steps(ids, packing),
+                           *(p[f"f.lstm.{name}"] for name in ("wx", "b", "wh", "h0", "c0")),
+                           packing)
 
     def _attend(self, states: Node, packing: ad.Packing, which: str):
         att = (self.params[f"f.att_{which}.{name}"] for name in "wbu")

@@ -140,6 +140,8 @@ class SkipGramConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # small enough that SGD stays stochastic on desk-scale corpora, large enough

@@ -611,16 +611,17 @@ class TestPack:
             assert not a.flags.writeable
 
 
-def lstm_inputs(lengths, hd, seed):
-    """Random lstm_seq inputs for posts of the given lengths: the [T x n x 4h]
-    grid of every (step, post) cell's input with a gate bias added in, the
-    three parameters wh, h0 and c0, and the batch's packing."""
+def lstm_inputs(lengths, hd, seed, e=3):
+    """Random lstm_seq inputs for posts of the given lengths: the [T x n x e]
+    grid of every (step, post) cell's input, the five parameters wx, b, wh,
+    h0 and c0, and the batch's packing."""
     rng = np.random.default_rng(seed)
     n, T = len(lengths), max(lengths)
-    grid = rng.standard_normal((T, n, 4 * hd))
-    wh, b = 0.5 * rng.standard_normal((hd, 4 * hd)), 0.5 * rng.standard_normal(4 * hd)
-    params = [wh, 0.5 * rng.standard_normal(hd), 0.5 * rng.standard_normal(hd)]
-    return grid + b, params, packing_of(lengths)
+    grid = rng.standard_normal((T, n, e))
+    params = [0.5 * rng.standard_normal((e, 4 * hd)), 0.5 * rng.standard_normal(4 * hd),
+              0.5 * rng.standard_normal((hd, 4 * hd)), 0.5 * rng.standard_normal(hd),
+              0.5 * rng.standard_normal(hd)]
+    return grid, params, packing_of(lengths)
 
 
 class TestLstmSeq:
@@ -628,6 +629,7 @@ class TestLstmSeq:
     @pytest.mark.parametrize("lengths", [[1, 6, 13, 30], [5, 1, 9, 5, 9]],
                              ids=["ascending", "unsorted-ties"])
     def test_grad_fd_all_inputs(self, lengths):
+        """inputs, wx, b, wh, h0 and c0 all get their finite-difference gradient."""
         grid, params, packing = lstm_inputs(lengths, hd=4, seed=61)
         arrays = [grid[packing.step, packing.post]] + params
         probe = linear_probe((sum(lengths), 4), seed=62)
@@ -638,34 +640,35 @@ class TestLstmSeq:
             args = [ad.constant(v if j == k else a) for j, a in enumerate(arrays)]
             return float((ad.lstm_seq(*args, packing).value * probe).sum())
 
-        for k in range(4):
+        for k in range(6):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
     @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4, 4]],
                              ids=["ties", "one-row", "all-equal"])
     def test_row_permutation_permutes_outputs_and_grads(self, lengths):
         """Packing sorts posts by length; whatever order the batch arrives in,
-        permuting its posts permutes the output states and pre_x's gradient
-        the same way and leaves the shared parameters' gradients alone."""
+        permuting its posts permutes the output states and the inputs'
+        gradient the same way and leaves the shared parameters' gradients
+        alone."""
         grid, params, _ = lstm_inputs(lengths, hd=3, seed=66)
         n, T = len(lengths), max(lengths)
         probe = linear_probe((T, n, 3), seed=67)
 
         def run(perm):
             packing = packing_of(np.array(lengths)[perm])
-            pre_x = ad.param(grid[:, perm][packing.step, packing.post])
-            nodes = [pre_x] + [ad.param(a) for a in params]
+            inputs = ad.param(grid[:, perm][packing.step, packing.post])
+            nodes = [inputs] + [ad.param(a) for a in params]
             out = ad.lstm_seq(*nodes, packing)
             ad.backward(probe_loss(out, probe[:, perm][packing.step, packing.post]))
-            return (dense(out.value, packing), dense(pre_x.grad, packing),
+            return (dense(out.value, packing), dense(inputs.grad, packing),
                     [node.grad for node in nodes[1:]])
 
         identity = np.arange(n)
-        out, d_pre_x, grads = run(identity)
+        out, d_inputs, grads = run(identity)
         for perm in (identity[::-1], np.random.default_rng(68).permutation(n)):
-            p_out, p_d_pre_x, p_grads = run(perm)
+            p_out, p_d_inputs, p_grads = run(perm)
             np.testing.assert_allclose(p_out, out[:, perm], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(p_d_pre_x, d_pre_x[:, perm], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p_d_inputs, d_inputs[:, perm], rtol=0, atol=1e-12)
             for g, p_g in zip(grads, p_grads):
                 np.testing.assert_allclose(p_g, g, rtol=0, atol=1e-12)
 
@@ -682,14 +685,14 @@ class TestLstmSeq:
         runs every step for every post and keeps the old state where the
         mask is 0."""
         lengths = [2, 9, 5, 1, 9]
-        grid, (wh, h0, c0), packing = lstm_inputs(lengths, hd=3, seed=64)
+        grid, (wx, b, wh, h0, c0), packing = lstm_inputs(lengths, hd=3, seed=64)
         out = ad.lstm_seq(ad.constant(grid[packing.step, packing.post]),
-                          *map(ad.constant, (wh, h0, c0)), packing).value
+                          *map(ad.constant, (wx, b, wh, h0, c0)), packing).value
 
         mask = (np.arange(max(lengths)) < np.array(lengths)[:, None])[:, :, None]
         h, c = np.tile(h0, (len(lengths), 1)), np.tile(c0, (len(lengths), 1))
         for t in range(max(lengths)):
-            pre = grid[t] + h @ wh
+            pre = grid[t] @ wx + b + h @ wh
             i, f, o = sigmoid(pre[:, :3]), sigmoid(pre[:, 3:6]), sigmoid(pre[:, 6:9])
             c_new = f * c + i * np.tanh(pre[:, 9:])
             h = np.where(mask[:, t], o * np.tanh(c_new), h)
@@ -697,18 +700,26 @@ class TestLstmSeq:
         np.testing.assert_allclose(out[packing.last], h, rtol=0, atol=1e-12)
 
     def test_all_ones_mask_matches_straightline_recurrence(self):
-        grid, (wh, h0, c0), packing = lstm_inputs([8, 8, 8], hd=5, seed=65)
-        pre_x = grid.reshape(24, 20)  # equal lengths keep the batch order: packed is step-major
-        out = ad.lstm_seq(*map(ad.constant, (pre_x, wh, h0, c0)), packing).value
+        grid, (wx, b, wh, h0, c0), packing = lstm_inputs([8, 8, 8], hd=5, seed=65)
+        x = grid.reshape(24, 3)  # equal lengths keep the batch order: packed is step-major
+        out = ad.lstm_seq(*map(ad.constant, (x, wx, b, wh, h0, c0)), packing).value
 
         h, c = np.tile(h0, (3, 1)), np.tile(c0, (3, 1))
         for t in range(8):
-            pre = pre_x[3 * t : 3 * t + 3] + h @ wh  # the bias is in pre_x
+            pre = x[3 * t : 3 * t + 3] @ wx + b + h @ wh
             i, f, o, g = (sigmoid(pre[:, :5]), sigmoid(pre[:, 5:10]), sigmoid(pre[:, 10:15]),
                           np.tanh(pre[:, 15:]))
             c = f * c + i * g
             h = o * np.tanh(c)
             np.testing.assert_allclose(out[3 * t : 3 * t + 3], h, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        grid, (wx, b, wh, h0, c0), packing = lstm_inputs([3, 2], hd=2, seed=69)
+        x = grid[packing.step, packing.post]
+        for args in ((x, wx[:-1], b, wh, h0, c0), (x, wx, b[:-1], wh, h0, c0),
+                     (x[:-1], wx, b, wh, h0, c0)):
+            with pytest.raises(DimensionError):
+                ad.lstm_seq(*map(ad.constant, args), packing)
 
 
 def attention_inputs(lengths, hd, seed, a=3):

@@ -146,6 +146,17 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command,flag", [("synth", "--out"), ("eval", "--model"),
+                                              ("eval", "--out")],
+                             ids=["synth --out", "eval --model", "eval --out"])
+    def test_directory_path_exits_1(self, mini_pipeline, tmp_path, capsys, command, flag):
+        """An OSError other than a missing file names its cause and path."""
+        args = {} if command == "synth" else {
+            f"--{k}": str(mini_pipeline[k]) for k in ("model", "corpus", "embeddings")}
+        args[flag] = str(tmp_path)
+        assert main([command, *(x for item in args.items() for x in item)]) == 1
+        assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+
 
 def checkpoint_cuts(blob: bytes) -> dict:
     """Byte lengths at which to cut a checkpoint: the start of every section
@@ -425,6 +436,7 @@ BAD_SIZE_OPTIONS = [
     ("embed", ["--embed-lr", "nan"], "learning_rate"),
     ("embed", ["--embed-lr", "inf"], "learning_rate"),
     ("embed", ["--embed-epochs", "-1"], "epochs"),
+    ("embed", ["--seed", "-5"], "seed"),
     ("train", ["--hidden-dim", "0"], "hidden_dim"),
     ("train", ["--hidden-dim", "-3"], "hidden_dim"),
     ("train", ["--attention-dim", "0"], "attention_dim"),
@@ -434,6 +446,7 @@ BAD_SIZE_OPTIONS = [
     ("ablate", ["--lambda-rev", "-1"], "lambda_rev"),
     ("ablate", ["--lr", "nan"], "mu"),
     ("ablate", ["--dropout", "1"], "dropout_rate"),
+    ("ablate", ["--seed", "-3"], "seed"),
 ]
 
 

@@ -58,6 +58,9 @@ class StubModel:
         self.variant = ModelVariant.LSTM
         self.manifest = {"seed": 0}
 
+    def frozen(self):
+        return self
+
     def forward(self, batch, train_mode=False):
         take = self.probs[[self.row[id(post)] for post in batch]]
         nodes = [ad.constant(np.stack([1.0 - take[:, j], take[:, j]], axis=1))

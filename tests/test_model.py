@@ -12,6 +12,7 @@ from test_autodiff import probe_loss
 from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ContractError, DataError
+from npd.evaluation import evaluate
 from npd.model import ModelDims, ModelVariant, build_model, load_checkpoint, save_checkpoint
 from npd.training import TrainingConfig, batch_losses, emotion_loss, gender_loss
 
@@ -300,6 +301,53 @@ class TestFullGradient:
                                          model.manifest, (1.0, 1.0, 1.0), 0.01)
             err = oracle.max_rel_error(model.params[name].grad, numeric)
             assert err < 1e-4, f"{name}: rel err {err:.2e}"
+
+
+def eval_outputs(fwd):
+    """Every array an eval-mode forward reports, by name."""
+    out = {f"emotion{j}": p.value for j, p in enumerate(fwd.emotion_probs)}
+    out.update({f"attention.{k}": w.value for k, w in fwd.attention.items()})
+    out["head_input"] = fwd.head_input.value
+    for name in ("gender_prob", "location_probs"):
+        if getattr(fwd, name) is not None:
+            out[name] = getattr(fwd, name).value
+    return out
+
+
+def closures(fwd):
+    """How many nodes of a forward's graph keep a backward closure."""
+    roots = [*fwd.emotion_probs, fwd.gender_prob, fwd.location_probs, fwd.head_input]
+    nodes = {id(n): n for r in roots if r is not None for n in ad.graph_order(r)}
+    return sum(n._backward is not None for n in nodes.values())
+
+
+@pytest.mark.parametrize("finetune", [False, True], ids=["frozen-embed", "finetune-embed"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_frozen_view(variant, finetune):
+    """frozen() shares the model's arrays as constants: its eval forward
+    gives bit-equal outputs from a graph with no closure, and evaluate, which
+    runs on it, leaves every param and grad bit-unchanged."""
+    model = small_model(variant, seed=31, finetune_embeddings=finetune)
+    rng = np.random.default_rng(31)
+    batch = [make_post(rng, k) for k in (5, 1, 7, 5, 3)]
+    view = model.frozen()
+    assert view.params.keys() == model.params.keys()
+    assert all(view.params[k].value is node.value for k, node in model.params.items())
+
+    fwd, frozen_fwd = model.forward(batch), view.forward(batch)
+    assert closures(fwd) > 0 and closures(frozen_fwd) == 0
+    want, got = eval_outputs(fwd), eval_outputs(frozen_fwd)
+    assert want.keys() == got.keys()
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    for node in model.params.values():
+        node.grad[...] = rng.standard_normal(node.grad.shape)
+    before = {k: (n.value.copy(), n.grad.copy()) for k, n in model.params.items()}
+    evaluate(model, batch, batch_size=2)
+    for k, (value, grad) in before.items():
+        np.testing.assert_array_equal(model.params[k].value, value, err_msg=k)
+        np.testing.assert_array_equal(model.params[k].grad, grad, err_msg=k)
 
 
 class TestCheckpoint:

@@ -256,9 +256,10 @@ def test_training_step_leaves_no_cyclic_garbage(variant):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_eval_leaves_no_cyclic_garbage(variant):
-    """An eval-mode forward keeps its closures, as nothing runs backward on
-    it; they hold no reference to their own nodes, so its graph is freed by
-    reference counting alone, after one forward and after a batched evaluate."""
+    """No eval graph is a reference cycle, so reference counting alone frees
+    it. The model's own eval-mode forward keeps its closures, and none of
+    them refers to its own node; evaluate runs on the frozen view, whose
+    graphs keep no closure at all."""
     rng = np.random.default_rng(23)
     posts = [make_post(rng, k) for k in (5, 3, 7, 1, 4)]
     model = small_model(variant, seed=23)
