@@ -17,8 +17,9 @@ Batches of variable-length posts are padded to the longest one, and pack
 turns the {0,1} validity mask into a packing: the batch's L live (step,
 post) pairs, step-major, each step's posts longest first. The ops that see
 the time axis work in that packed [L x ...] layout, so padded pairs are
-never stored or computed: lstm_seq projects every pair's input into its
-gate buffer in one GEMM, runs each step on the posts still running and
+never stored or computed: lstm_seq takes the embedding table and each
+pair's token id, projects each distinct id's row once and gathers the
+pairs' gate rows from that, runs each step on the posts still running and
 returns every pair's state, and attention_pool scores those states, pools
 them step by step and reports its weights as a dense [n x T] array, 0 on
 padding.
@@ -28,12 +29,12 @@ dense layer affine (x W + b), elementwise sigmoid, row-wise softmax, 2-D
 concatenation, row gather, inverted dropout, the gradient-reversal node
 that flips the sign of gradients flowing into the shared encoder from the
 attribute discriminators, and fused nodes with hand-written backwards: the
-packed LSTM lstm_seq (input projection and recurrence), the attribute
-attention attention_pool (scores, per-post softmax and pooling), and the
-losses nll, the clipped mean negative log-likelihood of each row's gold
-class, sum_squares, the L2 penalty over a list of parameters, and
-weighted_total, the weighted sum of 0-d loss terms that makes the training
-objective.
+packed LSTM lstm_seq (embedding gather, input projection and recurrence),
+the attribute attention attention_pool (scores, per-post softmax and
+pooling), and the losses nll, the clipped mean negative log-likelihood of
+each row's gold class, sum_squares, the L2 penalty over a list of
+parameters, and weighted_total, the weighted sum of 0-d loss terms that
+makes the training objective.
 """
 
 from collections.abc import Sequence
@@ -224,70 +225,92 @@ def pack(mask: np.ndarray) -> Packing:
     return packing
 
 
-def lstm_seq(inputs: Node, wx: Node, b: Node, wh: Node, h0: Node, c0: Node,
+def lstm_seq(table: Node, ids: np.ndarray, wx: Node, b: Node, wh: Node, h0: Node, c0: Node,
              packing: Packing) -> Node:
-    """A whole LSTM recurrence over a packed batch as one node, input
-    projection included.
+    """A whole LSTM recurrence over a packed batch as one node, embedding
+    gather and input projection included.
 
-    inputs is the [L x e] input of the batch's L live (step, post) pairs in
-    packing's order (see pack); wx [e x 4h], b [4h] and wh [h x 4h] hold the
-    gates in the order i, f, o, g. The output is the [L x h] hidden state
-    after each pair, in the same order, so its rows packing.last are the
-    posts' final states.
+    table is the [V x e] embedding matrix and ids the token id of each of
+    the batch's L live (step, post) pairs in packing's order (see pack); wx
+    [e x 4h], b [4h] and wh [h x 4h] hold the gates in the order i, f, o,
+    g. The output is the [L x h] hidden state after each pair, in the same
+    order, so its rows packing.last are the posts' final states.
 
     Padded pairs have no row, so they are never computed, as in PyTorch's
     pack_padded_sequence: step t runs on one contiguous block of live[t]
     rows, and the posts' states before it lead the block of step t - 1. The
-    input projection inputs wx + b is one GEMM over all pairs, written
-    straight into the node's own gate buffer, so only the recurrent product
-    runs inside the time loop. Backward turns the stored gates into their
-    local derivatives for all steps in one vectorised pass, in place, so
-    each BPTT step only scales them by dh and dc; the result is the gates'
-    pre-activation gradient d, and wx, b, wh and inputs take theirs from d
-    in one product each after the time loop.
+    input projection table[u] wx + b runs once per distinct id u, and each
+    pair's [4h] row is gathered from it, so only the recurrent product runs
+    inside the time loop. The sigmoid gates' rows are stored negated, as are
+    their columns of wh, so each step's i, f and o are exp, +1 and a
+    reciprocal on one contiguous [k x 3h] block, and its recurrent product
+    runs over two contiguous column blocks of wh, built once per call. When
+    a gradient is needed, each step writes its gates back over its pairs'
+    rows; backward then turns them into their local derivatives for all
+    steps in one vectorised pass, in place, so each BPTT step only scales
+    them by dh and dc. The result is the gates' pre-activation gradient d,
+    and wx, b, wh and the table take theirs from d in one product each after
+    the time loop, the table's as a scatter into the rows of its ids.
     """
     live = packing.live
     n, L, T = len(packing.last), len(packing.post), len(live)
     hd = wh.value.shape[0]
-    xv, wxv = inputs.value, wx.value
-    if (xv.ndim != 2 or xv.shape[0] != L or wxv.shape != (xv.shape[1], 4 * hd)
+    tv, wxv = table.value, wx.value
+    idx = np.asarray(ids, dtype=np.int64)
+    if (tv.ndim != 2 or idx.shape != (L,) or wxv.shape != (tv.shape[1], 4 * hd)
             or b.value.shape != (4 * hd,) or wh.value.shape != (hd, 4 * hd)
             or h0.value.shape != (hd,) or c0.value.shape != (hd,)):
         raise DimensionError(
-            f"lstm_seq: inputs {xv.shape}, wx {wxv.shape}, b {b.value.shape}, "
+            f"lstm_seq: table {tv.shape}, ids {idx.shape}, wx {wxv.shape}, b {b.value.shape}, "
             f"wh {wh.value.shape}, h0 {h0.value.shape}, c0 {c0.value.shape} "
             f"for {L} packed pairs")
+    uniq, inv = np.unique(idx, return_inverse=True)
+    if L and (uniq[0] < 0 or uniq[-1] >= tv.shape[0]):
+        raise ContractError(f"lstm_seq: id out of range for table with {tv.shape[0]} rows")
     start = np.concatenate(([0], np.cumsum(live)))  # step t is packed rows start[t]:start[t+1]
     # H and C hold the n initial states, then the packed states: the state
     # before step t is block blk[t], the state after it block blk[t + 1]
     blk = np.concatenate(([0], n + start[:-1]))
 
-    x = xv @ wxv  # [L x 4h], becomes the gates in place
-    x += b.value
+    h3 = 3 * hd
+    proj = tv[uniq] @ wxv  # [U x 4h], one row per distinct id
+    proj += b.value
+    np.negative(proj[:, :h3], out=proj[:, :h3])
+    x = proj[inv]  # [L x 4h]: each pair's -pre of i, f and o, then pre of g
+    del proj  # not needed past the gather
+    parents = (table, wx, b, wh, h0, c0)
+    keep = any(node.needs_grad for node in parents)  # backward reads the gates from x
     w = wh.value
+    w_s = -w[:, :h3]
+    w_g = np.ascontiguousarray(w[:, h3:])
     H = np.empty((n + L, hd))
     C = np.empty((n + L, hd))
     tanh_c = np.empty((L, hd))
     H[:n], C[:n] = h0.value, c0.value
-    acc = np.empty((n, 4 * hd))
+    sig_buf, acc_s = np.empty((n, h3)), np.empty((n, h3))
+    g_buf, acc_g = np.empty((n, hd)), np.empty((n, hd))
     with np.errstate(over="ignore"):  # exp(-z) -> inf still gives sigmoid 0
         for t in range(T):
             k, p, s, e = live[t], blk[t], start[t], start[t + 1]
-            g = x[s:e]
-            np.matmul(H[p : p + k], w, out=acc[:k])
-            g += acc[:k]
-            sig = g[:, : 3 * hd]  # 1 / (1 + exp(-z)), in place
-            np.negative(sig, out=sig)
-            np.exp(sig, out=sig)
+            h_prev = H[p : p + k]
+            sig, g = sig_buf[:k], g_buf[:k]
+            np.matmul(h_prev, w_s, out=acc_s[:k])
+            np.add(x[s:e, :h3], acc_s[:k], out=sig)
+            np.exp(sig, out=sig)  # 1 / (1 + exp(-z)), in place
             sig += 1.0
             np.reciprocal(sig, out=sig)
-            np.tanh(g[:, 3 * hd :], out=g[:, 3 * hd :])
+            np.matmul(h_prev, w_g, out=acc_g[:k])
+            np.add(x[s:e, h3:], acc_g[:k], out=g)
+            np.tanh(g, out=g)
             c = C[n + s : n + e]
-            np.multiply(g[:, hd : 2 * hd], C[p : p + k], out=c)
-            np.multiply(g[:, :hd], g[:, 3 * hd :], out=acc[:k, :hd])
-            c += acc[:k, :hd]
+            np.multiply(sig[:, hd : 2 * hd], C[p : p + k], out=c)
+            np.multiply(sig[:, :hd], g, out=acc_g[:k])
+            c += acc_g[:k]
             np.tanh(c, out=tanh_c[s:e])
-            np.multiply(g[:, 2 * hd : 3 * hd], tanh_c[s:e], out=H[n + s : n + e])
+            np.multiply(sig[:, 2 * hd :], tanh_c[s:e], out=H[n + s : n + e])
+            if keep:
+                x[s:e, :h3] = sig
+                x[s:e, h3:] = g
     h_t = H[n:]  # o tanh(c) of each pair
 
     def _backward(d_out):
@@ -329,10 +352,10 @@ def lstm_seq(inputs: Node, wx: Node, b: Node, wh: Node, h0: Node, c0: Node,
             d[:, 3] *= dck
             np.matmul(x[s:e], w_t, out=dhk)
             dck *= f[s:e]
-        if inputs.needs_grad:
-            inputs.grad += x @ wxv.T
+        if table.needs_grad:
+            _add_rows(table.grad, idx, x @ wxv.T)
         if wx.needs_grad:
-            wx.grad += xv.T @ x
+            wx.grad += tv[idx].T @ x
         if b.needs_grad:
             b.grad += x.sum(axis=0)
         if wh.needs_grad:
@@ -342,7 +365,7 @@ def lstm_seq(inputs: Node, wx: Node, b: Node, wh: Node, h0: Node, c0: Node,
         if c0.needs_grad:
             c0.grad += dc.sum(axis=0)
 
-    return Node(h_t, op="lstm_seq", parents=(inputs, wx, b, wh, h0, c0), backward=_backward)
+    return Node(h_t, op="lstm_seq", parents=parents, backward=_backward)
 
 
 def attention_pool(states: Node, w: Node, b: Node, u: Node,

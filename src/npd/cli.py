@@ -10,6 +10,7 @@ produce byte-identical outputs. Exit codes: 0 success, 1 validation error,
 import argparse
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -87,6 +88,18 @@ def _model_dims(args):
     return dims
 
 
+def _check_writable(*paths):
+    """Raise now the OSError that writing each path after the work would
+    raise (a directory, a missing folder, no permission), leaving no file
+    behind. A None path is an output that was not asked for."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _prepare_splits(posts, vocab, args):
     splits = corpus_mod.split(posts, train_frac=args.train_frac, seed=args.seed)
     return tuple(corpus_mod.encode(part, vocab, args.tokenizer) for part in splits)
@@ -114,6 +127,7 @@ def cmd_synth(args) -> int:
         cfg = SynthConfig()
     if args.seed is not None:
         cfg.seed = args.seed
+    _check_writable(args.out)
     posts = corpus_mod.synthesize(cfg)
     corpus_mod.save(args.out, posts, m=cfg.m_locations)
     print(f"wrote {len(posts)} posts to {args.out}")
@@ -139,6 +153,7 @@ def _pretrain_embeddings(posts, args, cfg):
 
 def cmd_embed(args) -> int:
     cfg = _skipgram_config(args)
+    _check_writable(args.out)
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args, cfg)
     text_mod.save_embeddings(args.out, vocab, table)
@@ -147,6 +162,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_writable(args.out, args.log)
     posts, m = corpus_mod.load_with_meta(args.corpus)
     vocab, table = text_mod.load_embeddings(args.embeddings)
     train_posts, dev_posts, _ = _prepare_splits(posts, vocab, args)
@@ -167,6 +183,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_writable(args.out)
     model = load_checkpoint(args.model)
     if args.variant and args.variant != model.variant.value:
         raise NpdError(f"requested variant {args.variant} but checkpoint holds "
@@ -200,6 +217,7 @@ def cmd_ablate(args) -> int:
             raise NpdError(f"unknown variant {v!r}; choose from {','.join(VARIANT_NAMES)}")
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg, dims, sg_cfg = _training_config(args), _model_dims(args), _skipgram_config(args)
+    _check_writable(args.out)
     posts, m = corpus_mod.load_with_meta(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args, sg_cfg)
     splits = _prepare_splits(posts, vocab, args)

@@ -5,14 +5,15 @@ heads, with every ablation variant wired from the same parts.
 Forward passes are batched. Posts are padded to the batch's longest
 sequence, and the {0,1} validity mask is turned once per batch into a
 packing (autodiff.pack) that lists the batch's L live (step, post) pairs.
-The whole encoder then runs on those pairs only: the embedding gather is
-[L x e], the fused lstm_seq node projects those inputs onto the gates with
-their bias and runs each step on the posts still running, returning the
-[L x h] state after every pair, the attention pools score those rows, and
-each post's final state is the row packing.last picks. Padded steps are
-never computed. Attention weights are reported as a dense [b x T] array,
-exactly 0 on padding. Every dense layer of the emotion heads and the
-discriminators is one affine node x W + b.
+The whole encoder then runs on those pairs only: the fused lstm_seq node
+takes the [V x e] embedding table and the pairs' token ids, projects the
+row of each distinct id onto the gates with their bias once, gathers each
+pair's gate row from those and runs each step on the posts still running,
+returning the [L x h] state after every pair; the attention pools score
+those rows, and each post's final state is the row packing.last picks.
+Padded steps are never computed. Attention weights are reported as a dense
+[b x T] array, exactly 0 on padding. Every dense layer of the emotion heads
+and the discriminators is one affine node x W + b.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
 update. frozen() gives a view of the model whose parameters are constants
@@ -112,10 +113,42 @@ class ForwardResult:
     mask: np.ndarray | None = None
 
 
+def _param_specs(manifest: dict, vocab_size: int) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter of the manifest's model by name: its shape and how it
+    starts ("uniform", "normal", "zeros" or "embedding"), in the order the
+    initialiser draws them, which is also the order of NpdModel.params."""
+    wiring = _WIRING[ModelVariant(manifest["variant"])]
+    e, h, a, hh, m = (int(manifest[key]) for key in (
+        "embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim", "num_locations"))
+    specs = {"f.lstm.wx": ((e, 4 * h), "uniform"), "f.lstm.wh": ((h, 4 * h), "uniform"),
+             "f.lstm.b": ((4 * h,), "zeros"), "f.lstm.h0": ((h,), "normal"),
+             "f.lstm.c0": ((h,), "normal")}
+    for which, wired in (("g", wiring.gender_attention), ("l", wiring.location_attention)):
+        if wired:
+            specs |= {f"f.att_{which}.w": ((h, a), "uniform"), f"f.att_{which}.b": ((a,), "zeros"),
+                      f"f.att_{which}.u": ((a,), "uniform")}
+    if manifest["finetune_embeddings"]:
+        specs["f.embed"] = ((vocab_size, e), "embedding")
+    din = 2 * h if wiring.gender_attention and wiring.location_attention else h
+    for j in range(len(EMOTIONS)):
+        specs |= {f"y.head{j}.w": ((din, hh), "uniform"), f"y.head{j}.b": ((hh,), "zeros"),
+                  f"y.head{j}.wo": ((hh, 2), "uniform"), f"y.head{j}.bo": ((2,), "zeros")}
+    if wiring.gender_discriminator:
+        specs |= {"g.w": ((h, 1), "uniform"), "g.b": ((1,), "zeros")}
+    if wiring.location_discriminator:
+        specs |= {"l.w": ((h, m), "uniform"), "l.b": ((m,), "zeros")}
+    return specs
+
+
 class NpdModel:
     """One variant's parameter set plus its forward wiring."""
 
-    def __init__(self, manifest: dict, embedding: np.ndarray):
+    def __init__(self, manifest: dict, embedding: np.ndarray,
+                 params: dict[str, np.ndarray] | None = None):
+        """params, when given, holds every parameter's array by name, as
+        load_checkpoint passes a file's tensors once it has checked their
+        names and shapes; otherwise the parameters are drawn from the
+        manifest's seed."""
         self.manifest = dict(manifest)
         self.variant = ModelVariant(manifest["variant"])
         self.wiring = _WIRING[self.variant]
@@ -129,49 +162,22 @@ class NpdModel:
         self.finetune_embeddings = bool(manifest["finetune_embeddings"])
         if self.num_locations < 2:
             raise ConfigError(f"need at least 2 location classes, got {self.num_locations}")
-        self.params = self._init_params()
+        if params is None:
+            self.params = self._init_params()
+        else:
+            self.params = {name: ad.param(params[name])
+                           for name in _param_specs(manifest, len(self.embedding))}
 
     # -- construction -----------------------------------------------------
 
-    @property
-    def head_input_dim(self) -> int:
-        both = self.wiring.gender_attention and self.wiring.location_attention
-        return 2 * self.hidden_dim if both else self.hidden_dim
-
     def _init_params(self) -> dict[str, Node]:
         rng = substream(int(self.manifest["seed"]), "init")
-        e, h, a, hh = self.embed_dim, self.hidden_dim, self.attention_dim, self.head_hidden_dim
-        m = self.num_locations
-
-        def w(shape):
-            return ad.param(rng.uniform(-0.08, 0.08, size=shape))
-
-        def zeros(shape):
-            return ad.param(np.zeros(shape))
-
-        p: dict[str, Node] = {}
-        p["f.lstm.wx"] = w((e, 4 * h))
-        p["f.lstm.wh"] = w((h, 4 * h))
-        p["f.lstm.b"] = zeros(4 * h)
-        p["f.lstm.h0"] = ad.param(rng.normal(0.0, 0.01, size=h))
-        p["f.lstm.c0"] = ad.param(rng.normal(0.0, 0.01, size=h))
-        if self.wiring.gender_attention:
-            p["f.att_g.w"], p["f.att_g.b"], p["f.att_g.u"] = w((h, a)), zeros(a), w(a)
-        if self.wiring.location_attention:
-            p["f.att_l.w"], p["f.att_l.b"], p["f.att_l.u"] = w((h, a)), zeros(a), w(a)
-        if self.finetune_embeddings:
-            p["f.embed"] = ad.param(self.embedding.copy())
-        din = self.head_input_dim
-        for j in range(len(EMOTIONS)):
-            p[f"y.head{j}.w"] = w((din, hh))
-            p[f"y.head{j}.b"] = zeros(hh)
-            p[f"y.head{j}.wo"] = w((hh, 2))
-            p[f"y.head{j}.bo"] = zeros(2)
-        if self.wiring.gender_discriminator:
-            p["g.w"], p["g.b"] = w((h, 1)), zeros(1)
-        if self.wiring.location_discriminator:
-            p["l.w"], p["l.b"] = w((h, m)), zeros(m)
-        return p
+        draw = {"uniform": lambda shape: rng.uniform(-0.08, 0.08, size=shape),
+                "normal": lambda shape: rng.normal(0.0, 0.01, size=shape),
+                "zeros": np.zeros,
+                "embedding": lambda shape: self.embedding.copy()}
+        specs = _param_specs(self.manifest, len(self.embedding))
+        return {name: ad.param(draw[start](shape)) for name, (shape, start) in specs.items()}
 
     def frozen(self) -> "NpdModel":
         """A shallow copy whose params are constants over this model's arrays.
@@ -199,20 +205,19 @@ class NpdModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _embed_all_steps(self, ids: np.ndarray, packing: ad.Packing) -> Node:
-        """The inputs of the batch's live (step, post) pairs as one [L x e]
-        matrix in packing's order, so lstm_seq projects live pairs only."""
-        flat = ids[packing.post, packing.step]
-        if self.finetune_embeddings:
-            return ad.rows(self.params["f.embed"], flat)
-        return ad.constant(self.embedding[flat])
+    def _embed_all_steps(self, ids: np.ndarray, packing: ad.Packing) -> tuple[Node, np.ndarray]:
+        """The [V x e] embedding node and the token id of each of the batch's
+        live (step, post) pairs in packing's order; lstm_seq gathers and
+        projects the rows of those ids, once per distinct id."""
+        table = self.params["f.embed"] if self.finetune_embeddings else ad.constant(self.embedding)
+        return table, ids[packing.post, packing.step]
 
     def _encode(self, ids: np.ndarray, packing: ad.Packing) -> Node:
         """Run the LSTM over the padded ids' live pairs as one fused node,
-        input projection included. Returns the hidden state after every live
-        pair as an [L x h] node in packing's order."""
+        embedding gather and input projection included. Returns the hidden
+        state after every live pair as an [L x h] node in packing's order."""
         p = self.params
-        return ad.lstm_seq(self._embed_all_steps(ids, packing),
+        return ad.lstm_seq(*self._embed_all_steps(ids, packing),
                            *(p[f"f.lstm.{name}"] for name in ("wx", "b", "wh", "h0", "c0")),
                            packing)
 
@@ -400,6 +405,8 @@ def load_checkpoint(path: str) -> NpdModel:
             (nlen,) = struct.unpack("<Q", _read(fh, 8, path, f"{where} name length"))
             name = _read(fh, nlen, path, f"{where} name").decode("utf-8", errors="replace")
             where = f"tensor {name!r}"
+            if name in tensors:
+                raise DataError(f"{path}: checkpoint repeats {where}")
             (ndim,) = struct.unpack("<Q", _read(fh, 8, path, f"{where} rank"))
             shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path, f"{where} dims"))
             size = int(np.prod(shape)) if shape else 1
@@ -411,13 +418,12 @@ def load_checkpoint(path: str) -> NpdModel:
     if embedding.shape[1:] != (manifest["embed_dim"],):
         raise DataError(f"{path}: checkpoint tensor 'embedding' is missing or not a "
                         f"[vocab x embed_dim {manifest['embed_dim']}] matrix")
-    model = NpdModel(manifest, embedding)
-    if set(tensors) != set(model.params):
+    specs = _param_specs(manifest, len(embedding))
+    if set(tensors) != set(specs):
         raise DataError(f"{path}: checkpoint tensors do not match variant "
                         f"{manifest['variant']}")
     for name, arr in tensors.items():
-        if model.params[name].value.shape != arr.shape:
+        if arr.shape != specs[name][0]:
             raise DataError(f"{path}: tensor {name} has shape {arr.shape}, "
-                            f"expected {model.params[name].value.shape}")
-        model.params[name].value[...] = arr
-    return model
+                            f"expected {specs[name][0]}")
+    return NpdModel(manifest, embedding, tensors)

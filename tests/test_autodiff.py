@@ -624,24 +624,62 @@ def lstm_inputs(lengths, hd, seed, e=3):
     return grid, params, packing_of(lengths)
 
 
+def per_pair(grid, packing):
+    """An lstm_seq table with one row per live pair, the [L x e] input of
+    each pair in packing's order, and the ids arange(L) that pick them."""
+    return grid[packing.step, packing.post], np.arange(len(packing.post))
+
+
 class TestLstmSeq:
     # ascending lengths, and unsorted ones with ties, which packing must reorder
     @pytest.mark.parametrize("lengths", [[1, 6, 13, 30], [5, 1, 9, 5, 9]],
                              ids=["ascending", "unsorted-ties"])
     def test_grad_fd_all_inputs(self, lengths):
-        """inputs, wx, b, wh, h0 and c0 all get their finite-difference gradient."""
+        """The per-pair table, wx, b, wh, h0 and c0 all get their
+        finite-difference gradient."""
         grid, params, packing = lstm_inputs(lengths, hd=4, seed=61)
-        arrays = [grid[packing.step, packing.post]] + params
+        table, ids = per_pair(grid, packing)
+        arrays = [table] + params
         probe = linear_probe((sum(lengths), 4), seed=62)
         nodes = [ad.param(a) for a in arrays]
-        ad.backward(probe_loss(ad.lstm_seq(*nodes, packing), probe))
+        ad.backward(probe_loss(ad.lstm_seq(nodes[0], ids, *nodes[1:], packing), probe))
 
         def f(k, v):
             args = [ad.constant(v if j == k else a) for j, a in enumerate(arrays)]
-            return float((ad.lstm_seq(*args, packing).value * probe).sum())
+            return float((ad.lstm_seq(args[0], ids, *args[1:], packing).value * probe).sum())
 
         for k in range(6):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
+
+    @pytest.mark.parametrize("lengths", [[1, 6, 13, 30], [5, 1, 9, 5, 9]],
+                             ids=["ascending", "unsorted-ties"])
+    def test_distinct_ids_match_per_pair_table(self, lengths):
+        """Projecting each distinct id once changes no bit: on ids with many
+        repeats, lstm_seq over a [V x e] table gives the outputs and the wx,
+        b, wh, h0 and c0 gradients of the per-pair table (table[ids],
+        arange(L)), and the table's gradient is the per-pair gradients
+        summed into their ids' rows."""
+        _, params, packing = lstm_inputs(lengths, hd=4, seed=70)
+        rng = np.random.default_rng(71)
+        L = len(packing.post)
+        table = rng.standard_normal((8, 3))
+        ids = rng.integers(1, 7, size=L)  # at most 6 distinct ids; rows 0 and 7 unused
+        probe = linear_probe((L, 4), seed=72)
+
+        def run(tab, pair_ids):
+            nodes = [ad.param(a) for a in [tab] + params]
+            out = ad.lstm_seq(nodes[0], pair_ids, *nodes[1:], packing)
+            ad.backward(probe_loss(out, probe))
+            return out.value, [node.grad for node in nodes]
+
+        out, (d_table, *grads) = run(table, ids)
+        want_out, (d_pairs, *want_grads) = run(table[ids], np.arange(L))
+        np.testing.assert_array_equal(out, want_out)
+        for g, want in zip(grads, want_grads):
+            np.testing.assert_array_equal(g, want)
+        want_table = np.zeros_like(table)
+        np.add.at(want_table, ids, d_pairs)
+        np.testing.assert_array_equal(d_table, want_table)
 
     @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4, 4]],
                              ids=["ties", "one-row", "all-equal"])
@@ -656,12 +694,13 @@ class TestLstmSeq:
 
         def run(perm):
             packing = packing_of(np.array(lengths)[perm])
-            inputs = ad.param(grid[:, perm][packing.step, packing.post])
-            nodes = [inputs] + [ad.param(a) for a in params]
-            out = ad.lstm_seq(*nodes, packing)
+            table, ids = per_pair(grid[:, perm], packing)
+            inputs = ad.param(table)
+            nodes = [ad.param(a) for a in params]
+            out = ad.lstm_seq(inputs, ids, *nodes, packing)
             ad.backward(probe_loss(out, probe[:, perm][packing.step, packing.post]))
             return (dense(out.value, packing), dense(inputs.grad, packing),
-                    [node.grad for node in nodes[1:]])
+                    [node.grad for node in nodes])
 
         identity = np.arange(n)
         out, d_inputs, grads = run(identity)
@@ -686,7 +725,8 @@ class TestLstmSeq:
         mask is 0."""
         lengths = [2, 9, 5, 1, 9]
         grid, (wx, b, wh, h0, c0), packing = lstm_inputs(lengths, hd=3, seed=64)
-        out = ad.lstm_seq(ad.constant(grid[packing.step, packing.post]),
+        table, ids = per_pair(grid, packing)
+        out = ad.lstm_seq(ad.constant(table), ids,
                           *map(ad.constant, (wx, b, wh, h0, c0)), packing).value
 
         mask = (np.arange(max(lengths)) < np.array(lengths)[:, None])[:, :, None]
@@ -702,7 +742,8 @@ class TestLstmSeq:
     def test_all_ones_mask_matches_straightline_recurrence(self):
         grid, (wx, b, wh, h0, c0), packing = lstm_inputs([8, 8, 8], hd=5, seed=65)
         x = grid.reshape(24, 3)  # equal lengths keep the batch order: packed is step-major
-        out = ad.lstm_seq(*map(ad.constant, (x, wx, b, wh, h0, c0)), packing).value
+        out = ad.lstm_seq(ad.constant(x), np.arange(24),
+                          *map(ad.constant, (wx, b, wh, h0, c0)), packing).value
 
         h, c = np.tile(h0, (3, 1)), np.tile(c0, (3, 1))
         for t in range(8):
@@ -715,11 +756,19 @@ class TestLstmSeq:
 
     def test_shape_mismatch_rejected(self):
         grid, (wx, b, wh, h0, c0), packing = lstm_inputs([3, 2], hd=2, seed=69)
-        x = grid[packing.step, packing.post]
-        for args in ((x, wx[:-1], b, wh, h0, c0), (x, wx, b[:-1], wh, h0, c0),
-                     (x[:-1], wx, b, wh, h0, c0)):
+        x, ids = per_pair(grid, packing)
+        for args in ((x, ids, wx[:-1], b, wh, h0, c0), (x, ids, wx, b[:-1], wh, h0, c0),
+                     (x, ids[:-1], wx, b, wh, h0, c0)):
             with pytest.raises(DimensionError):
-                ad.lstm_seq(*map(ad.constant, args), packing)
+                ad.lstm_seq(ad.constant(args[0]), args[1], *map(ad.constant, args[2:]), packing)
+
+    @pytest.mark.parametrize("bad", [-1, 5], ids=["negative", "past-end"])
+    def test_id_out_of_range_rejected(self, bad):
+        grid, params, packing = lstm_inputs([3, 2], hd=2, seed=69)
+        x, ids = per_pair(grid, packing)
+        ids[2] = bad
+        with pytest.raises(ContractError):
+            ad.lstm_seq(ad.constant(x), ids, *map(ad.constant, params), packing)
 
 
 def attention_inputs(lengths, hd, seed, a=3):

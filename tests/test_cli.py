@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from npd import text
+from npd import cli, text
 from npd.cli import PREDICT_BATCH, main
 from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta
 from npd.errors import DataError
@@ -155,7 +155,34 @@ class TestExitCodes:
             f"--{k}": str(mini_pipeline[k]) for k in ("model", "corpus", "embeddings")}
         args[flag] = str(tmp_path)
         assert main([command, *(x for item in args.items() for x in item)]) == 1
-        assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: Is a directory: {tmp_path}\n"
+        assert captured.out == ""  # eval checks --out before it prints the report
+
+    @pytest.mark.parametrize("argv,work", [
+        (["train", "--variant", "NPD", "--out", "{dir}"], "train"),
+        (["train", "--variant", "NPD", "--out", "{file}", "--log", "{dir}"], "train"),
+        (["ablate", "--variants", "NPD", "--seeds", "1", "--out", "{dir}"],
+         "_pretrain_embeddings"),
+        (["embed", "--out", "{dir}"], "_pretrain_embeddings"),
+    ], ids=["train --out", "train --log", "ablate --out", "embed --out"])
+    def test_output_directory_fails_before_the_work(self, mini_pipeline, tmp_path, monkeypatch,
+                                                    capsys, argv, work):
+        """An output path that cannot be written ends the command before it
+        trains or pretrains anything, and leaves no other output file."""
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, never)
+        paths = {"dir": str(tmp_path), "file": str(tmp_path / "model.bin")}
+        inputs = ["--corpus", str(mini_pipeline["corpus"])]
+        if argv[0] == "train":
+            inputs += ["--embeddings", str(mini_pipeline["embeddings"])]
+        assert main([a.format(**paths) for a in argv] + inputs) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: Is a directory: {tmp_path}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def checkpoint_cuts(blob: bytes) -> dict:

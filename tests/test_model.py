@@ -2,7 +2,10 @@
 and checkpoint IO. Forward values and gradients are verified against the
 straight-line numpy oracle."""
 
+import ast
+import importlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ContractError, DataError
 from npd.evaluation import evaluate
-from npd.model import ModelDims, ModelVariant, build_model, load_checkpoint, save_checkpoint
+from npd.model import (ModelDims, ModelVariant, NpdModel, build_model, load_checkpoint,
+                       save_checkpoint)
 from npd.training import TrainingConfig, batch_losses, emotion_loss, gender_loss
 
 VOCAB = 24
@@ -387,3 +391,61 @@ class TestCheckpoint:
         for j in range(5):
             np.testing.assert_array_equal(a.emotion_probs[j].value,
                                           b.emotion_probs[j].value)
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        """A tensor that appears twice is an error naming it, not a silent
+        overwrite by the last copy."""
+        path = tmp_path / "m.bin"
+        save_checkpoint(path, small_model("NPD", seed=53))
+        blob = path.read_bytes()
+        (mlen,) = struct.unpack_from("<Q", blob, 8)
+        count_at = 16 + mlen  # the layout in npd.model's docstring
+        (count,) = struct.unpack_from("<Q", blob, count_at)
+        name, value = b"f.lstm.b", np.full(24, 7.0)
+        extra = (struct.pack("<Q", len(name)) + name + struct.pack("<QQ", 1, value.size)
+                 + value.astype("<f8").tobytes())
+        path.write_bytes(blob[:count_at] + struct.pack("<Q", count + 1)
+                         + blob[count_at + 8 :] + extra)
+        with pytest.raises(DataError, match="repeats tensor 'f.lstm.b'") as caught:
+            load_checkpoint(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("finetune", [False, True], ids=["frozen-embed", "finetune-embed"])
+    def test_load_draws_no_initial_params(self, tmp_path, monkeypatch, finetune):
+        """Loading builds the params from the file's tensors, in the model's
+        own order, and never draws a seeded initialisation."""
+        model = small_model("NPD", seed=54, finetune_embeddings=finetune)
+        path = tmp_path / "m.bin"
+        save_checkpoint(path, model)
+
+        def fail(self):
+            raise AssertionError("load_checkpoint called _init_params")
+
+        monkeypatch.setattr(NpdModel, "_init_params", fail)
+        reloaded = load_checkpoint(path)
+        assert list(reloaded.params) == list(model.params)
+        for name, node in model.params.items():
+            np.testing.assert_array_equal(reloaded.params[name].value, node.value)
+            assert reloaded.params[name].grad.shape == node.value.shape
+
+
+def test_traced_layer_names_exist():
+    """perfbench/tracing.py wraps npd's layers by name, as
+    self.patch(<module or module.Class>, "<name>", ...); a renamed layer
+    would only read 0 in a traced run, so each name must still exist where
+    the tracer looks for it (a class's own attribute, or a module's)."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    patched = [(ast.unparse(call.args[0]), call.args[1].value)
+               for call in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+               and call.func.attr == "patch"]
+    assert ("model.NpdModel", "_embed_all_steps") in patched
+    missing = []
+    for owner_name, attr in patched:
+        module, *cls = owner_name.split(".")
+        owner = importlib.import_module(f"npd.{module}")
+        if cls:
+            owner = vars(owner)[cls[0]]
+        if attr not in vars(owner):
+            missing.append(f"{owner_name}.{attr}")
+    assert missing == []

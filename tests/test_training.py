@@ -391,10 +391,9 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError) as caught:
             train(data, [], "LSTM", cfg, emb, num_locations=5,
                   dims=ModelDims(hidden_dim=4))
-        # the frozen embeddings enter the graph as one [L x e] constant, one
-        # row per live (step, post) pair
-        pairs = sum(len(p.ids) for p in data)
-        assert caught.value.tensor_name == f"const[{pairs}, {emb.shape[1]}]"
+        # the frozen embeddings enter the graph as one constant, the whole
+        # [V x e] table, which lstm_seq gathers from
+        assert caught.value.tensor_name == f"const[{emb.shape[0]}, {emb.shape[1]}]"
         assert caught.value.tensor_name in str(caught.value)
 
     def test_empty_train_split_rejected(self):
