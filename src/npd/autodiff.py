@@ -244,13 +244,24 @@ def lstm_seq(table: Node, ids: np.ndarray, wx: Node, b: Node, wh: Node, h0: Node
     inside the time loop. The sigmoid gates' rows are stored negated, as are
     their columns of wh, so each step's i, f and o are exp, +1 and a
     reciprocal on one contiguous [k x 3h] block, and its recurrent product
-    runs over two contiguous column blocks of wh, built once per call. When
-    a gradient is needed, each step writes its gates back over its pairs'
-    rows; backward then turns them into their local derivatives for all
-    steps in one vectorised pass, in place, so each BPTT step only scales
-    them by dh and dc. The result is the gates' pre-activation gradient d,
-    and wx, b, wh and the table take theirs from d in one product each after
-    the time loop, the table's as a scatter into the rows of its ids.
+    runs over two contiguous column blocks of wh, built once per call.
+
+    Where no parent needs a gradient (the frozen view evaluation runs on),
+    no [L x 4h] gate rows are gathered: each step takes its pairs' rows
+    from the [U x 4h] projection into an [n x 4h] buffer (np.take with
+    out=), and its c and tanh(c) overwrite the first live[t] rows of two [n
+    x h] buffers, as those rows hold the posts still running. Only H, the
+    output, keeps a row per pair. The arithmetic is the same as with a
+    gradient, so both give the same bits.
+
+    When a gradient is needed, the [L x 4h] rows are gathered once before
+    the loop, each step writes its gates back over its pairs' rows, and C
+    and tanh(c) keep a row per pair; backward then turns the gates into
+    their local derivatives for all steps in one vectorised pass, in place,
+    so each BPTT step only scales them by dh and dc. The result is the
+    gates' pre-activation gradient d, and wx, b, wh and the table take
+    theirs from d in one product each after the time loop, the table's as a
+    scatter into the rows of its ids.
     """
     live = packing.live
     n, L, T = len(packing.last), len(packing.post), len(live)
@@ -276,41 +287,50 @@ def lstm_seq(table: Node, ids: np.ndarray, wx: Node, b: Node, wh: Node, h0: Node
     proj = tv[uniq] @ wxv  # [U x 4h], one row per distinct id
     proj += b.value
     np.negative(proj[:, :h3], out=proj[:, :h3])
-    x = proj[inv]  # [L x 4h]: each pair's -pre of i, f and o, then pre of g
-    del proj  # not needed past the gather
     parents = (table, wx, b, wh, h0, c0)
     keep = any(node.needs_grad for node in parents)  # backward reads the gates from x
     w = wh.value
     w_s = -w[:, :h3]
     w_g = np.ascontiguousarray(w[:, h3:])
     H = np.empty((n + L, hd))
-    C = np.empty((n + L, hd))
-    tanh_c = np.empty((L, hd))
-    H[:n], C[:n] = h0.value, c0.value
+    H[:n] = h0.value
+    if keep:
+        x = proj[inv]  # [L x 4h]: each pair's -pre of i, f and o, then pre of g
+        del proj  # not needed past the gather
+        C, tanh_c = np.empty((n + L, hd)), np.empty((L, hd))
+    else:
+        # each step gathers its rows into x and overwrites c and tanh(c) in place
+        x, C, tanh_c = np.empty((n, 4 * hd)), np.empty((n, hd)), np.empty((n, hd))
+    C[:n] = c0.value
     sig_buf, acc_s = np.empty((n, h3)), np.empty((n, h3))
     g_buf, acc_g = np.empty((n, hd)), np.empty((n, hd))
     with np.errstate(over="ignore"):  # exp(-z) -> inf still gives sigmoid 0
         for t in range(T):
             k, p, s, e = live[t], blk[t], start[t], start[t + 1]
+            if keep:
+                x_t, c_prev, c, tc = x[s:e], C[p : p + k], C[n + s : n + e], tanh_c[s:e]
+            else:  # inv holds valid rows, so "clip" only skips take's buffered copy
+                x_t = np.take(proj, inv[s:e], axis=0, out=x[:k], mode="clip")
+                c_prev = c = C[:k]
+                tc = tanh_c[:k]
             h_prev = H[p : p + k]
             sig, g = sig_buf[:k], g_buf[:k]
             np.matmul(h_prev, w_s, out=acc_s[:k])
-            np.add(x[s:e, :h3], acc_s[:k], out=sig)
+            np.add(x_t[:, :h3], acc_s[:k], out=sig)
             np.exp(sig, out=sig)  # 1 / (1 + exp(-z)), in place
             sig += 1.0
             np.reciprocal(sig, out=sig)
             np.matmul(h_prev, w_g, out=acc_g[:k])
-            np.add(x[s:e, h3:], acc_g[:k], out=g)
+            np.add(x_t[:, h3:], acc_g[:k], out=g)
             np.tanh(g, out=g)
-            c = C[n + s : n + e]
-            np.multiply(sig[:, hd : 2 * hd], C[p : p + k], out=c)
+            np.multiply(sig[:, hd : 2 * hd], c_prev, out=c)
             np.multiply(sig[:, :hd], g, out=acc_g[:k])
             c += acc_g[:k]
-            np.tanh(c, out=tanh_c[s:e])
-            np.multiply(sig[:, 2 * hd :], tanh_c[s:e], out=H[n + s : n + e])
+            np.tanh(c, out=tc)
+            np.multiply(sig[:, 2 * hd :], tc, out=H[n + s : n + e])
             if keep:
-                x[s:e, :h3] = sig
-                x[s:e, h3:] = g
+                x_t[:, :h3] = sig
+                x_t[:, h3:] = g
     h_t = H[n:]  # o tanh(c) of each pair
 
     def _backward(d_out):
@@ -389,7 +409,9 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
             or b.value.shape != (wv.shape[1],) or u.value.shape != (wv.shape[1],)):
         raise DimensionError(f"attention_pool: states {s.shape}, w {wv.shape}, "
                              f"b {b.value.shape}, u {u.value.shape} for {len(post)} packed pairs")
-    proj = np.tanh(s @ wv + b.value)
+    proj = s @ wv
+    proj += b.value
+    np.tanh(proj, out=proj)
     scores = np.full((n, T), -np.inf)
     scores[post, step] = proj @ u.value
     scores -= scores.max(axis=1, keepdims=True)

@@ -18,7 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
-from .errors import ConfigError, DivergenceError, NpdError
+from .errors import ConfigError, DataError, DivergenceError, NpdError
 from .evaluation import evaluate, format_report_table
 from .model import VARIANT_NAMES, ModelDims, load_checkpoint, save_checkpoint
 from .training import TrainingConfig, ablate, train, write_log
@@ -105,17 +105,20 @@ def _prepare_splits(posts, vocab, args):
     return tuple(corpus_mod.encode(part, vocab, args.tokenizer) for part in splits)
 
 
-def _check_vocab(model, vocab, what):
+def _check_vocab(model, vocab, model_path, embeddings_path):
     """The embedding file's vocabulary must be the one the checkpoint was
     trained on: its hash, where the checkpoint records one, and its size,
-    which indexes the checkpoint's embedding table."""
+    which indexes the checkpoint's embedding table. A mismatch is a
+    DataError that names both files."""
     manifest = model.manifest
     if manifest.get("vocab_hash") and manifest["vocab_hash"] != vocab.content_hash():
-        raise NpdError(f"{what}: embedding vocabulary hash {vocab.content_hash()} does "
-                       f"not match checkpoint vocab hash {manifest['vocab_hash']}")
+        raise DataError(f"{embeddings_path}: embedding vocabulary hash {vocab.content_hash()} "
+                        f"does not match vocab hash {manifest['vocab_hash']} of checkpoint "
+                        f"{model_path}")
     if len(vocab) != model.embedding.shape[0]:
-        raise NpdError(f"{what}: embedding vocabulary has {len(vocab)} tokens but the "
-                       f"checkpoint's embedding table has {model.embedding.shape[0]} rows")
+        raise DataError(f"{embeddings_path}: embedding vocabulary has {len(vocab)} tokens but "
+                        f"the embedding table of checkpoint {model_path} has "
+                        f"{model.embedding.shape[0]} rows")
 
 
 def cmd_synth(args) -> int:
@@ -190,7 +193,7 @@ def cmd_eval(args) -> int:
                        f"{model.variant.value}")
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
-    _check_vocab(model, vocab, "eval")
+    _check_vocab(model, vocab, args.model, args.embeddings)
     parts = corpus_mod.split(posts, train_frac=model.manifest.get("train_frac", 0.7),
                              seed=model.manifest.get("split_seed", 0))
     chosen = {"train": 0, "dev": 1, "test": 2}[args.split]
@@ -266,7 +269,7 @@ def cmd_predict(args) -> int:
     """
     model = load_checkpoint(args.model)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
-    _check_vocab(model, vocab, "predict")
+    _check_vocab(model, vocab, args.model, args.embeddings)
     mode = model.manifest["tokenizer_mode"]
     frozen = model.frozen()
     texts = filter(None, (line.strip() for line in sys.stdin))

@@ -4,12 +4,24 @@ Average F1 is the unweighted mean of the five per-emotion F1 scores; any
 zero denominator (no predicted positives, no gold positives, or both) makes
 the affected quantity 0. The ablation harness that fills the report table
 lives beside train, in training.ablate.
+
+evaluate runs its length-sorted batches on two threads where the process
+may use 2 cores and BLAS runs one thread per call (npd.BLAS_THREAD_VARS all
+"1", as ``python -m npd`` sets them by default): a worker thread takes the
+odd-numbered batches, the caller the even ones, and numpy's BLAS calls and
+ufunc loops release the GIL, so the two forwards overlap. Each batch is
+reduced to integer counts and hits, summed in batch order, so a report is
+the same on one thread or two.
 """
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .corpus import EMOTIONS, TokenizedPost
 from .errors import ContractError
 from .model import NpdModel
@@ -65,6 +77,63 @@ class EvalReport:
                    average_f1=float("nan"), error=message)
 
 
+def _use_worker() -> bool:
+    """Whether a second thread can run batches beside the caller: the process
+    may use at least 2 cores, and BLAS is pinned to one thread per call.
+    Under OpenBLAS's default of a thread per core, two overlapping batches
+    contend for the cores and run slower than one batch at a time. Where
+    the platform cannot say which cores the process may use (no
+    os.sched_getaffinity, as on macOS), there is no worker."""
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS))
+
+
+class _BatchScore(NamedTuple):
+    predicted: np.ndarray       # [b x 5] {0,1}: p(present) > 0.5
+    gold: np.ndarray            # [b x 5] emotion bits
+    gender_hits: int | None     # None where the variant has no such discriminator
+    location_hits: int | None
+
+
+def _score_batch(frozen: NpdModel, batch: list[TokenizedPost]) -> _BatchScore:
+    """One eval-mode forward over a batch, reduced to its predictions and hits."""
+    fwd = frozen.forward(batch, train_mode=False)
+    present = np.stack([probs.value[:, 1] for probs in fwd.emotion_probs], axis=1)
+    gender_hits = location_hits = None
+    if fwd.gender_prob is not None:
+        pred = (fwd.gender_prob.value[:, 0] > 0.5).astype(np.int64)
+        gender_hits = int((pred == np.array([p.gender_bit for p in batch])).sum())
+    if fwd.location_probs is not None:
+        pred = fwd.location_probs.value.argmax(axis=1)
+        location_hits = int((pred == np.array([p.location for p in batch])).sum())
+    return _BatchScore((present > 0.5).astype(np.int64), np.stack([p.emotion_bits for p in batch]),
+                       gender_hits, location_hits)
+
+
+def _score_overlapped(frozen: NpdModel, batches: list) -> list[_BatchScore]:
+    """Each batch's score, in batch order: the odd-numbered batches run on one
+    worker thread while the calling thread runs the even ones. numpy releases
+    the GIL inside BLAS calls and ufunc loops, so the two forwards overlap.
+
+    The first error seen in either thread is raised once the worker's
+    running batch has finished; its batches not yet started are cancelled,
+    and the worker thread has exited before this returns or raises.
+    """
+    pool = ThreadPoolExecutor(1)
+    try:
+        odd = [pool.submit(_score_batch, frozen, batch) for batch in batches[1::2]]
+        even = []
+        for batch in batches[::2]:
+            for done in filter(Future.done, odd):
+                done.result()  # raises a failed worker batch's error now
+            even.append(_score_batch(frozen, batch))
+        scores = [None] * len(batches)
+        scores[::2], scores[1::2] = even, [future.result() for future in odd]
+        return scores
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128) -> EvalReport:
     """Run the model over a labeled set in eval mode and score it.
 
@@ -74,29 +143,28 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     thresholded at p(present) > 0.5. Posts are batched in order of length,
     which cuts padding; every count is a sum over posts, so the report does
     not depend on that order.
+
+    With more than one batch, and where _use_worker allows it, one worker
+    thread runs the odd-numbered batches while the caller runs the even
+    ones, so at most two batches are in flight. Their counts and hits are
+    added in batch order, and the report is the same with or without the
+    worker. An error in either thread is raised here, and no thread
+    outlives the call.
     """
     if not posts:
         raise ContractError("evaluate: empty evaluation set")
     by_length = sorted(posts, key=lambda p: len(p.ids))
-    counts = ConfusionCounts.zeros()
-    gender_hits = location_hits = 0
-    has_gender = has_location = False
+    batches = [by_length[start : start + batch_size] for start in range(0, len(posts), batch_size)]
     frozen = model.frozen()
-    for start in range(0, len(posts), batch_size):
-        batch = by_length[start : start + batch_size]
-        fwd = frozen.forward(batch, train_mode=False)
-        gold = np.stack([p.emotion_bits for p in batch])
-        present = np.stack([probs.value[:, 1] for probs in fwd.emotion_probs], axis=1)
-        counts.add((present > 0.5).astype(np.int64), gold)
-        if fwd.gender_prob is not None:
-            has_gender = True
-            pred = (fwd.gender_prob.value[:, 0] > 0.5).astype(np.int64)
-            gender_hits += int((pred == np.array([p.gender_bit for p in batch])).sum())
-        if fwd.location_probs is not None:
-            has_location = True
-            pred = fwd.location_probs.value.argmax(axis=1)
-            location_hits += int((pred == np.array([p.location for p in batch])).sum())
-        del fwd  # free this batch's graph before the next one is built
+    if len(batches) > 1 and _use_worker():
+        scores = _score_overlapped(frozen, batches)
+    else:
+        scores = [_score_batch(frozen, batch) for batch in batches]
+    counts = ConfusionCounts.zeros()
+    for score in scores:
+        counts.add(score.predicted, score.gold)
+    gender_hits = [s.gender_hits for s in scores if s.gender_hits is not None]
+    location_hits = [s.location_hits for s in scores if s.location_hits is not None]
     f1 = [f1_score(counts, j) for j in range(len(EMOTIONS))]
     return EvalReport(
         variant=model.variant.value,
@@ -104,8 +172,8 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
         f1=f1,
         average_f1=float(np.mean(f1)),
         counts=counts,
-        gender_accuracy=gender_hits / len(posts) if has_gender else None,
-        location_accuracy=location_hits / len(posts) if has_location else None,
+        gender_accuracy=sum(gender_hits) / len(posts) if gender_hits else None,
+        location_accuracy=sum(location_hits) / len(posts) if location_hits else None,
     )
 
 

@@ -681,6 +681,21 @@ class TestLstmSeq:
         np.add.at(want_table, ids, d_pairs)
         np.testing.assert_array_equal(d_table, want_table)
 
+    @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [1, 1, 1, 1], [6, 6, 6]],
+                             ids=["ragged", "all-length-1", "all-equal"])
+    def test_constants_give_the_bytes_of_param_nodes(self, lengths):
+        """Over constants lstm_seq gathers each step's gate rows on the fly
+        and overwrites c and tanh(c) in [n x h] buffers; over param nodes it
+        keeps every pair's gates for backward. Both return the same bytes."""
+        _, params, packing = lstm_inputs(lengths, hd=4, seed=73)
+        rng = np.random.default_rng(74)
+        table = rng.standard_normal((8, 3))
+        ids = rng.integers(0, 8, size=len(packing.post))
+        kept = ad.lstm_seq(ad.param(table), ids, *map(ad.param, params), packing)
+        frozen = ad.lstm_seq(ad.constant(table), ids, *map(ad.constant, params), packing)
+        assert kept._backward is not None and frozen._backward is None
+        assert frozen.value.tobytes() == kept.value.tobytes()
+
     @pytest.mark.parametrize("lengths", [[5, 1, 9, 5, 9], [7], [4, 4, 4, 4]],
                              ids=["ties", "one-row", "all-equal"])
     def test_row_permutation_permutes_outputs_and_grads(self, lengths):

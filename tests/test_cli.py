@@ -7,12 +7,17 @@ full-size determinism and trend runs live in the acceptance suite.
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from npd import cli, text
+from npd import BLAS_THREAD_VARS, cli, text
 from npd.cli import PREDICT_BATCH, main
 from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta
 from npd.errors import DataError
@@ -359,6 +364,24 @@ def test_embedding_rows_off_the_vocabulary_exit_1(mini_pipeline, tmp_path, monke
     err = capsys.readouterr().err
     assert code == 1
     assert f"{vocab_size} tokens" in err and "5 rows" in err and "Traceback" not in err
+    assert str(path) in err and str(mini_pipeline["embeddings"]) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_vocab_hash_mismatch_names_both_files(mini_pipeline, tmp_path, monkeypatch, capsys,
+                                              command):
+    model = load_checkpoint(str(mini_pipeline["model"]))
+    model.manifest["vocab_hash"] = "0" * 16
+    path = tmp_path / "other-vocab.bin"
+    save_checkpoint(str(path), model)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(corpus_texts(mini_pipeline, 3))))
+    extra = ["--corpus", str(mini_pipeline["corpus"])] if command == "eval" else []
+    code = main([command, "--model", str(path),
+                 "--embeddings", str(mini_pipeline["embeddings"]), *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "vocab hash " + "0" * 16 in captured.err and "Traceback" not in captured.err
+    assert str(path) in captured.err and str(mini_pipeline["embeddings"]) in captured.err
 
 
 # (bytes of a synth --config file, text the error must contain besides the path)
@@ -580,3 +603,37 @@ class TestBatchedPredict:
         assert len(records) == n
         assert len(calls) == math.ceil(n / 128)
         assert sum(calls) == n
+
+
+class TestEntryPoint:
+    """The npd command pins BLAS to one thread unless the environment says
+    otherwise; importing npd.cli pins nothing. Each case runs in a fresh
+    interpreter, because numpy reads the variables once, when imported."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    SHOW = "import os, npd; print(*(os.environ.get(v) for v in npd.BLAS_THREAD_VARS))"
+
+    def run(self, *args, **env):
+        clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, (str(self.ROOT / "src"),
+                                                            clean.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, *args], env=clean | env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_main_sets_only_unset_variables(self):
+        out = self.run("-c", "import npd.__main__, npd.cli; "
+                       "assert npd.__main__.main is npd.cli.main; " + self.SHOW,
+                       OMP_NUM_THREADS="3")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "3", "1"]
+
+    def test_importing_cli_sets_nothing(self):
+        out = self.run("-c", "import npd.cli; " + self.SHOW)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["None"] * 3
+
+    def test_python_m_npd_and_the_script_run_the_entry_point(self):
+        out = self.run("-m", "npd", "--help")
+        assert out.returncode == 0 and out.stdout.startswith("usage: npd")
+        project = tomllib.loads((self.ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        assert project["project"]["scripts"] == {"npd": "npd.__main__:main"}

@@ -5,10 +5,12 @@ raw prediction/gold pairs.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from npd import BLAS_THREAD_VARS, evaluation
 from npd import autodiff as ad
 from npd.corpus import EMOTIONS
 from npd.errors import ConfigError, ContractError
@@ -23,7 +25,7 @@ from npd.evaluation import (
 from npd.model import ForwardResult, ModelDims, ModelVariant
 from npd.training import TrainingConfig, ablate, train
 
-from test_model import make_post, small_model
+from test_model import ALL_VARIANTS, VOCAB, make_post, small_model
 from test_training import tiny_dataset, tiny_embedding
 
 
@@ -168,6 +170,107 @@ class TestEvaluate:
     def test_reference_average_reconstruction(self):
         published = (0.657, 0.510, 0.459, 0.135, 0.127)
         assert abs(float(np.mean(published)) - 0.378) <= 0.001
+
+
+def posts_of_lengths(rng, lengths):
+    """One post per length, in a shuffled order; evaluate sorts them back."""
+    return [make_post(rng, int(n)) for n in rng.permutation(lengths)]
+
+
+class TestWorker:
+    """evaluate's second thread: the odd-numbered batches run on it when
+    _use_worker allows, and nothing else changes."""
+
+    def record_threads(self, monkeypatch):
+        """Patch in a _score_batch that notes, for each batch, its shortest
+        post's length and the thread that ran it."""
+        seen = []
+        score = evaluation._score_batch
+
+        def noting(frozen, batch):
+            seen.append((min(len(p.ids) for p in batch), threading.get_ident()))
+            return score(frozen, batch)
+
+        monkeypatch.setattr(evaluation, "_score_batch", noting)
+        return seen
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_same_report_with_the_worker(self, monkeypatch, variant):
+        rng = np.random.default_rng(30)
+        model = small_model(variant, seed=31)
+        posts = tiny_dataset(rng, 40)
+        for batch_size, batches in ((40, 1), (20, 2), (14, 3), (6, 7)):
+            monkeypatch.setattr(evaluation, "_use_worker", lambda: False)
+            alone = evaluate(model, posts, batch_size=batch_size)
+            monkeypatch.setattr(evaluation, "_use_worker", lambda: True)
+            seen = self.record_threads(monkeypatch)
+            paired = evaluate(model, posts, batch_size=batch_size)
+            monkeypatch.undo()
+            for k in ("tp", "fp", "fn", "tn"):
+                np.testing.assert_array_equal(getattr(paired.counts, k), getattr(alone.counts, k))
+            assert (paired.f1, paired.average_f1) == (alone.f1, alone.average_f1)
+            assert paired.gender_accuracy == alone.gender_accuracy
+            assert paired.location_accuracy == alone.location_accuracy
+            assert len(seen) == batches
+            assert len({thread for _, thread in seen}) == min(batches, 2), batch_size
+
+    def test_odd_batches_run_on_the_worker(self, monkeypatch):
+        """Batches of 3 posts with lengths 1..12: batch j's shortest post has
+        length 3j + 1, and the odd j run on a thread other than the caller's."""
+        monkeypatch.setattr(evaluation, "_use_worker", lambda: True)
+        seen = self.record_threads(monkeypatch)
+        posts = posts_of_lengths(np.random.default_rng(32), range(1, 13))
+        evaluate(small_model("NPD"), posts, batch_size=3)
+        thread = dict(seen)
+        caller = threading.get_ident()
+        assert [thread[3 * j + 1] == caller for j in range(4)] == [True, False, True, False]
+
+    @pytest.mark.parametrize("bad_length", [2, 6, 10], ids=["batch-0", "batch-1", "batch-2"])
+    def test_error_in_either_thread_is_raised(self, monkeypatch, bad_length):
+        """An out-of-range id raises the ContractError of a serial run,
+        whichever thread meets it, and no thread is left behind."""
+        rng = np.random.default_rng(33)
+        posts = posts_of_lengths(rng, range(1, 13))  # batches of 4: lengths 1-4, 5-8, 9-12
+        bad = next(p for p in posts if len(p.ids) == bad_length)
+        bad.ids[-1] = VOCAB + 3
+        model = small_model("NPD")
+        monkeypatch.setattr(evaluation, "_use_worker", lambda: False)
+        with pytest.raises(ContractError) as serial:
+            evaluate(model, posts, batch_size=4)
+        monkeypatch.setattr(evaluation, "_use_worker", lambda: True)
+        threads = threading.active_count()
+        with pytest.raises(ContractError) as paired:
+            evaluate(model, posts, batch_size=4)
+        assert str(paired.value) == str(serial.value)
+        assert threading.active_count() == threads
+
+    def test_no_thread_without_the_gate(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_use_worker", lambda: False)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("evaluate started a thread"))
+        report = evaluate(small_model("NPD"), tiny_dataset(np.random.default_rng(34), 20),
+                          batch_size=3)
+        assert report.counts.tp.sum() + report.counts.tn.sum() + report.counts.fp.sum() \
+            + report.counts.fn.sum() == 5 * 20
+
+    @pytest.mark.parametrize("unset", BLAS_THREAD_VARS)
+    def test_gate_needs_every_blas_variable_at_1(self, monkeypatch, unset):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 1})
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        assert evaluation._use_worker()
+        monkeypatch.setenv(unset, "2")
+        assert not evaluation._use_worker()
+        monkeypatch.delenv(unset)
+        assert not evaluation._use_worker()
+
+    def test_gate_needs_two_usable_cores(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {3})
+        assert not evaluation._use_worker()
+        monkeypatch.delattr(evaluation.os, "sched_getaffinity")
+        assert not evaluation._use_worker()
 
 
 class TestAblate:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from npd import autodiff as ad
+from npd import corpus, text, training
 from npd.corpus import TokenizedPost
 from npd.errors import ConfigError, ContractError, DivergenceError
 from npd.evaluation import evaluate
@@ -408,3 +409,57 @@ class TestTrainLoop:
             TrainingConfig(dropout_rate=1.0).validate()
         with pytest.raises(ConfigError):
             TrainingConfig(lambda2=-1.0).validate()
+
+
+@pytest.fixture(scope="module")
+def desk_splits():
+    """A 600-post synthetic corpus, its seed-0 split and a random [V x 20]
+    embedding table, small enough that the clip never fires below."""
+    cfg = corpus.SynthConfig(n_posts=600, seed=0)
+    posts = corpus.synthesize(cfg)
+    vocab = text.build_vocab([text.tokenize(p.text) for p in posts], 2000)
+    splits = [corpus.encode(part, vocab) for part in corpus.split(posts, 0.7, 0)]
+    table = np.random.default_rng(0).normal(0.0, 0.1, size=(len(vocab), 20))
+    return splits, table, cfg.m_locations
+
+
+# (variant, its TrainingConfig and ModelDims changes) against (variant with
+# the part removed): each pair trains its f. and y. params identically
+IDENTITIES = [
+    (("NPD", {}, {"lambda_rev": 0.0}), "LSTM_ATTENTION"),
+    (("LSTM_ADVERSARIAL", {}, {"lambda_rev": 0.0}), "LSTM"),
+    (("LSTM_ATTRIBUTES", {"lambda2": 0.0, "lambda3": 0.0}, {}), "LSTM"),
+    (("NPD", {"lambda2": 0.0, "lambda3": 0.0}, {}), "LSTM_ATTENTION"),
+]
+
+
+@pytest.mark.parametrize("with_part,without", IDENTITIES,
+                         ids=["NPD-rev0", "ADVERSARIAL-rev0", "ATTRIBUTES-lambda0", "NPD-lambda0"])
+def test_ablation_identity(desk_splits, monkeypatch, with_part, without):
+    """A variant whose extra part gets no weight trains the encoder and the
+    emotion heads bit for bit as the variant without that part: _param_specs
+    draws the g. and l. params last, and both runs share the dropout stream.
+    The clip takes one norm over every partition, so this holds only where
+    it never fires, which the test checks."""
+    (train_posts, dev_posts, _), table, m = desk_splits
+    norms = []
+
+    def noting_clip(params, max_norm):
+        norms.append(clip_global_norm(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_global_norm", noting_clip)
+    variant, cfg_changes, dims_changes = with_part
+
+    def run(variant, cfg_changes, dims_changes):
+        cfg = TrainingConfig(mu=3e-2, max_epochs=3, patience=3, seed=0, **cfg_changes)
+        dims = ModelDims(hidden_dim=16, finetune_embeddings=True, **dims_changes)
+        model = train(train_posts, dev_posts, variant, cfg, table, m, dims=dims).model
+        return {k: v.value for k, v in model.params.items() if k[:2] in ("f.", "y.")}
+
+    got = run(variant, cfg_changes, dims_changes)
+    want = run(without, {}, {})
+    assert norms and max(norms) <= TrainingConfig().grad_clip
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
