@@ -8,7 +8,3 @@ desk-scale ablation studies.
 """
 
 __version__ = "0.1.0"
-
-# The environment variables that set how many threads OpenBLAS, OpenMP and
-# MKL give one BLAS call. They are read once, when numpy is first imported.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,20 +1,18 @@
 """The npd command, run as ``npd`` or ``python -m npd``.
 
-Before npd.cli, and with it numpy, is imported, each of the BLAS
-thread-count variables (npd.BLAS_THREAD_VARS) that the environment leaves
-unset is set to 1, so every BLAS call runs on one thread. evaluate then runs
-a second batch on the other core (see evaluation._use_worker), which is
-faster on a 2-core host than OpenBLAS's own threads on one batch at a time.
-A value the user exported is kept. Importing npd.cli sets none of them.
+Before npd.cli, and with it numpy, is imported, blas.pin_one_thread sets
+each BLAS thread-count variable the environment leaves unset to 1, so every
+BLAS call runs on one thread. evaluate then runs a second batch on the other
+core (see blas.worker_allowed), which is faster on a 2-core host than
+OpenBLAS's own threads on one batch at a time. A value the user exported is
+kept. Importing npd.cli sets none of them.
 """
 
-import os
 import sys
 
-from . import BLAS_THREAD_VARS
+from .blas import pin_one_thread
 
-for _var in BLAS_THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+pin_one_thread()
 
 from .cli import main  # noqa: E402  (numpy reads the variables when first imported)
 

@@ -5,23 +5,22 @@ zero denominator (no predicted positives, no gold positives, or both) makes
 the affected quantity 0. The ablation harness that fills the report table
 lives beside train, in training.ablate.
 
-evaluate runs its length-sorted batches on two threads where the process
-may use 2 cores and BLAS runs one thread per call (npd.BLAS_THREAD_VARS all
-"1", as ``python -m npd`` sets them by default): a worker thread takes the
-odd-numbered batches, the caller the even ones, and numpy's BLAS calls and
-ufunc loops release the GIL, so the two forwards overlap. Each batch is
-reduced to integer counts and hits, summed in batch order, so a report is
-the same on one thread or two.
+evaluate runs its length-sorted batches on two threads where
+blas.worker_allowed says so (at least 2 usable cores, and BLAS pinned to
+one thread per call, as the npd command pins it by default): a worker
+thread takes the odd-numbered batches, the caller the even ones, and numpy's
+BLAS calls and ufunc loops release the GIL, so the two forwards overlap.
+Each batch is reduced to integer counts and hits, summed in batch order, so
+a report is the same on one thread or two.
 """
 
-import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
+from . import blas
 from .corpus import EMOTIONS, TokenizedPost
 from .errors import ContractError
 from .model import NpdModel
@@ -77,17 +76,6 @@ class EvalReport:
                    average_f1=float("nan"), error=message)
 
 
-def _use_worker() -> bool:
-    """Whether a second thread can run batches beside the caller: the process
-    may use at least 2 cores, and BLAS is pinned to one thread per call.
-    Under OpenBLAS's default of a thread per core, two overlapping batches
-    contend for the cores and run slower than one batch at a time. Where
-    the platform cannot say which cores the process may use (no
-    os.sched_getaffinity, as on macOS), there is no worker."""
-    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS))
-
-
 class _BatchScore(NamedTuple):
     predicted: np.ndarray       # [b x 5] {0,1}: p(present) > 0.5
     gold: np.ndarray            # [b x 5] emotion bits
@@ -115,21 +103,17 @@ def _score_overlapped(frozen: NpdModel, batches: list) -> list[_BatchScore]:
     worker thread while the calling thread runs the even ones. numpy releases
     the GIL inside BLAS calls and ufunc loops, so the two forwards overlap.
 
-    The first error seen in either thread is raised once the worker's
-    running batch has finished; its batches not yet started are cancelled,
-    and the worker thread has exited before this returns or raises.
+    The caller takes the scores in batch order, so it meets a failed batch
+    only after every earlier batch has succeeded, and raises the same error
+    as a serial run. The worker's batches not yet started are then
+    cancelled, and the worker thread has exited before this returns or
+    raises.
     """
     pool = ThreadPoolExecutor(1)
     try:
         odd = [pool.submit(_score_batch, frozen, batch) for batch in batches[1::2]]
-        even = []
-        for batch in batches[::2]:
-            for done in filter(Future.done, odd):
-                done.result()  # raises a failed worker batch's error now
-            even.append(_score_batch(frozen, batch))
-        scores = [None] * len(batches)
-        scores[::2], scores[1::2] = even, [future.result() for future in odd]
-        return scores
+        return [odd[i // 2].result() if i % 2 else _score_batch(frozen, batch)
+                for i, batch in enumerate(batches)]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -144,7 +128,7 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     which cuts padding; every count is a sum over posts, so the report does
     not depend on that order.
 
-    With more than one batch, and where _use_worker allows it, one worker
+    With more than one batch, and where blas.worker_allowed says so, one worker
     thread runs the odd-numbered batches while the caller runs the even
     ones, so at most two batches are in flight. Their counts and hits are
     added in batch order, and the report is the same with or without the
@@ -156,7 +140,7 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     by_length = sorted(posts, key=lambda p: len(p.ids))
     batches = [by_length[start : start + batch_size] for start in range(0, len(posts), batch_size)]
     frozen = model.frozen()
-    if len(batches) > 1 and _use_worker():
+    if len(batches) > 1 and blas.worker_allowed():
         scores = _score_overlapped(frozen, batches)
     else:
         scores = [_score_batch(frozen, batch) for batch in batches]

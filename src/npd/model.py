@@ -191,9 +191,6 @@ class NpdModel:
         return view
 
     def zero_grads(self) -> None:
-        """Set every parameter's gradient to 0. training.train needs no call:
-        gradients start at 0 and AdaGrad.step zeroes them after each update.
-        perfbench's tracer wraps this method by name."""
         for node in self.params.values():
             node.grad[...] = 0.0
 

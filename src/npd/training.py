@@ -195,10 +195,8 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
     """Train one variant; returns the best-dev-F1 checkpoint and the epoch log.
 
     Runs shuffled minibatches; each batch takes one forward pass, one
-    backward pass, and one AdaGrad step over all partitions. Gradients start
-    at 0 and AdaGrad.step zeroes them after each update, so every backward
-    accumulates into zeros. Early-stops when dev average F1 has not improved
-    for cfg.patience epochs.
+    backward pass, and one AdaGrad step over all partitions. Early-stops
+    when dev average F1 has not improved for cfg.patience epochs.
     """
     cfg.validate()
     if not train_posts:
@@ -220,6 +218,7 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
         sums = np.zeros(3)
         for start in range(0, n, cfg.batch_size):
             batch = [train_posts[i] for i in order[start : start + cfg.batch_size]]
+            model.zero_grads()
             fwd = model.forward(batch, train_mode=True, rng=rng_dropout,
                                 dropout_rate=cfg.dropout_rate)
             j_y, j_g, j_l, j = batch_losses(model, fwd, batch, cfg)

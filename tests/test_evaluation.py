@@ -6,11 +6,12 @@ raw prediction/gold pairs.
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from npd import BLAS_THREAD_VARS, evaluation
+from npd import blas, evaluation
 from npd import autodiff as ad
 from npd.corpus import EMOTIONS
 from npd.errors import ConfigError, ContractError
@@ -179,7 +180,7 @@ def posts_of_lengths(rng, lengths):
 
 class TestWorker:
     """evaluate's second thread: the odd-numbered batches run on it when
-    _use_worker allows, and nothing else changes."""
+    blas.worker_allowed says so, and nothing else changes."""
 
     def record_threads(self, monkeypatch):
         """Patch in a _score_batch that notes, for each batch, its shortest
@@ -200,9 +201,9 @@ class TestWorker:
         model = small_model(variant, seed=31)
         posts = tiny_dataset(rng, 40)
         for batch_size, batches in ((40, 1), (20, 2), (14, 3), (6, 7)):
-            monkeypatch.setattr(evaluation, "_use_worker", lambda: False)
+            monkeypatch.setattr(blas, "worker_allowed", lambda: False)
             alone = evaluate(model, posts, batch_size=batch_size)
-            monkeypatch.setattr(evaluation, "_use_worker", lambda: True)
+            monkeypatch.setattr(blas, "worker_allowed", lambda: True)
             seen = self.record_threads(monkeypatch)
             paired = evaluate(model, posts, batch_size=batch_size)
             monkeypatch.undo()
@@ -217,7 +218,7 @@ class TestWorker:
     def test_odd_batches_run_on_the_worker(self, monkeypatch):
         """Batches of 3 posts with lengths 1..12: batch j's shortest post has
         length 3j + 1, and the odd j run on a thread other than the caller's."""
-        monkeypatch.setattr(evaluation, "_use_worker", lambda: True)
+        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
         seen = self.record_threads(monkeypatch)
         posts = posts_of_lengths(np.random.default_rng(32), range(1, 13))
         evaluate(small_model("NPD"), posts, batch_size=3)
@@ -234,43 +235,48 @@ class TestWorker:
         bad = next(p for p in posts if len(p.ids) == bad_length)
         bad.ids[-1] = VOCAB + 3
         model = small_model("NPD")
-        monkeypatch.setattr(evaluation, "_use_worker", lambda: False)
+        monkeypatch.setattr(blas, "worker_allowed", lambda: False)
         with pytest.raises(ContractError) as serial:
             evaluate(model, posts, batch_size=4)
-        monkeypatch.setattr(evaluation, "_use_worker", lambda: True)
+        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
         threads = threading.active_count()
         with pytest.raises(ContractError) as paired:
             evaluate(model, posts, batch_size=4)
         assert str(paired.value) == str(serial.value)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("bad", [(0, 1), (1, 2), (1, 3), (2, 3), (2, 5)],
+                             ids=["0+1", "1+2", "1+3", "2+3", "2+5"])
+    def test_of_two_failed_batches_the_earlier_is_raised(self, monkeypatch, bad):
+        """As in a serial run, the first failed batch in batch order raises,
+        even where the worker's later batch fails first: the caller's even
+        batches are slowed so that the worker runs ahead."""
+        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
+        score = evaluation._score_batch
+
+        def failing(frozen, batch):
+            j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..18
+            if j % 2 == 0:
+                time.sleep(0.05)
+            if j in bad:
+                raise ContractError(f"batch {j}")
+            return score(frozen, batch)
+
+        monkeypatch.setattr(evaluation, "_score_batch", failing)
+        posts = posts_of_lengths(np.random.default_rng(35), range(1, 19))
+        threads = threading.active_count()
+        with pytest.raises(ContractError, match=f"^batch {bad[0]}$"):
+            evaluate(small_model("NPD"), posts, batch_size=3)
+        assert threading.active_count() == threads
+
     def test_no_thread_without_the_gate(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_use_worker", lambda: False)
+        monkeypatch.setattr(blas, "worker_allowed", lambda: False)
         monkeypatch.setattr(threading.Thread, "start",
                             lambda self: pytest.fail("evaluate started a thread"))
         report = evaluate(small_model("NPD"), tiny_dataset(np.random.default_rng(34), 20),
                           batch_size=3)
         assert report.counts.tp.sum() + report.counts.tn.sum() + report.counts.fp.sum() \
             + report.counts.fn.sum() == 5 * 20
-
-    @pytest.mark.parametrize("unset", BLAS_THREAD_VARS)
-    def test_gate_needs_every_blas_variable_at_1(self, monkeypatch, unset):
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 1})
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
-        assert evaluation._use_worker()
-        monkeypatch.setenv(unset, "2")
-        assert not evaluation._use_worker()
-        monkeypatch.delenv(unset)
-        assert not evaluation._use_worker()
-
-    def test_gate_needs_two_usable_cores(self, monkeypatch):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
-        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {3})
-        assert not evaluation._use_worker()
-        monkeypatch.delattr(evaluation.os, "sched_getaffinity")
-        assert not evaluation._use_worker()
 
 
 class TestAblate:

@@ -1,12 +1,12 @@
 """Parent-against-change benchmark of two npd checkouts, written as one JSON record.
 
     python3 tools/bench_ab.py --parent ../npd-parent --change . \
-        --first-seed 2001 --pairs 10 --out BENCH_<tag>.json
+        --first-seed 2001 --out BENCH_<tag>.json
 
-For every workload in the change checkout's BENCHMARK.json, each pair runs
-the benchmark command (``perfbench/run.py``) once in each checkout on the
-same seed, at the declared ``run_seconds``; the side that runs first
-alternates from pair to pair. Pair i of the k-th workload (from 0) uses seed
+For every workload in the change checkout's BENCHMARK.json, each of PAIRS
+pairs runs the benchmark command (``perfbench/run.py``) once in each
+checkout on the same seed, at the declared ``run_seconds``; the side that
+runs first alternates from pair to pair. Pair i of the k-th workload (from 0) uses seed
 first_seed + 100 * k + i, so pick a first seed not used while the change
 was written.
 
@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest the A/B protocol accepts
 
 
 def parse_args(argv):
@@ -33,12 +34,8 @@ def parse_args(argv):
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--out", type=Path, required=True)
-    args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be >= 1")
-    return args
+    return p.parse_args(argv)
 
 
 def git_ids(checkout: Path) -> dict:
@@ -100,7 +97,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {"command": spec["command"], "run_seconds": spec["run_seconds"], "pairs": args.pairs,
+    record = {"command": spec["command"], "run_seconds": spec["run_seconds"], "pairs": PAIRS,
               "first_seed": args.first_seed,
               "checkouts": {side: git_ids(path) for side, path in checkouts.items()},
               "workloads": {}}
@@ -108,7 +105,7 @@ def main(argv=None) -> int:
     for k, workload in enumerate(names):
         runs = {side: [] for side in SIDES}
         first = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + 100 * k + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             first.append(order[0])
@@ -119,7 +116,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} seed {seed} {side}: correct={run['correct']} "
                       f"wall {run['wall_s']:.1f} s", file=sys.stderr, flush=True)
         record["workloads"][workload] = {
-            "seeds": [args.first_seed + 100 * k + i for i in range(args.pairs)],
+            "seeds": [args.first_seed + 100 * k + i for i in range(PAIRS)],
             "first_side": first,
             "failed_runs": {side: sum(not r["correct"] or r["returncode"] != 0 for r in runs[side])
                             for side in SIDES},
