@@ -14,7 +14,7 @@ Each batch is reduced to integer counts and hits, summed in batch order, so
 a report is the same on one thread or two.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,17 +103,28 @@ def _score_overlapped(frozen: NpdModel, batches: list) -> list[_BatchScore]:
     worker thread while the calling thread runs the even ones. numpy releases
     the GIL inside BLAS calls and ufunc loops, so the two forwards overlap.
 
-    The caller takes the scores in batch order, so it meets a failed batch
-    only after every earlier batch has succeeded, and raises the same error
-    as a serial run. The worker's batches not yet started are then
-    cancelled, and the worker thread has exited before this returns or
-    raises.
+    A failed batch stops both threads: the caller checks the worker's
+    finished batches before each of its own, and the worker's batches not
+    yet started are cancelled. Of two failed batches the earlier one's
+    error is raised, as in a serial run, and the worker thread has exited
+    before this returns or raises.
     """
     pool = ThreadPoolExecutor(1)
     try:
         odd = [pool.submit(_score_batch, frozen, batch) for batch in batches[1::2]]
-        return [odd[i // 2].result() if i % 2 else _score_batch(frozen, batch)
-                for i, batch in enumerate(batches)]
+        even = []
+        for k, batch in enumerate(batches[::2]):
+            try:
+                for done in filter(Future.done, odd[:k]):
+                    done.result()  # raises a failed worker batch's error now
+                even.append(_score_batch(frozen, batch))
+            except Exception:
+                for earlier in odd[:k]:  # batches 1, 3, ..., 2k - 1
+                    earlier.result()
+                raise
+        scores = [None] * len(batches)
+        scores[::2], scores[1::2] = even, [future.result() for future in odd]
+        return scores
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -245,18 +245,19 @@ class TestWorker:
         assert str(paired.value) == str(serial.value)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("slow", [0, 1], ids=["caller-slow", "worker-slow"])
     @pytest.mark.parametrize("bad", [(0, 1), (1, 2), (1, 3), (2, 3), (2, 5)],
                              ids=["0+1", "1+2", "1+3", "2+3", "2+5"])
-    def test_of_two_failed_batches_the_earlier_is_raised(self, monkeypatch, bad):
+    def test_of_two_failed_batches_the_earlier_is_raised(self, monkeypatch, bad, slow):
         """As in a serial run, the first failed batch in batch order raises,
-        even where the worker's later batch fails first: the caller's even
-        batches are slowed so that the worker runs ahead."""
+        whether the worker's later batch fails first (the caller's batches
+        slowed) or the caller's later batch does (the worker's slowed)."""
         monkeypatch.setattr(blas, "worker_allowed", lambda: True)
         score = evaluation._score_batch
 
         def failing(frozen, batch):
             j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..18
-            if j % 2 == 0:
+            if j % 2 == slow:
                 time.sleep(0.05)
             if j in bad:
                 raise ContractError(f"batch {j}")
@@ -268,6 +269,25 @@ class TestWorker:
         with pytest.raises(ContractError, match=f"^batch {bad[0]}$"):
             evaluate(small_model("NPD"), posts, batch_size=3)
         assert threading.active_count() == threads
+
+    def test_a_failed_worker_batch_stops_the_caller(self, monkeypatch):
+        """Batch 1 fails at once on the worker while the caller spends 50 ms
+        on each of batches 0, 2, 4 and 6: the caller stops before batch 6."""
+        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
+        ran = []
+
+        def failing(frozen, batch):
+            j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..24
+            if j == 1:
+                raise ContractError("batch 1")
+            ran.append(j)
+            time.sleep(0.05)
+
+        monkeypatch.setattr(evaluation, "_score_batch", failing)
+        posts = posts_of_lengths(np.random.default_rng(36), range(1, 25))
+        with pytest.raises(ContractError, match="^batch 1$"):
+            evaluate(small_model("NPD"), posts, batch_size=3)
+        assert 6 not in ran
 
     def test_no_thread_without_the_gate(self, monkeypatch):
         monkeypatch.setattr(blas, "worker_allowed", lambda: False)
