@@ -8,10 +8,10 @@ lives beside train, in training.ablate.
 evaluate runs its length-sorted batches on two threads where
 blas.worker_allowed says so (at least 2 usable cores, and BLAS pinned to
 one thread per call, as the npd command pins it by default): a worker
-thread takes the odd-numbered batches, the caller the even ones, and numpy's
-BLAS calls and ufunc loops release the GIL, so the two forwards overlap.
-Each batch is reduced to integer counts and hits, summed in batch order, so
-a report is the same on one thread or two.
+thread takes the cheaper batches, up to WORKER_SHARE of the caller's work,
+and numpy's BLAS calls and ufunc loops release the GIL, so the two forwards
+overlap. Each batch is reduced to integer counts and hits, summed in batch
+order, so a report is the same on one thread or two.
 """
 
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -26,6 +26,9 @@ from .errors import ContractError
 from .model import NpdModel
 
 _COLUMNS = ("Happiness", "Sadness", "Anger", "Surprise", "Fear")
+# The worker's estimated work is at most this share of the caller's, so it
+# finishes with time to spare and the call lasts as long as the caller's part.
+WORKER_SHARE = 0.75
 
 
 @dataclass
@@ -98,32 +101,59 @@ def _score_batch(frozen: NpdModel, batch: list[TokenizedPost]) -> _BatchScore:
                        gender_hits, location_hits)
 
 
-def _score_overlapped(frozen: NpdModel, batches: list) -> list[_BatchScore]:
-    """Each batch's score, in batch order: the odd-numbered batches run on one
-    worker thread while the calling thread runs the even ones. numpy releases
-    the GIL inside BLAS calls and ufunc loops, so the two forwards overlap.
+def _worker_batches(batches: list) -> list[int]:
+    """The indices, ascending, of the batches the worker runs.
 
-    A failed batch stops both threads: the caller checks the worker's
-    finished batches before each of its own, and the worker's batches not
-    yet started are cancelled. Of two failed batches the earlier one's
+    A batch's cost is its posts' total length, which the LSTM's work grows
+    with. In order of falling cost, each batch goes to the worker if the
+    worker's total would stay within WORKER_SHARE of the caller's, else to
+    the caller, who so takes the costliest batch. The call then lasts
+    about as long as the caller's part, and a worker slowed by a busy core
+    still finishes within it. An even split finishes sooner on two idle
+    cores, but the call then waits on whichever thread is slower, so its
+    duration follows the load on both cores instead of the caller's alone.
+    """
+    cost = [sum(len(p.ids) for p in batch) for batch in batches]
+    worker, worker_cost, caller_cost = [], 0, 0
+    for i in sorted(range(len(batches)), key=lambda i: -cost[i]):
+        if worker_cost + cost[i] <= WORKER_SHARE * caller_cost:
+            worker.append(i)
+            worker_cost += cost[i]
+        else:
+            caller_cost += cost[i]
+    return sorted(worker)
+
+
+def _score_overlapped(frozen: NpdModel, batches: list, on_worker: list[int]) -> list[_BatchScore]:
+    """Each batch's score, in batch order: the batches on_worker names run,
+    in order, on one worker thread while the calling thread runs the others,
+    also in order. numpy releases the GIL inside BLAS calls and ufunc loops,
+    so the two forwards overlap.
+
+    A failed batch stops both threads: before each of its batches the caller
+    checks the worker's finished earlier batches, and the worker's batches
+    not yet started are cancelled. Of two failed batches the earlier one's
     error is raised, as in a serial run, and the worker thread has exited
     before this returns or raises.
     """
     pool = ThreadPoolExecutor(1)
     try:
-        odd = [pool.submit(_score_batch, frozen, batch) for batch in batches[1::2]]
-        even = []
-        for k, batch in enumerate(batches[::2]):
-            try:
-                for done in filter(Future.done, odd[:k]):
-                    done.result()  # raises a failed worker batch's error now
-                even.append(_score_batch(frozen, batch))
-            except Exception:
-                for earlier in odd[:k]:  # batches 1, 3, ..., 2k - 1
-                    earlier.result()
-                raise
+        futures = {i: pool.submit(_score_batch, frozen, batches[i]) for i in on_worker}
         scores = [None] * len(batches)
-        scores[::2], scores[1::2] = even, [future.result() for future in odd]
+        for i in range(len(batches)):
+            if i in futures:
+                continue
+            earlier = [future for j, future in futures.items() if j < i]
+            try:
+                for done in filter(Future.done, earlier):
+                    done.result()  # raises a failed worker batch's error now
+                scores[i] = _score_batch(frozen, batches[i])
+            except Exception:
+                for future in earlier:  # the worker runs them in order
+                    future.result()
+                raise
+        for i, future in futures.items():
+            scores[i] = future.result()
         return scores
     finally:
         pool.shutdown(cancel_futures=True)
@@ -140,19 +170,20 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     not depend on that order.
 
     With more than one batch, and where blas.worker_allowed says so, one worker
-    thread runs the odd-numbered batches while the caller runs the even
-    ones, so at most two batches are in flight. Their counts and hits are
-    added in batch order, and the report is the same with or without the
-    worker. An error in either thread is raised here, and no thread
-    outlives the call.
+    thread runs the cheaper batches (see _worker_batches) while the caller
+    runs the others, so at most two batches are in flight. Their counts and
+    hits are added in batch order, and the report is the same with or
+    without the worker. An error in either thread is raised here, and no
+    thread outlives the call.
     """
     if not posts:
         raise ContractError("evaluate: empty evaluation set")
     by_length = sorted(posts, key=lambda p: len(p.ids))
     batches = [by_length[start : start + batch_size] for start in range(0, len(posts), batch_size)]
     frozen = model.frozen()
-    if len(batches) > 1 and blas.worker_allowed():
-        scores = _score_overlapped(frozen, batches)
+    on_worker = _worker_batches(batches) if len(batches) > 1 and blas.worker_allowed() else []
+    if on_worker:
+        scores = _score_overlapped(frozen, batches, on_worker)
     else:
         scores = [_score_batch(frozen, batch) for batch in batches]
     counts = ConfusionCounts.zeros()
