@@ -12,6 +12,7 @@ null-signal control corpora.
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -289,48 +290,68 @@ class SynthConfig:
                               "multipliers do not average to 1 over uniform attributes")
 
 
-def _emo_cell_token(j: int, cell: str, idx: int) -> str:
-    return f"emo_{EMOTIONS[j][:3]}_{cell}_{idx:02d}"
-
-
 def synthesize(cfg: SynthConfig) -> list[Post]:
-    """Generate a corpus per the config; deterministic given cfg.seed."""
+    """Generate a corpus per the config; deterministic given cfg.seed.
+
+    Per post, the draws from the "synth" substream come in this order:
+    gender `integers(2)`, location `integers(m)`, one `random()` per
+    emotion in EMOTIONS order (present when below its correlation table
+    entry), the length `integers(min_len, max_len + 1)`, then per token a
+    `random()` r that picks the kind:
+    - r < gender_marker_prob: `integers(n_mark)`, the gender marker;
+    - below that plus location_marker_prob: `integers(n_mark)`, the
+      location marker;
+    - below that plus emotion_marker_prob, if an emotion is present:
+      `integers(len(present))` for the emotion, then the cell, either a
+      `random()` < 0.5 choosing gender over location (attribute-conditioned)
+      or `integers(2 + m)` over all cells, then `integers(n_cell)`;
+    - otherwise a `random()` placed in the Zipf CDF by `bisect_left`.
+
+    Every token name is built once per call. There are N + 1 neutral
+    names for N neutral tokens: the CDF's last entry is rounded and can
+    lie below 1, so a draw above it lands on index N.
+    """
     cfg.validate()
     rng = substream(cfg.seed, "synth")
+    random, integers = rng.random, rng.integers
     m = cfg.m_locations
-    table = cfg.correlation_table()
+    table = cfg.correlation_table().tolist()
 
     zipf_w = np.arange(1, cfg.neutral_tokens + 1, dtype=np.float64) ** (-cfg.zipf_exponent)
-    zipf_cdf = np.cumsum(zipf_w / zipf_w.sum())
+    zipf_cdf = np.cumsum(zipf_w / zipf_w.sum()).tolist()
+    neutral = [f"neutral_{nid:04d}" for nid in range(cfg.neutral_tokens + 1)]
 
     p_g, p_l, p_e = cfg.gender_marker_prob, cfg.location_marker_prob, cfg.emotion_marker_prob
     n_mark = cfg.markers_per_attribute_value
     n_cell = cfg.emotion_markers_per_cell
     cells = ["f", "m"] + [f"loc{k}" for k in range(m)]
+    gmark = [[f"gmark_{g}_{i:02d}" for i in range(n_mark)] for g in "fm"]
+    lmark = [[f"lmark_{loc}_{i:02d}" for i in range(n_mark)] for loc in range(m)]
+    emo = [[[f"emo_{name[:3]}_{cell}_{i:02d}" for i in range(n_cell)] for cell in cells]
+           for name in EMOTIONS]
 
     posts = []
     for _ in range(cfg.n_posts):
-        g = int(rng.integers(2))
-        loc = int(rng.integers(m))
-        present = [j for j in range(len(EMOTIONS)) if rng.random() < table[j, g, loc]]
-        length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
+        g = int(integers(2))
+        loc = int(integers(m))
+        present = [j for j in range(len(EMOTIONS)) if random() < table[j][g][loc]]
+        length = int(integers(cfg.min_len, cfg.max_len + 1))
         tokens = []
         for _ in range(length):
-            r = rng.random()
+            r = random()
             if r < p_g:
-                tokens.append(f"gmark_{'fm'[g]}_{int(rng.integers(n_mark)):02d}")
+                tokens.append(gmark[g][integers(n_mark)])
             elif r < p_g + p_l:
-                tokens.append(f"lmark_{loc}_{int(rng.integers(n_mark)):02d}")
+                tokens.append(lmark[loc][integers(n_mark)])
             elif r < p_g + p_l + p_e and present:
-                j = present[int(rng.integers(len(present)))]
+                j = present[integers(len(present))]
                 if cfg.attribute_conditioned_markers:
-                    cell = "fm"[g] if rng.random() < 0.5 else f"loc{loc}"
+                    cell = g if random() < 0.5 else 2 + loc
                 else:
-                    cell = cells[int(rng.integers(len(cells)))]
-                tokens.append(_emo_cell_token(j, cell, int(rng.integers(n_cell))))
+                    cell = integers(len(cells))
+                tokens.append(emo[j][cell][integers(n_cell)])
             else:
-                nid = int(np.searchsorted(zipf_cdf, rng.random()))
-                tokens.append(f"neutral_{nid:04d}")
+                tokens.append(neutral[bisect_left(zipf_cdf, random())])
         posts.append(Post(text=" ".join(tokens),
                           emotions={EMOTIONS[j] for j in present},
                           gender=GENDERS[g], location=loc))

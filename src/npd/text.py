@@ -19,6 +19,7 @@ exponent floats, nan and inf, in ASCII digits.
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,26 +82,19 @@ class Vocabulary:
 def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
     """Keep the max_size most frequent tokens; ties go to the earlier first occurrence.
 
-    A corpus token spelled like PAD or OOV is not kept again: it maps to
-    the special's id.
+    Counting is one `collections.Counter` pass over the chained posts. The
+    Counter keeps tokens in first-occurrence order, so a stable sort on
+    count alone breaks ties by first occurrence. A corpus token spelled
+    like PAD or OOV is not kept again: it maps to the special's id.
     """
     if max_size < 1:
         raise ConfigError(f"max_size must be >= 1, got {max_size}")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    order = 0
-    for tokens in corpus:
-        for tok in tokens:
-            if tok not in counts:
-                counts[tok] = 0
-                first_seen[tok] = order
-                order += 1
-            counts[tok] += 1
+    counts = Counter(itertools.chain.from_iterable(corpus))
     if not counts:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
     for special in (PAD_TOKEN, OOV_TOKEN):
         counts.pop(special, None)
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    ranked = sorted(counts, key=counts.__getitem__, reverse=True)
     return Vocabulary(ranked[:max_size])
 
 

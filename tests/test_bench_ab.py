@@ -1,0 +1,69 @@
+"""compare() of tools/bench_ab.py on hand-made parent/change runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_ab", Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+PARENT = [10.0 + i for i in range(10)]  # median 14.5, quartiles 12.25 and 16.75
+
+
+def metric(better="higher", bound=0.24):
+    return {"name": "x", "unit": "u", "better": better, "bound": bound}
+
+
+def runs(parent, change):
+    return {"parent": [{"metrics": {"x": v}} for v in parent],
+            "change": [{"metrics": {} if v is None else {"x": v}} for v in change]}
+
+
+def shifted(by, edits=None):
+    """PARENT moved by `by`, with the pairs in `edits` set by hand."""
+    return [(edits or {}).get(i, v + by) for i, v in enumerate(PARENT)]
+
+
+@pytest.mark.parametrize("change, wins, ties, shown", [
+    (shifted(5), 10, 0, True),
+    (shifted(4), 10, 0, False),  # gap 4 within the parent's IQR 4.5
+    (shifted(5, {0: 9.0}), 9, 0, True),
+    (shifted(5, {0: 9.0, 1: 10.0}), 8, 0, False),
+    (shifted(5, {0: 10.0}), 9, 1, True),  # a tie counts for neither side
+    (shifted(5, {0: 10.0, 1: 11.0}), 8, 2, False),
+], ids=["10-of-10", "inside-iqr", "9-of-10", "8-of-10", "9-wins-1-tie", "8-wins-2-ties"])
+def test_gain_shown(change, wins, ties, shown):
+    out = bench_ab.compare(runs(PARENT, change), metric())
+    assert (out["pairs"], out["change_wins"], out["ties"]) == (10, wins, ties)
+    assert out["parent_iqr"] == pytest.approx(4.5)
+    assert out["gain_shown"] is shown
+    assert out["within_bound"] is True
+
+
+def test_gain_shown_for_lower_is_better():
+    out = bench_ab.compare(runs(PARENT, shifted(-5)), metric(better="lower"))
+    assert out["change_wins"] == 10 and out["gain_shown"] is True
+    out = bench_ab.compare(runs(PARENT, shifted(5)), metric(better="lower"))
+    assert out["change_wins"] == 0 and out["gain_shown"] is False
+
+
+@pytest.mark.parametrize("better, parent, change, within", [
+    ("lower", 1.0, 1.2, True),
+    ("lower", 1.0, 1.3, False),
+    ("higher", 100.0, 80.0, True),
+    ("higher", 100.0, 70.0, False),
+    ("higher", 100.0, 200.0, True),
+])
+def test_within_bound(better, parent, change, within):
+    out = bench_ab.compare(runs([parent] * 10, [change] * 10), metric(better, bound=0.25))
+    assert out["within_bound"] is within
+
+
+def test_pairs_missing_the_metric_are_left_out():
+    change = shifted(5, {0: None})
+    out = bench_ab.compare(runs(PARENT, change), metric())
+    assert out["pairs"] == 9 and out["change_wins"] == 9
+    assert out["parent"]["runs"] == PARENT[1:]

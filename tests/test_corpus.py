@@ -5,6 +5,7 @@ classifier as the oracle for whether attribute information is textually
 recoverable.
 """
 
+import hashlib
 import json
 import math
 
@@ -178,12 +179,39 @@ class TestSplit:
             split(self.make_posts(9), seed=0)
 
 
+# sha256 of the bytes `save` writes (header included) for 300 posts of each
+# config. They pin synthesize's draw order: a change that moves, adds or drops
+# one rng draw changes the corpus and so the digest
+GOLDEN_CORPORA = [
+    ("planted", SynthConfig(n_posts=300, seed=1),
+     "b10aa4b0053094fb6002699f31d394de50471aa8136fa3a56c1cce4d9022ea56"),
+    ("null signal", SynthConfig.null_signal(n_posts=300, seed=2),
+     "56a9602e5b91e6f5708e75ace49c2209f5b99dcccea4dc3a0ff0412db5c65695"),
+    ("unconditioned markers",
+     SynthConfig(n_posts=300, attribute_conditioned_markers=False, seed=3),
+     "8a4e2db320209864f19fb4c1ea16794179b30ecdeee442671ee7cc219da2d32b"),
+    ("explicit correlation",
+     SynthConfig(n_posts=300, m_locations=3, seed=4,
+                 correlation=[[[1.5, 0.5, 1.0], [0.5, 1.5, 1.0]]] * len(EMOTIONS)),
+     "8b8561885fd29147c73f84a40b993543d328dacab12ae923093fd20432acbdb3"),
+    ("fixed length", SynthConfig(n_posts=300, min_len=12, max_len=12, seed=5),
+     "530aad6133b3b191c557387089771985565ff95a17c9a4e03b0a09b8a2617e4b"),
+]
+
+
 class TestSynthesize:
     def test_deterministic(self):
         a = synthesize(SynthConfig(n_posts=100, seed=13))
         b = synthesize(SynthConfig(n_posts=100, seed=13))
         assert [p.text for p in a] == [p.text for p in b]
         assert [sorted(p.emotions) for p in a] == [sorted(p.emotions) for p in b]
+
+    @pytest.mark.parametrize("case, cfg, digest", GOLDEN_CORPORA,
+                             ids=[case for case, _, _ in GOLDEN_CORPORA])
+    def test_golden_bytes(self, tmp_path, case, cfg, digest):
+        path = tmp_path / "c.jsonl"
+        save(path, synthesize(cfg), m=cfg.m_locations)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_prevalence_marginals(self):
         cfg = SynthConfig(n_posts=6000, seed=21)

@@ -8,6 +8,7 @@ import pytest
 import oracle
 from npd import text
 from npd.autodiff import _add_rows
+from npd.corpus import SynthConfig, synthesize
 from npd.errors import ConfigError, ContractError, DataError
 from npd.text import (
     EmbeddingTable,
@@ -49,10 +50,24 @@ class TestVocabulary:
         vocab = build_vocab([["a", "b"]], max_size=100)
         assert len(vocab) == 4
 
-    def test_tie_broken_by_first_occurrence(self):
-        vocab = build_vocab([["x", "y", "x", "y", "z"]], max_size=1)
-        assert vocab.encode(["x"]) != [vocab.oov_id]
-        assert vocab.encode(["y"]) == [vocab.oov_id]
+    @pytest.mark.parametrize("corpus, kept, dropped", [
+        ([["x", "y", "x", "y", "z"]], "x", "y"),
+        ([["<pad>", "y", "<oov>"], ["x", "<pad>", "x"], ["<oov>", "y", "z"]], "y", "x"),
+    ], ids=["one-post", "across-posts-with-specials"])
+    def test_tie_broken_by_first_occurrence(self, corpus, kept, dropped):
+        vocab = build_vocab(corpus, max_size=1)
+        assert vocab.id_to_token == ["<pad>", "<oov>", kept]
+        assert vocab.encode([dropped]) == [vocab.oov_id]
+
+    @pytest.mark.parametrize("mode, max_size, digest", [
+        ("whitespace", 400, "048bc0e012b33576"),
+        ("char", 20, "564918b18c978be7"),
+    ], ids=["whitespace", "char"])
+    def test_golden_content_hash(self, mode, max_size, digest):
+        posts = synthesize(SynthConfig(n_posts=300, seed=6))
+        vocab = build_vocab([tokenize(p.text, mode) for p in posts], max_size)
+        assert len(vocab) == max_size + 2
+        assert vocab.content_hash() == digest
 
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):

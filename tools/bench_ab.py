@@ -11,9 +11,10 @@ first_seed + 100 * k + i, so pick a first seed not used while the change
 was written.
 
 The record holds, for each workload and end-to-end metric, each side's
-median, quartiles and runs, and how many pairs the change won (ties count
-for neither side), beside the benchmark's ``environment:`` line and each
-checkout's commit. Runs are sequential: on a small host two at once would
+median, quartiles and runs, how many pairs the change won (ties count
+for neither side), whether that shows a gain and whether the change stays
+within the metric's bound, beside the benchmark's ``environment:`` line and
+each checkout's commit. Runs are sequential: on a small host two at once would
 slow each other.
 """
 
@@ -73,7 +74,13 @@ def summary(values: list) -> dict:
 
 
 def compare(runs: dict, metric: dict) -> dict:
-    """Both sides' spread of one metric and the pairs the change won."""
+    """Both sides' spread of one metric and the pairs the change won.
+
+    ``gain_shown``: the change won at least 9 in 10 pairs and its median is
+    better than the parent's by more than the parent's interquartile range.
+    ``within_bound``: the change's median is worse than the parent's by no
+    more than the metric's ``bound``, a share of the parent's median.
+    """
     name, better = metric["name"], metric["better"]
     pairs = [(p["metrics"].get(name), c["metrics"].get(name))
              for p, c in zip(runs["parent"], runs["change"])]
@@ -87,8 +94,11 @@ def compare(runs: dict, metric: dict) -> dict:
     for i, side in enumerate(SIDES):
         out[side] = summary([pair[i] for pair in pairs])
     base = out["parent"]["median"]
+    gain = sign * (out["change"]["median"] - base)  # positive when the change is better
     out["median_change"] = (out["change"]["median"] - base) / base if base else None
     out["parent_iqr"] = out["parent"]["q3"] - out["parent"]["q1"]
+    out["gain_shown"] = 10 * out["change_wins"] >= 9 * len(pairs) and gain > out["parent_iqr"]
+    out["within_bound"] = -gain <= metric["bound"] * abs(base)
     return out
 
 
