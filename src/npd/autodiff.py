@@ -9,9 +9,8 @@ node, so no graph is a reference cycle and reference counting frees it.
 Graphs are built per batch and consumed by backward; gradients accumulate
 with ``+=`` across node reuse, and callers zero them between optimizer steps.
 A node keeps its closure only if some parent needs a gradient, so a forward
-over constants alone (the model's frozen view, which evaluation runs on)
-holds no closure, and each op's buffers are freed as soon as its value is
-no longer read.
+over constants alone (the model's eval-mode forward) holds no closure, and
+each op's buffers are freed as soon as its value is no longer read.
 
 Batches of variable-length posts are padded to the longest one, and pack
 turns the {0,1} validity mask into a packing: the batch's L live (step,
@@ -246,7 +245,7 @@ def lstm_seq(table: Node, ids: np.ndarray, wx: Node, b: Node, wh: Node, h0: Node
     reciprocal on one contiguous [k x 3h] block, and its recurrent product
     runs over two contiguous column blocks of wh, built once per call.
 
-    Where no parent needs a gradient (the frozen view evaluation runs on),
+    Where no parent needs a gradient (an eval-mode forward of the model),
     no [L x 4h] gate rows are gathered: each step takes its pairs' rows
     from the [U x 4h] projection into an [n x 4h] buffer (np.take with
     out=), and its c and tanh(c) overwrite the first live[t] rows of two [n
@@ -571,10 +570,14 @@ def backward(loss: Node) -> None:
     forward buffers it holds (lstm_seq's gates and states, say) while
     backward goes on, so the peak never holds every node's buffers at once.
     A second backward over the same graph therefore propagates nothing past
-    the loss.
+    the loss. A loss that no parameter reaches (one built on an eval-mode
+    forward, say) raises ContractError, as it would leave every gradient 0.
     """
     if loss.value.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+    if not loss.needs_grad:
+        raise ContractError("backward: the loss reaches no parameter; build it on a "
+                            "train-mode forward")
     loss.grad += 1.0
     for node in reversed(graph_order(loss)):
         if node._backward is not None:

@@ -262,16 +262,14 @@ def cmd_predict(args) -> int:
     """Print one JSON record per non-blank stdin line, in input order.
 
     Lines are read in chunks of up to PREDICT_BATCH (128) non-blank lines.
-    Each chunk takes one batched forward pass on the checkpoint's frozen view
-    (NpdModel.frozen), so no graph keeps a backward closure, and its records
-    are printed, in input order, before the next chunk is read, so memory
-    stays bounded on long inputs.
+    Each chunk takes one eval-mode forward pass, so no graph keeps a
+    backward closure, and its records are printed, in input order, before
+    the next chunk is read, so memory stays bounded on long inputs.
     """
     model = load_checkpoint(args.model)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab(model, vocab, args.model, args.embeddings)
     mode = model.manifest["tokenizer_mode"]
-    frozen = model.frozen()
     texts = filter(None, (line.strip() for line in sys.stdin))
     # a non-blank line has a non-space character, so it yields at least one token
     while token_lists := [text_mod.tokenize(t, mode)
@@ -280,7 +278,7 @@ def cmd_predict(args) -> int:
                                           emotion_bits=np.zeros(5, dtype=np.int64),
                                           gender_bit=0, location=0)
                  for tokens in token_lists]
-        fwd = frozen.forward(posts, train_mode=False)
+        fwd = model.forward(posts, train_mode=False)
         for i, tokens in enumerate(token_lists):
             print(json.dumps(_predict_record(fwd, i, tokens)))
     return 0

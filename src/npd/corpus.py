@@ -265,6 +265,9 @@ class SynthConfig:
             raise ConfigError("n_posts must be >= 1")
         if self.m_locations < 2:
             raise ConfigError("m_locations must be >= 2")
+        for name in ("neutral_tokens", "markers_per_attribute_value", "emotion_markers_per_cell"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
         probs = (self.gender_marker_prob, self.location_marker_prob, self.emotion_marker_prob)

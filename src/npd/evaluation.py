@@ -86,9 +86,9 @@ class _BatchScore(NamedTuple):
     location_hits: int | None
 
 
-def _score_batch(frozen: NpdModel, batch: list[TokenizedPost]) -> _BatchScore:
+def _score_batch(model: NpdModel, batch: list[TokenizedPost]) -> _BatchScore:
     """One eval-mode forward over a batch, reduced to its predictions and hits."""
-    fwd = frozen.forward(batch, train_mode=False)
+    fwd = model.forward(batch, train_mode=False)
     present = np.stack([probs.value[:, 1] for probs in fwd.emotion_probs], axis=1)
     gender_hits = location_hits = None
     if fwd.gender_prob is not None:
@@ -124,7 +124,7 @@ def _worker_batches(batches: list) -> list[int]:
     return sorted(worker)
 
 
-def _score_overlapped(frozen: NpdModel, batches: list, on_worker: list[int]) -> list[_BatchScore]:
+def _score_overlapped(model: NpdModel, batches: list, on_worker: list[int]) -> list[_BatchScore]:
     """Each batch's score, in batch order: the batches on_worker names run,
     in order, on one worker thread while the calling thread runs the others,
     also in order. numpy releases the GIL inside BLAS calls and ufunc loops,
@@ -138,7 +138,7 @@ def _score_overlapped(frozen: NpdModel, batches: list, on_worker: list[int]) -> 
     """
     pool = ThreadPoolExecutor(1)
     try:
-        futures = {i: pool.submit(_score_batch, frozen, batches[i]) for i in on_worker}
+        futures = {i: pool.submit(_score_batch, model, batches[i]) for i in on_worker}
         scores = [None] * len(batches)
         for i in range(len(batches)):
             if i in futures:
@@ -147,7 +147,7 @@ def _score_overlapped(frozen: NpdModel, batches: list, on_worker: list[int]) -> 
             try:
                 for done in filter(Future.done, earlier):
                     done.result()  # raises a failed worker batch's error now
-                scores[i] = _score_batch(frozen, batches[i])
+                scores[i] = _score_batch(model, batches[i])
             except Exception:
                 for future in earlier:  # the worker runs them in order
                     future.result()
@@ -162,9 +162,8 @@ def _score_overlapped(frozen: NpdModel, batches: list, on_worker: list[int]) -> 
 def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128) -> EvalReport:
     """Run the model over a labeled set in eval mode and score it.
 
-    The forwards run on model.frozen(), whose parameters are constants over
-    the model's own arrays, so no graph keeps a backward closure and the
-    model's parameters and gradients are untouched. Present/absent is
+    No forward keeps a backward closure, and the model's parameters and
+    gradients are untouched (see NpdModel.forward). Present/absent is
     thresholded at p(present) > 0.5. Posts are batched in order of length,
     which cuts padding; every count is a sum over posts, so the report does
     not depend on that order.
@@ -180,12 +179,11 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
         raise ContractError("evaluate: empty evaluation set")
     by_length = sorted(posts, key=lambda p: len(p.ids))
     batches = [by_length[start : start + batch_size] for start in range(0, len(posts), batch_size)]
-    frozen = model.frozen()
     on_worker = _worker_batches(batches) if len(batches) > 1 and blas.worker_allowed() else []
     if on_worker:
-        scores = _score_overlapped(frozen, batches, on_worker)
+        scores = _score_overlapped(model, batches, on_worker)
     else:
-        scores = [_score_batch(frozen, batch) for batch in batches]
+        scores = [_score_batch(model, batch) for batch in batches]
     counts = ConfusionCounts.zeros()
     for score in scores:
         counts.add(score.predicted, score.gold)

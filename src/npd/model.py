@@ -16,9 +16,8 @@ Padded steps are never computed. Attention weights are reported as a dense
 and the discriminators is one affine node x W + b.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
-update. frozen() gives a view of the model whose parameters are constants
-over the same arrays; evaluation forwards run on it, so their graphs keep
-no backward closures.
+update. An eval-mode forward reads those parameters as constants over the
+same arrays, so its graph keeps no backward closure.
 
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
@@ -27,7 +26,6 @@ Checkpoint layout (little-endian, documented for external readers):
   save/load round-trips bit-exactly.
 """
 
-import copy
 import json
 import math
 import os
@@ -179,17 +177,6 @@ class NpdModel:
         specs = _param_specs(self.manifest, len(self.embedding))
         return {name: ad.param(draw[start](shape)) for name, (shape, start) in specs.items()}
 
-    def frozen(self) -> "NpdModel":
-        """A shallow copy whose params are constants over this model's arrays.
-
-        Its forwards build graphs with no backward closure, so each op's
-        buffers are freed as soon as nothing reads its value, and they leave
-        this model's values and gradients untouched.
-        """
-        view = copy.copy(self)
-        view.params = {name: ad.constant(node.value) for name, node in self.params.items()}
-        return view
-
     def zero_grads(self) -> None:
         for node in self.params.values():
             node.grad[...] = 0.0
@@ -205,29 +192,28 @@ class NpdModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _embed_all_steps(self, ids: np.ndarray, packing: ad.Packing) -> tuple[Node, np.ndarray]:
+    def _embed_all_steps(self, p: dict[str, Node], ids: np.ndarray,
+                         packing: ad.Packing) -> tuple[Node, np.ndarray]:
         """The [V x e] embedding node and the token id of each of the batch's
         live (step, post) pairs in packing's order; lstm_seq gathers and
         projects the rows of those ids, once per distinct id."""
-        table = self.params["f.embed"] if self.finetune_embeddings else ad.constant(self.embedding)
+        table = p["f.embed"] if self.finetune_embeddings else ad.constant(self.embedding)
         return table, ids[packing.post, packing.step]
 
-    def _encode(self, ids: np.ndarray, packing: ad.Packing) -> Node:
+    def _encode(self, p: dict[str, Node], ids: np.ndarray, packing: ad.Packing) -> Node:
         """Run the LSTM over the padded ids' live pairs as one fused node,
         embedding gather and input projection included. Returns the hidden
         state after every live pair as an [L x h] node in packing's order."""
-        p = self.params
-        return ad.lstm_seq(*self._embed_all_steps(ids, packing),
+        return ad.lstm_seq(*self._embed_all_steps(p, ids, packing),
                            *(p[f"f.lstm.{name}"] for name in ("wx", "b", "wh", "h0", "c0")),
                            packing)
 
-    def _attend(self, states: Node, packing: ad.Packing, which: str):
-        att = (self.params[f"f.att_{which}.{name}"] for name in "wbu")
+    def _attend(self, p: dict[str, Node], states: Node, packing: ad.Packing, which: str):
+        att = (p[f"f.att_{which}.{name}"] for name in "wbu")
         weights, pooled = ad.attention_pool(states, *att, packing)
         return ad.constant(weights), pooled
 
-    def _emotion_heads(self, head_in: Node) -> list[Node]:
-        p = self.params
+    def _emotion_heads(self, p: dict[str, Node], head_in: Node) -> list[Node]:
         out = []
         for j in range(len(EMOTIONS)):
             hid = ad.sigmoid(ad.affine(head_in, p[f"y.head{j}.w"], p[f"y.head{j}.b"]))
@@ -235,8 +221,7 @@ class NpdModel:
             out.append(ad.softmax_rows(logits))
         return out
 
-    def _discriminate(self, vec: Node, which: str) -> Node:
-        p = self.params
+    def _discriminate(self, p: dict[str, Node], vec: Node, which: str) -> Node:
         x = ad.grad_reverse(vec, self.lambda_rev) if self.wiring.reversal else vec
         logits = ad.affine(x, p[f"{which}.w"], p[f"{which}.b"])
         if which == "g":
@@ -246,7 +231,15 @@ class NpdModel:
     def forward(self, batch: list[TokenizedPost], train_mode: bool = False,
                 rng: np.random.Generator | None = None,
                 dropout_rate: float = 0.0) -> ForwardResult:
-        """Batched forward pass through the variant's wiring."""
+        """Batched forward pass through the variant's wiring.
+
+        Only a train-mode forward builds a graph that backward can run on.
+        In eval mode every parameter enters as a constant over its own
+        array, so no node keeps a backward closure: each op's buffers are
+        freed as soon as nothing reads its value, the outputs are the same
+        bits as a train-mode forward without dropout, and the parameters'
+        values and gradients are left untouched.
+        """
         if not batch:
             raise ContractError("forward: empty batch")
         if any(len(p.ids) == 0 for p in batch):
@@ -260,16 +253,20 @@ class NpdModel:
             ids[i, :n] = post.ids
             mask[i, :n] = 1.0
 
+        if train_mode:
+            p = self.params
+        else:
+            p = {name: ad.constant(node.value) for name, node in self.params.items()}
         packing = ad.pack(mask)
-        states = self._encode(ids, packing)
+        states = self._encode(p, ids, packing)
         wiring = self.wiring
 
         attention: dict[str, Node] = {}
         v_g = v_l = None
         if wiring.gender_attention:
-            attention["gender"], v_g = self._attend(states, packing, "g")
+            attention["gender"], v_g = self._attend(p, states, packing, "g")
         if wiring.location_attention:
-            attention["location"], v_l = self._attend(states, packing, "l")
+            attention["location"], v_l = self._attend(p, states, packing, "l")
 
         # each post's final state feeds the parts no attention pool feeds; where
         # nothing reads it, reference counting frees it when forward returns
@@ -287,11 +284,11 @@ class NpdModel:
 
         gender_prob = location_probs = None
         if wiring.gender_discriminator:
-            gender_prob = self._discriminate(v_g or h_last, "g")
+            gender_prob = self._discriminate(p, v_g or h_last, "g")
         if wiring.location_discriminator:
-            location_probs = self._discriminate(v_l or h_last, "l")
+            location_probs = self._discriminate(p, v_l or h_last, "l")
 
-        return ForwardResult(emotion_probs=self._emotion_heads(head_in),
+        return ForwardResult(emotion_probs=self._emotion_heads(p, head_in),
                              gender_prob=gender_prob, location_probs=location_probs,
                              attention=attention, head_input=head_in, mask=mask)
 

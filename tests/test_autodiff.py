@@ -259,6 +259,15 @@ class TestBackward:
         with pytest.raises(ContractError):
             ad.backward(ad.constant([1.0, 2.0]))
 
+    def test_loss_reaching_no_param_rejected(self):
+        """A loss over constants alone would leave every gradient 0, so
+        backward refuses it rather than report a zero gradient."""
+        w = ad.param([1.0, 2.0])
+        loss = ad.sum_squares([ad.constant(w.value)])
+        with pytest.raises(ContractError, match="reaches no parameter"):
+            ad.backward(loss)
+        np.testing.assert_array_equal(w.grad, [0.0, 0.0])
+
     def test_deterministic_rebuild(self):
         def run():
             rng = np.random.default_rng(9)

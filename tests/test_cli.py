@@ -416,6 +416,20 @@ def test_bad_synth_config_exits_1(tmp_path, capsys, blob, named):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+@pytest.mark.parametrize("field", ["markers_per_attribute_value", "emotion_markers_per_cell",
+                                   "neutral_tokens"])
+def test_synth_count_below_one_exits_1(tmp_path, capsys, field):
+    """A token count of 0 is a ConfigError, not a traceback from the rng
+    (markers) or a corpus of tokens the config says do not exist (neutral)."""
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"n_posts": 20, field: 0}))
+    code = main(["synth", "--config", str(path), "--out", str(tmp_path / "c.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {field} must be >= 1, got 0\n"
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 # (extra training arguments, text the error must contain)
 BAD_TRAINING_OPTIONS = [
     (["--lambdas", "a,b,c"], "--lambdas"),

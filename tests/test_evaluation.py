@@ -62,9 +62,6 @@ class StubModel:
         self.variant = ModelVariant.LSTM
         self.manifest = {"seed": 0}
 
-    def frozen(self):
-        return self
-
     def forward(self, batch, train_mode=False):
         take = self.probs[[self.row[id(post)] for post in batch]]
         nodes = [ad.constant(np.stack([1.0 - take[:, j], take[:, j]], axis=1))
@@ -195,9 +192,9 @@ class TestWorker:
         seen = {}
         score = evaluation._score_batch
 
-        def noting(frozen, batch):
+        def noting(model, batch):
             seen[id(batch[0])] = threading.get_ident()
-            return score(frozen, batch)
+            return score(model, batch)
 
         monkeypatch.setattr(evaluation, "_score_batch", noting)
         return seen
@@ -299,13 +296,13 @@ class TestWorker:
         self.odd_on_worker(monkeypatch)
         score = evaluation._score_batch
 
-        def failing(frozen, batch):
+        def failing(model, batch):
             j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..18
             if j % 2 == slow:
                 time.sleep(0.05)
             if j in bad:
                 raise ContractError(f"batch {j}")
-            return score(frozen, batch)
+            return score(model, batch)
 
         monkeypatch.setattr(evaluation, "_score_batch", failing)
         posts = posts_of_lengths(np.random.default_rng(35), range(1, 19))
@@ -320,7 +317,7 @@ class TestWorker:
         self.odd_on_worker(monkeypatch)
         ran = []
 
-        def failing(frozen, batch):
+        def failing(model, batch):
             j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..24
             if j == 1:
                 raise ContractError("batch 1")

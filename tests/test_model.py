@@ -64,7 +64,7 @@ class TestEncoder:
         rng = np.random.default_rng(3)
         batch = [make_post(rng, 3), make_post(rng, 5)]
         probe = rng.standard_normal((2, model.hidden_dim))
-        fwd = model.forward(batch)
+        fwd = model.forward(batch, train_mode=True)
         ad.backward(probe_loss(fwd.head_input, probe))
 
         params = param_values(model)
@@ -123,7 +123,7 @@ class TestAttention:
         states = ad.constant(np.array([[big, 0.0, 0.0, 0.0],
                                        [-big, 0.0, 0.0, 0.0],
                                        [-big, 0.0, 0.0, 0.0]]))  # T=3 steps of one post
-        weights, _ = model._attend(states, ad.pack(np.ones((1, 3))), "g")
+        weights, _ = model._attend(p, states, ad.pack(np.ones((1, 3))), "g")
         assert weights.value[0, 0] > 0.999
 
 
@@ -169,7 +169,7 @@ class TestDiscriminators:
         model.wiring = model.wiring._replace(reversal=reversal)
         rng = np.random.default_rng(12)
         batch = [make_post(rng, 4), make_post(rng, 2)]
-        fwd = model.forward(batch)
+        fwd = model.forward(batch, train_mode=True)
         loss = gender_loss(fwd.gender_prob, np.array([p.gender_bit for p in batch]))
         ad.backward(loss)
         return {k: v.grad.copy() for k, v in model.params.items() if k.startswith("f.")}
@@ -193,7 +193,7 @@ class TestDiscriminators:
             model.wiring = model.wiring._replace(reversal=reversal)
             rng = np.random.default_rng(13)
             batch = [make_post(rng, 5)]
-            fwd = model.forward(batch)
+            fwd = model.forward(batch, train_mode=True)
             gold = np.stack([p.emotion_bits for p in batch])
             heads = [n for k, n in model.params.items() if k.startswith("y.")]
             ad.backward(emotion_loss(fwd.emotion_probs, gold, heads, 0.0))
@@ -294,7 +294,7 @@ class TestFullGradient:
         rng = np.random.default_rng(41)
         batch = [make_post(rng, n, m=3) for n in (1, 3, 7)]
         cfg = TrainingConfig(l2_lambda=0.01, dropout_rate=0.0)
-        fwd = model.forward(batch, train_mode=False)
+        fwd = model.forward(batch, train_mode=True)
         _, _, _, total = batch_losses(model, fwd, batch, cfg)
         ad.backward(total)
 
@@ -328,30 +328,34 @@ def closures(fwd):
 @pytest.mark.parametrize("finetune", [False, True], ids=["frozen-embed", "finetune-embed"])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_frozen_view(variant, finetune):
-    """frozen() shares the model's arrays as constants: its eval forward
-    gives bit-equal outputs from a graph with no closure, and evaluate, which
-    runs on it, leaves every param and grad bit-unchanged."""
+    """An eval-mode forward reads the parameters as a frozen view, constants
+    over the model's own arrays: its graph keeps no closure, its outputs are
+    the bits of a train-mode forward without dropout, and it leaves every
+    param's value and grad bit-unchanged, as does evaluate, which runs it."""
     model = small_model(variant, seed=31, finetune_embeddings=finetune)
     rng = np.random.default_rng(31)
     batch = [make_post(rng, k) for k in (5, 1, 7, 5, 3)]
-    view = model.frozen()
-    assert view.params.keys() == model.params.keys()
-    assert all(view.params[k].value is node.value for k, node in model.params.items())
-
-    fwd, frozen_fwd = model.forward(batch), view.forward(batch)
-    assert closures(fwd) > 0 and closures(frozen_fwd) == 0
-    want, got = eval_outputs(fwd), eval_outputs(frozen_fwd)
-    assert want.keys() == got.keys()
-    for name in want:
-        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-
     for node in model.params.values():
         node.grad[...] = rng.standard_normal(node.grad.shape)
     before = {k: (n.value.copy(), n.grad.copy()) for k, n in model.params.items()}
+
+    def assert_untouched():
+        for k, (value, grad) in before.items():
+            np.testing.assert_array_equal(model.params[k].value, value, err_msg=k)
+            np.testing.assert_array_equal(model.params[k].grad, grad, err_msg=k)
+
+    eval_fwd = model.forward(batch)
+    assert closures(eval_fwd) == 0
+    assert_untouched()
+    train_fwd = model.forward(batch, train_mode=True)
+    assert closures(train_fwd) > 0
+    want, got = eval_outputs(train_fwd), eval_outputs(eval_fwd)
+    assert want.keys() == got.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
     evaluate(model, batch, batch_size=2)
-    for k, (value, grad) in before.items():
-        np.testing.assert_array_equal(model.params[k].value, value, err_msg=k)
-        np.testing.assert_array_equal(model.params[k].grad, grad, err_msg=k)
+    assert_untouched()
 
 
 class TestCheckpoint:

@@ -130,7 +130,7 @@ class TestTotalLoss:
         def grads(component):
             model = small_model("NPD", seed=17)
             model.wiring = model.wiring._replace(reversal=component == "total")
-            fwd = model.forward(batch)
+            fwd = model.forward(batch, train_mode=True)
             jy, jg, jl, total = batch_losses(model, fwd, batch, cfg)
             ad.backward({"total": total, "jy": jy, "jg": jg, "jl": jl}[component])
             return {k: v.grad.copy() for k, v in model.params.items()
@@ -148,13 +148,13 @@ class TestTotalLoss:
         rng = np.random.default_rng(5)
         batch = [make_post(rng, 4)]
         model = small_model("NPD", seed=18)
-        fwd = model.forward(batch)
+        fwd = model.forward(batch, train_mode=True)
         jy, jg, jl, total = batch_losses(model, fwd, batch, cfg)
         ad.backward(total)
         total_g = {k: v.grad.copy() for k, v in model.params.items()}
 
         model2 = small_model("NPD", seed=18)
-        fwd2 = model2.forward(batch)
+        fwd2 = model2.forward(batch, train_mode=True)
         _, jg2, _, _ = batch_losses(model2, fwd2, batch, cfg)
         ad.backward(jg2)
         for k in model2.params:
@@ -258,9 +258,8 @@ def test_training_step_leaves_no_cyclic_garbage(variant):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_eval_leaves_no_cyclic_garbage(variant):
     """No eval graph is a reference cycle, so reference counting alone frees
-    it. The model's own eval-mode forward keeps its closures, and none of
-    them refers to its own node; evaluate runs on the frozen view, whose
-    graphs keep no closure at all."""
+    it: an eval-mode forward, the one evaluate runs, keeps no closure at
+    all."""
     rng = np.random.default_rng(23)
     posts = [make_post(rng, k) for k in (5, 3, 7, 1, 4)]
     model = small_model(variant, seed=23)
