@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
 from .errors import ConfigError, DataError, DivergenceError, NpdError
-from .evaluation import evaluate, format_report_table
+from .evaluation import evaluate, format_report_table, predictions
 from .model import VARIANT_NAMES, ModelDims, load_checkpoint, save_checkpoint
 from .training import TrainingConfig, ablate, train, write_log
 
@@ -165,16 +165,15 @@ def cmd_embed(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg, dims = _training_config(args), _model_dims(args)
     _check_writable(args.out, args.log)
     posts, m = corpus_mod.load_with_meta(args.corpus)
     vocab, table = text_mod.load_embeddings(args.embeddings)
     train_posts, dev_posts, _ = _prepare_splits(posts, vocab, args)
-    cfg = _training_config(args)
-    extra = {"split_seed": args.seed, "train_frac": args.train_frac,
-             "corpus_size": len(posts)}
     result = train(train_posts, dev_posts, args.variant, cfg, table.matrix, m,
-                   dims=_model_dims(args), vocab_hash=vocab.content_hash(),
-                   tokenizer_mode=args.tokenizer, extra_manifest=extra)
+                   dims=dims, vocab_hash=vocab.content_hash())
+    result.model.manifest.update(split_seed=args.seed, train_frac=args.train_frac,
+                                 tokenizer_mode=args.tokenizer)
     save_checkpoint(args.out, result.model)
     if args.log:
         write_log(args.log, result.log)
@@ -224,9 +223,7 @@ def cmd_ablate(args) -> int:
     posts, m = corpus_mod.load_with_meta(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args, sg_cfg)
     splits = _prepare_splits(posts, vocab, args)
-    reports = ablate(splits, variants, seeds, cfg, table.matrix, m, dims=dims,
-                     vocab_hash=vocab.content_hash(), tokenizer_mode=args.tokenizer,
-                     jobs=args.jobs)
+    reports = ablate(splits, variants, seeds, cfg, table.matrix, m, dims=dims, jobs=args.jobs)
     out = format_report_table(reports)
     sys.stdout.write(out)
     if args.out:
@@ -235,23 +232,20 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _predict_record(fwd, i: int, tokens: list[str]) -> dict:
-    """The JSON record of row i of a predict forward over posts of these tokens."""
-    present = {EMOTIONS[j]: float(fwd.emotion_probs[j].value[i, 1])
-               for j in range(len(EMOTIONS))}
+def _predict_record(fwd, pred, i: int, tokens: list[str]) -> dict:
+    """Row i's JSON record, from a forward, its predictions and the post's tokens."""
     rec = {
         "tokens": tokens,
-        "emotion_probabilities": present,
-        "predicted_emotions": [e for e, p in present.items() if p > 0.5],
+        "emotion_probabilities": {e: float(fwd.emotion_probs[j].value[i, 1])
+                                  for j, e in enumerate(EMOTIONS)},
+        "predicted_emotions": [e for j, e in enumerate(EMOTIONS) if pred.emotions[i, j]],
     }
     if fwd.gender_prob is not None:
-        p_male = float(fwd.gender_prob.value[i, 0])
-        rec["gender"] = {"male_probability": p_male,
-                         "predicted": GENDERS[int(p_male > 0.5)]}
+        rec["gender"] = {"male_probability": float(fwd.gender_prob.value[i, 0]),
+                         "predicted": GENDERS[pred.male[i]]}
     if fwd.location_probs is not None:
-        probs = fwd.location_probs.value[i]
-        rec["location"] = {"predicted": int(probs.argmax()),
-                           "probabilities": [float(x) for x in probs]}
+        rec["location"] = {"predicted": int(pred.location[i]),
+                           "probabilities": [float(x) for x in fwd.location_probs.value[i]]}
     if fwd.attention:
         rec["attention"] = {name: [float(x) for x in w.value[i, : len(tokens)]]
                             for name, w in fwd.attention.items()}
@@ -279,8 +273,9 @@ def cmd_predict(args) -> int:
                                           gender_bit=0, location=0)
                  for tokens in token_lists]
         fwd = model.forward(posts, train_mode=False)
+        pred = predictions(fwd)
         for i, tokens in enumerate(token_lists):
-            print(json.dumps(_predict_record(fwd, i, tokens)))
+            print(json.dumps(_predict_record(fwd, pred, i, tokens)))
     return 0
 
 

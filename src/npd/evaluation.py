@@ -10,8 +10,8 @@ blas.worker_allowed says so (at least 2 usable cores, and BLAS pinned to
 one thread per call, as the npd command pins it by default): a worker
 thread takes the cheaper batches, up to WORKER_SHARE of the caller's work,
 and numpy's BLAS calls and ufunc loops release the GIL, so the two forwards
-overlap. Each batch is reduced to integer counts and hits, summed in batch
-order, so a report is the same on one thread or two.
+overlap. Each batch is reduced to its predicted labels, whose counts and
+hits are summed in batch order, so a report is the same on one thread or two.
 """
 
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -23,7 +23,7 @@ import numpy as np
 from . import blas
 from .corpus import EMOTIONS, TokenizedPost
 from .errors import ContractError
-from .model import NpdModel
+from .model import ForwardResult, NpdModel
 
 _COLUMNS = ("Happiness", "Sadness", "Anger", "Surprise", "Fear")
 # The worker's estimated work is at most this share of the caller's, so it
@@ -79,26 +79,27 @@ class EvalReport:
                    average_f1=float("nan"), error=message)
 
 
-class _BatchScore(NamedTuple):
-    predicted: np.ndarray       # [b x 5] {0,1}: p(present) > 0.5
-    gold: np.ndarray            # [b x 5] emotion bits
-    gender_hits: int | None     # None where the variant has no such discriminator
-    location_hits: int | None
+class Predictions(NamedTuple):
+    emotions: np.ndarray         # [b x 5] {0,1}: p(present) > 0.5
+    male: np.ndarray | None      # [b] {0,1}: p(male) > 0.5; None without a gender discriminator
+    location: np.ndarray | None  # [b] most probable class; None without a location discriminator
 
 
-def _score_batch(model: NpdModel, batch: list[TokenizedPost]) -> _BatchScore:
-    """One eval-mode forward over a batch, reduced to its predictions and hits."""
-    fwd = model.forward(batch, train_mode=False)
+def predictions(fwd: ForwardResult) -> Predictions:
+    """The labels a forward pass predicts for each of its posts: the one
+    decision rule that evaluate scores and `npd predict` prints."""
     present = np.stack([probs.value[:, 1] for probs in fwd.emotion_probs], axis=1)
-    gender_hits = location_hits = None
+    male = location = None
     if fwd.gender_prob is not None:
-        pred = (fwd.gender_prob.value[:, 0] > 0.5).astype(np.int64)
-        gender_hits = int((pred == np.array([p.gender_bit for p in batch])).sum())
+        male = (fwd.gender_prob.value[:, 0] > 0.5).astype(np.int64)
     if fwd.location_probs is not None:
-        pred = fwd.location_probs.value.argmax(axis=1)
-        location_hits = int((pred == np.array([p.location for p in batch])).sum())
-    return _BatchScore((present > 0.5).astype(np.int64), np.stack([p.emotion_bits for p in batch]),
-                       gender_hits, location_hits)
+        location = fwd.location_probs.value.argmax(axis=1)
+    return Predictions((present > 0.5).astype(np.int64), male, location)
+
+
+def _score_batch(model: NpdModel, batch: list[TokenizedPost]) -> Predictions:
+    """One eval-mode forward over a batch, reduced to its predictions."""
+    return predictions(model.forward(batch, train_mode=False))
 
 
 def _worker_batches(batches: list) -> list[int]:
@@ -124,8 +125,8 @@ def _worker_batches(batches: list) -> list[int]:
     return sorted(worker)
 
 
-def _score_overlapped(model: NpdModel, batches: list, on_worker: list[int]) -> list[_BatchScore]:
-    """Each batch's score, in batch order: the batches on_worker names run,
+def _score_overlapped(model: NpdModel, batches: list, on_worker: list[int]) -> list[Predictions]:
+    """Each batch's predictions, in batch order: the batches on_worker names run,
     in order, on one worker thread while the calling thread runs the others,
     also in order. numpy releases the GIL inside BLAS calls and ufunc loops,
     so the two forwards overlap.
@@ -163,8 +164,8 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     """Run the model over a labeled set in eval mode and score it.
 
     No forward keeps a backward closure, and the model's parameters and
-    gradients are untouched (see NpdModel.forward). Present/absent is
-    thresholded at p(present) > 0.5. Posts are batched in order of length,
+    gradients are untouched (see NpdModel.forward). Labels are scored as
+    predictions gives them. Posts are batched in order of length,
     which cuts padding; every count is a sum over posts, so the report does
     not depend on that order.
 
@@ -185,19 +186,23 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     else:
         scores = [_score_batch(model, batch) for batch in batches]
     counts = ConfusionCounts.zeros()
-    for score in scores:
-        counts.add(score.predicted, score.gold)
-    gender_hits = [s.gender_hits for s in scores if s.gender_hits is not None]
-    location_hits = [s.location_hits for s in scores if s.location_hits is not None]
+    gender_hits = location_hits = 0
+    for pred, batch in zip(scores, batches):
+        counts.add(pred.emotions, np.stack([p.emotion_bits for p in batch]))
+        if pred.male is not None:
+            gender_hits += int((pred.male == np.array([p.gender_bit for p in batch])).sum())
+        if pred.location is not None:
+            location_hits += int((pred.location == np.array([p.location for p in batch])).sum())
     f1 = [f1_score(counts, j) for j in range(len(EMOTIONS))]
+    first = scores[0]  # every batch's predictions have the same parts
     return EvalReport(
         variant=model.variant.value,
         seed=int(model.manifest["seed"]),
         f1=f1,
         average_f1=float(np.mean(f1)),
         counts=counts,
-        gender_accuracy=sum(gender_hits) / len(posts) if gender_hits else None,
-        location_accuracy=sum(location_hits) / len(posts) if location_hits else None,
+        gender_accuracy=gender_hits / len(posts) if first.male is not None else None,
+        location_accuracy=location_hits / len(posts) if first.location is not None else None,
     )
 
 

@@ -19,6 +19,13 @@ All parameters live in a flat name -> Node map whose name prefix ("f.",
 update. An eval-mode forward reads those parameters as constants over the
 same arrays, so its graph keeps no backward closure.
 
+Manifest fields, by writer: build_model writes the architecture (variant,
+embed_dim, hidden_dim, attention_dim, head_hidden_dim, num_locations,
+lambda_rev, finetune_embeddings), the init seed, vocab_hash and a default
+tokenizer_mode of "whitespace"; `npd train` adds split_seed and train_frac
+and sets tokenizer_mode to its --tokenizer. load_checkpoint ignores fields
+outside _MANIFEST_FIELDS, such as an older file's num_emotions or corpus_size.
+
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
   sorted keys) | u64 tensor_count | per tensor: u64 name_len, name UTF-8,
@@ -151,15 +158,10 @@ class NpdModel:
         self.variant = ModelVariant(manifest["variant"])
         self.wiring = _WIRING[self.variant]
         self.embedding = np.asarray(embedding, dtype=np.float64)
-        self.embed_dim = int(manifest["embed_dim"])
-        self.hidden_dim = int(manifest["hidden_dim"])
-        self.attention_dim = int(manifest["attention_dim"])
-        self.head_hidden_dim = int(manifest["head_hidden_dim"])
-        self.num_locations = int(manifest["num_locations"])
         self.lambda_rev = float(manifest["lambda_rev"])
         self.finetune_embeddings = bool(manifest["finetune_embeddings"])
-        if self.num_locations < 2:
-            raise ConfigError(f"need at least 2 location classes, got {self.num_locations}")
+        if int(manifest["num_locations"]) < 2:
+            raise ConfigError(f"need at least 2 location classes, got {manifest['num_locations']}")
         if params is None:
             self.params = self._init_params()
         else:
@@ -294,8 +296,7 @@ class NpdModel:
 
 
 def build_model(variant, embedding: np.ndarray, num_locations: int, seed: int,
-                dims: ModelDims | None = None, vocab_hash: str = "",
-                tokenizer_mode: str = "whitespace", extra_manifest: dict | None = None) -> NpdModel:
+                dims: ModelDims | None = None, vocab_hash: str = "") -> NpdModel:
     """Assemble a fresh model with seeded initialization; dims defaults to ModelDims()."""
     dims = dims or ModelDims()
     dims.validate()
@@ -305,16 +306,13 @@ def build_model(variant, embedding: np.ndarray, num_locations: int, seed: int,
         "hidden_dim": int(dims.hidden_dim),
         "attention_dim": int(dims.attention_dim or dims.hidden_dim),
         "head_hidden_dim": int(dims.head_hidden_dim or dims.hidden_dim),
-        "num_emotions": len(EMOTIONS),
         "num_locations": int(num_locations),
         "vocab_hash": vocab_hash,
         "seed": int(seed),
         "lambda_rev": float(dims.lambda_rev),
         "finetune_embeddings": bool(dims.finetune_embeddings),
-        "tokenizer_mode": tokenizer_mode,
+        "tokenizer_mode": "whitespace",
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     return NpdModel(manifest, embedding)
 
 

@@ -33,6 +33,7 @@ from .seeding import substream
 
 _PROB_FLOOR = 1e-300   # emotion heads: guards log(0) on collapsed softmax
 _BCE_EPS = 1e-12       # discriminators: clamp range [eps, 1-eps]
+_ADAGRAD_EPS = 1e-8    # AdaGrad: added to sqrt(acc) in the step's denominator
 
 
 @dataclass
@@ -127,10 +128,9 @@ def batch_losses(model: NpdModel, result: ForwardResult, batch: list[TokenizedPo
 class AdaGrad:
     """Per-coordinate accumulator optimizer: acc += g^2; p -= mu*g/(sqrt(acc)+eps)."""
 
-    def __init__(self, params: dict[str, Node], mu: float, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Node], mu: float):
         self.params = params
         self.mu = mu
-        self.eps = eps
         self.acc = {k: np.zeros_like(v.value) for k, v in params.items()}
 
     def step(self) -> None:
@@ -139,7 +139,7 @@ class AdaGrad:
             g = node.grad
             acc = self.acc[name]
             acc += g * g
-            node.value -= self.mu * g / (np.sqrt(acc) + self.eps)
+            node.value -= self.mu * g / (np.sqrt(acc) + _ADAGRAD_EPS)
             node.grad[...] = 0.0
 
 
@@ -189,9 +189,7 @@ def write_log(path: str, log: list[EpochLog]) -> None:
 
 def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
           variant, cfg: TrainingConfig, embedding: np.ndarray, num_locations: int,
-          dims: ModelDims | None = None, vocab_hash: str = "",
-          tokenizer_mode: str = "whitespace",
-          extra_manifest: dict | None = None) -> TrainResult:
+          dims: ModelDims | None = None, vocab_hash: str = "") -> TrainResult:
     """Train one variant; returns the best-dev-F1 checkpoint and the epoch log.
 
     Runs shuffled minibatches; each batch takes one forward pass, one
@@ -202,8 +200,7 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
     if not train_posts:
         raise ContractError("train: empty training split")
     model = build_model(variant, embedding, num_locations, cfg.seed, dims=dims,
-                        vocab_hash=vocab_hash, tokenizer_mode=tokenizer_mode,
-                        extra_manifest=extra_manifest)
+                        vocab_hash=vocab_hash)
     result = TrainResult(model=model)
     opt = AdaGrad(model.params, cfg.mu)
     rng_shuffle = substream(cfg.seed, "shuffle")
@@ -263,7 +260,6 @@ def _run_one(splits, cfg: TrainingConfig, variant, seed: int, **train_kwargs) ->
 
 def ablate(splits, variants: list[str], seeds: list[int], cfg: TrainingConfig,
            embedding: np.ndarray, num_locations: int, dims: ModelDims | None = None,
-           vocab_hash: str = "", tokenizer_mode: str = "whitespace",
            jobs: int = 1) -> list[EvalReport]:
     """Retrain and score every (variant, seed) pair on shared splits.
 
@@ -278,8 +274,7 @@ def ablate(splits, variants: list[str], seeds: list[int], cfg: TrainingConfig,
     dims = dims or ModelDims()
     dims.validate()
     run = functools.partial(_run_one, splits, cfg, embedding=embedding,
-                            num_locations=num_locations, dims=dims, vocab_hash=vocab_hash,
-                            tokenizer_mode=tokenizer_mode)
+                            num_locations=num_locations, dims=dims)
     pairs = [(variant, seed) for variant in variants for seed in seeds]
     reports: list[EvalReport] = []
     # spawn, not fork: a fork copies the BLAS thread pool's locks but not its threads

@@ -1,6 +1,10 @@
-"""compare() of tools/bench_ab.py on hand-made parent/change runs."""
+"""tools/bench_ab.py: compare() on hand-made parent/change runs, and the
+per-run fault counts on a stub benchmark command."""
 
 import importlib.util
+import json
+import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,54 @@ def test_pairs_missing_the_metric_are_left_out():
     out = bench_ab.compare(runs(PARENT, change), metric())
     assert out["pairs"] == 9 and out["change_wins"] == 9
     assert out["parent"]["runs"] == PARENT[1:]
+
+
+# A stub benchmark command: it writes one byte to each 4 KiB page of an
+# anonymous map of as many MiB as the file "mib" in its working directory
+# holds (huge pages off, so each page faults once), then prints a result line.
+STUB = """
+import json, mmap, sys
+size = int(open("mib").read()) << 20
+if size:
+    block = mmap.mmap(-1, size)
+    block.madvise(mmap.MADV_NOHUGEPAGE)
+    for offset in range(0, size, 4096):
+        block[offset] = 1
+print("environment: stub")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"x": {"value": float(sys.argv[sys.argv.index("--seed") + 1])}}}))
+"""
+
+
+def stub_checkout(path, mib):
+    path.mkdir()
+    (path / "mib").write_text(str(mib))
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "-c", STUB], "run_seconds": 1,
+        "workloads": [{"name": "w"}], "end_to_end": [metric()]}))
+    return path
+
+
+def test_run_once_counts_the_runs_own_minor_faults(tmp_path):
+    small, big = stub_checkout(tmp_path / "small", 0), stub_checkout(tmp_path / "big", 16)
+    command = [sys.executable, "-c", STUB]
+    first, touched, again = (bench_ab.run_once(checkout, command, "w", 5, 1)
+                             for checkout in (small, big, small))
+    assert first["correct"] and first["metrics"] == {"x": 5.0}
+    # 16 MiB is 4096 pages; the rest of a run's faults vary by a few between runs
+    assert touched["minflt"] - first["minflt"] > 4096 - 100
+    assert 0 < again["minflt"] < touched["minflt"]  # not a running total
+
+
+def test_record_holds_each_runs_faults_and_a_median_per_side(tmp_path):
+    parent, change = stub_checkout(tmp_path / "parent", 16), stub_checkout(tmp_path / "change", 0)
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["--parent", str(parent), "--change", str(change),
+                          "--first-seed", "1", "--out", str(out)]) == 0
+    workload = json.loads(out.read_text())["workloads"]["w"]
+    medians = workload["minflt_median"]
+    for side in bench_ab.SIDES:
+        faults = [run["minflt"] for run in workload["runs"][side]]
+        assert len(faults) == bench_ab.PAIRS and all(f > 0 for f in faults)
+        assert medians[side] == statistics.median(faults)
+    assert medians["parent"] - medians["change"] > 4096 - 100

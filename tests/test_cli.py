@@ -383,6 +383,64 @@ def test_vocab_hash_mismatch_names_both_files(mini_pipeline, tmp_path, monkeypat
     assert str(path) in captured.err and str(mini_pipeline["embeddings"]) in captured.err
 
 
+# what build_model writes, and what npd train adds (see npd.model's docstring)
+MANIFEST_KEYS = {"variant", "embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim",
+                 "num_locations", "lambda_rev", "finetune_embeddings", "seed", "vocab_hash",
+                 "tokenizer_mode", "split_seed", "train_frac"}
+
+
+def test_train_stamps_the_run_on_the_manifest(mini_pipeline, tmp_path, monkeypatch, capsys):
+    """npd train writes the run's split and tokenizer into the checkpoint,
+    and eval reads them back: a char-mode checkpoint is evaluated in char
+    mode on the split it was trained with."""
+    corpus, emb, path = str(mini_pipeline["corpus"]), tmp_path / "emb.txt", tmp_path / "m.bin"
+    assert main(["embed", "--corpus", corpus, "--out", str(emb), "--tokenizer", "char",
+                 "--embed-dim", "4", "--embed-epochs", "1"]) == 0
+    assert main(["train", "--corpus", corpus, "--embeddings", str(emb), "--variant", "LSTM",
+                 "--out", str(path), "--tokenizer", "char", "--seed", "3", "--train-frac", "0.6",
+                 "--hidden-dim", "4", "--epochs", "1"]) == 0
+    manifest = load_checkpoint(str(path)).manifest
+    assert set(manifest) == MANIFEST_KEYS
+    assert (manifest["split_seed"], manifest["train_frac"], manifest["tokenizer_mode"]) \
+        == (3, 0.6, "char")
+
+    seen = {}
+    split, encode = cli.corpus_mod.split, cli.corpus_mod.encode
+
+    def spy_split(posts, train_frac, seed):
+        seen["split"] = (train_frac, seed)
+        return split(posts, train_frac, seed)
+
+    def spy_encode(posts, vocab, mode):
+        seen["mode"] = mode
+        return encode(posts, vocab, mode)
+
+    monkeypatch.setattr(cli.corpus_mod, "split", spy_split)
+    monkeypatch.setattr(cli.corpus_mod, "encode", spy_encode)
+    assert main(["eval", "--model", str(path), "--corpus", corpus, "--embeddings", str(emb)]) == 0
+    assert seen == {"split": (0.6, 3), "mode": "char"}
+
+
+def test_checkpoint_with_dropped_fields_evaluates_unchanged(mini_pipeline, tmp_path,
+                                                            monkeypatch, capsys):
+    """Checkpoints written before num_emotions and corpus_size left the
+    manifest still hold them; they load, evaluate and predict as before."""
+    model = load_checkpoint(str(mini_pipeline["model"]))
+    tensors = {name: node.value for name, node in model.params.items()}
+    tensors["embedding"] = model.embedding
+    old = tmp_path / "old.bin"
+    write_checkpoint(old, {**model.manifest, "num_emotions": 5, "corpus_size": 150}, tensors)
+    stdin = "\n".join(corpus_texts(mini_pipeline, 5)) + "\n"
+    outputs = []
+    for path in (mini_pipeline["model"], old):
+        assert main(["eval", "--model", str(path), "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"])]) == 0
+        report = capsys.readouterr().out
+        outputs.append((report, run_predict(monkeypatch, capsys, path,
+                                            mini_pipeline["embeddings"], stdin)))
+    assert outputs[0] == outputs[1]
+
+
 # (bytes of a synth --config file, text the error must contain besides the path)
 BAD_SYNTH_CONFIGS = [
     (b'{"n_posts": 5', "malformed JSON"),
@@ -450,7 +508,9 @@ BAD_TRAINING_OPTIONS = [
 class TestBadTrainingOptions:
     @pytest.mark.parametrize("extra,named", BAD_TRAINING_OPTIONS,
                              ids=[" ".join(e) for e, _ in BAD_TRAINING_OPTIONS])
-    def test_train_exits_1(self, mini_pipeline, tmp_path, capsys, extra, named):
+    def test_train_exits_1(self, mini_pipeline, tmp_path, monkeypatch, capsys, extra, named):
+        # train checks its options before it reads the embeddings
+        monkeypatch.setattr(text, "load_embeddings", lambda *a: pytest.fail("embeddings read"))
         code = main(["train", "--corpus", str(mini_pipeline["corpus"]),
                      "--embeddings", str(mini_pipeline["embeddings"]),
                      "--variant", "NPD", "--out", str(tmp_path / "m.bin"),
@@ -522,6 +582,8 @@ def test_bad_size_option_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, c
     if command == "embed":
         args += ["--embed-dim", "4", "--embed-epochs", "1"]
     elif command == "train":
+        # train checks its options before it reads the embeddings
+        monkeypatch.setattr(text, "load_embeddings", lambda *a: pytest.fail("embeddings read"))
         args += ["--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD",
                  "--hidden-dim", "4", "--epochs", "1"]
     else:

@@ -49,7 +49,7 @@ class TestEncoder:
         model = small_model("LSTM")
         rng = np.random.default_rng(0)
         fwd = model.forward([make_post(rng, 1)])
-        assert fwd.head_input.value.shape == (1, model.hidden_dim)
+        assert fwd.head_input.value.shape == (1, model.manifest["hidden_dim"])
 
     def test_zero_params_zero_states(self):
         model = small_model("LSTM")
@@ -63,7 +63,7 @@ class TestEncoder:
         model = small_model("LSTM", seed=3)
         rng = np.random.default_rng(3)
         batch = [make_post(rng, 3), make_post(rng, 5)]
-        probe = rng.standard_normal((2, model.hidden_dim))
+        probe = rng.standard_normal((2, model.manifest["hidden_dim"]))
         fwd = model.forward(batch, train_mode=True)
         ad.backward(probe_loss(fwd.head_input, probe))
 
@@ -73,7 +73,7 @@ class TestEncoder:
             total = 0.0
             for i, post in enumerate(batch):
                 xs = [model.embedding[t] for t in post.ids]
-                h = oracle.lstm_states(work, xs, model.hidden_dim)[-1]
+                h = oracle.lstm_states(work, xs, model.manifest["hidden_dim"])[-1]
                 total += float(h @ probe[i])
             return total
 
@@ -109,7 +109,8 @@ class TestAttention:
         fwd = model.forward([post])
         np.testing.assert_allclose(fwd.attention["gender"].value, 1.0 / n, atol=1e-15)
         states = oracle.lstm_states(param_values(model),
-                                    [model.embedding[t] for t in post.ids], model.hidden_dim)
+                                    [model.embedding[t] for t in post.ids],
+                                    model.manifest["hidden_dim"])
         np.testing.assert_allclose(fwd.head_input.value[0],
                                    np.mean(states, axis=0), atol=1e-12)
 
@@ -212,7 +213,7 @@ class TestForwardVariants:
         fwd = model.forward([post])
         states = oracle.lstm_states(param_values(model),
                                     [model.embedding[t] for t in post.ids],
-                                    model.hidden_dim)
+                                    model.manifest["hidden_dim"])
         np.testing.assert_allclose(fwd.head_input.value[0],
                                    np.concatenate([states[-1], states[-1]]), atol=1e-12)
 

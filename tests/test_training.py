@@ -173,7 +173,7 @@ class TestAdaGrad:
 
     def test_first_step_closed_form(self):
         p = ad.param([1.0])
-        opt = AdaGrad({"p": p}, mu=0.1, eps=1e-8)
+        opt = AdaGrad({"p": p}, mu=0.1)
         p.grad[...] = 3.0
         opt.step()
         expected = 1.0 - 0.1 * 3.0 / (3.0 + 1e-8)
@@ -334,6 +334,19 @@ class TestTrainLoop:
         for name in fresh.params:
             np.testing.assert_array_equal(result.model.params[name].value,
                                           fresh.params[name].value)
+
+    def test_manifest_holds_the_model_not_the_run(self):
+        """train records how to rebuild the model and the default tokenizer;
+        the run's split is npd train's to add."""
+        rng = np.random.default_rng(7)
+        result = train(tiny_dataset(rng, 12), [], "NPD", TrainingConfig(max_epochs=0, seed=3),
+                       tiny_embedding(rng), num_locations=5, dims=ModelDims(hidden_dim=4),
+                       vocab_hash="abc")
+        manifest = result.model.manifest
+        assert manifest["tokenizer_mode"] == "whitespace" and "split_seed" not in manifest
+        assert set(manifest) == {"variant", "embed_dim", "hidden_dim", "attention_dim",
+                                 "head_hidden_dim", "num_locations", "lambda_rev",
+                                 "finetune_embeddings", "seed", "vocab_hash", "tokenizer_mode"}
 
     def test_zero_attribute_weights_freeze_discriminators(self):
         rng = np.random.default_rng(8)

@@ -16,10 +16,16 @@ for neither side), whether that shows a gain and whether the change stays
 within the metric's bound, beside the benchmark's ``environment:`` line and
 each checkout's commit. Runs are sequential: on a small host two at once would
 slow each other.
+
+Each run also records ``minflt``, the minor page faults of its process (and
+of any child it waits for), and each workload the median per side: a
+throughput that moves on unchanged code can be read against the heap state
+it ran in.
 """
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -51,9 +57,12 @@ def git_ids(checkout: Path) -> dict:
 def run_once(checkout: Path, command: list, workload: str, seed: int, seconds) -> dict:
     """One benchmark run: its metrics, check counts and environment line."""
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    # runs are sequential, so the children's total grows by this run's faults alone
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter()
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = out.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -61,7 +70,7 @@ def run_once(checkout: Path, command: list, workload: str, seed: int, seconds) -
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     env = next((line for line in lines if line.startswith("environment:")), None)
     return {"seed": seed, "returncode": out.returncode, "wall_s": round(wall, 3),
-            "correct": result["correct"], "attempted": result["attempted"],
+            "minflt": faults, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "environment": env,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "stderr_tail": out.stderr.strip().splitlines()[-3:] if out.returncode else []}
@@ -131,6 +140,8 @@ def main(argv=None) -> int:
             "failed_runs": {side: sum(not r["correct"] or r["returncode"] != 0 for r in runs[side])
                             for side in SIDES},
             "metrics": {m["name"]: compare(runs, m) for m in spec["end_to_end"]},
+            "minflt_median": {side: statistics.median(r["minflt"] for r in runs[side])
+                              for side in SIDES},
             "runs": runs,
         }
         # written after each workload, so a stopped run keeps what it measured
