@@ -12,16 +12,15 @@ A node keeps its closure only if some parent needs a gradient, so a forward
 over constants alone (the model's eval-mode forward) holds no closure, and
 each op's buffers are freed as soon as its value is no longer read.
 
-Batches of variable-length posts are padded to the longest one, and pack
-turns the {0,1} validity mask into a packing: the batch's L live (step,
-post) pairs, step-major, each step's posts longest first. The ops that see
-the time axis work in that packed [L x ...] layout, so padded pairs are
-never stored or computed: lstm_seq takes the embedding table and each
-pair's token id, projects each distinct id's row once and gathers the
-pairs' gate rows from that, runs each step on the posts still running and
-returns every pair's state, and attention_pool scores those states, pools
-them step by step and reports its weights as a dense [n x T] array, 0 on
-padding.
+A batch of variable-length posts is never padded: pack turns its posts'
+lengths into a packing, the batch's L live (step, post) pairs, step-major,
+each step's posts longest first, with the first row of each step's block.
+The ops that see the time axis work in that packed [L x ...] layout:
+lstm_seq takes the embedding table and each pair's token id, projects each
+distinct id's row once and gathers the pairs' gate rows from that, runs
+each step on the posts still running and returns every pair's state, and
+attention_pool scores those states, pools them step by step and reports
+its weights as a dense [n x T] array, 0 past each post's end.
 
 The op set is exactly what the emotion model and its losses call: the
 dense layer affine (x W + b), elementwise sigmoid, row-wise softmax, 2-D
@@ -186,39 +185,35 @@ def rows(table: Node, ids: np.ndarray) -> Node:
 
 
 class Packing(NamedTuple):
-    """Where each live (step, post) pair of a padded batch sits in packed
-    [L x ...] buffers, from pack. Pairs are step-major, and within a step the
-    posts run longest first, so step t's pairs are one contiguous block of
-    live[t] rows, led by the posts still running after it. Every post runs
-    at step 0, so the first n pairs list the posts longest first (stable)."""
+    """Where each live (step, post) pair of a batch sits in packed [L x ...]
+    buffers, from pack. Pairs are step-major, and within a step the posts
+    run longest first, so step t's pairs are the contiguous rows
+    start[t]:start[t + 1], led by the posts still running after it. Every
+    post runs at step 0, so the first n pairs list the posts longest first
+    (stable)."""
 
     live: np.ndarray   # [T] posts still running at step t
+    start: np.ndarray  # [T + 1] first packed row of each step, then L
     post: np.ndarray   # [L] the post of each packed pair
     step: np.ndarray   # [L] the step of each packed pair
     last: np.ndarray   # [n] each post's final pair
 
 
-def pack(mask: np.ndarray) -> Packing:
-    """The packing of a batch from its [n x T] {0,1} validity mask, whose
-    rows must be ones up to each post's length and zeros after; a gap, or a
-    row with no valid step, raises ContractError. The arrays are read-only,
-    as one packing is shared by every node of a batch."""
-    valid = np.asarray(mask) > 0
-    if valid.ndim != 2:
-        raise DimensionError(f"pack: expected an [n x T] mask, got {valid.shape}")
-    n, T = valid.shape
-    lengths = valid.sum(axis=1)
-    if not np.array_equal(valid, np.arange(T) < lengths[:, None]):
-        raise ContractError("pack: each mask row must be ones then zeros")
-    if not lengths.all():
-        raise ContractError("pack: every mask row needs a valid step")
+def pack(lengths) -> Packing:
+    """The packing of a batch from its posts' lengths; an empty batch, or a
+    post of length 0, raises ContractError. The arrays are read-only, as
+    one packing is shared by every node of a batch."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+        raise ContractError("pack: need a nonempty vector of post lengths, each >= 1")
+    n, T = len(lengths), lengths.max()
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     live = (lengths > np.arange(T)[:, None]).sum(axis=1)
     step, ranks = np.nonzero(np.arange(n) < live[:, None])
     start = np.concatenate(([0], np.cumsum(live)))
-    packing = Packing(live, order[ranks], step, start[lengths - 1] + rank)
+    packing = Packing(live, start, order[ranks], step, start[lengths - 1] + rank)
     for a in packing:
         a.flags.writeable = False
     return packing
@@ -262,7 +257,7 @@ def lstm_seq(table: Node, ids: np.ndarray, wx: Node, b: Node, wh: Node, h0: Node
     theirs from d in one product each after the time loop, the table's as a
     scatter into the rows of its ids.
     """
-    live = packing.live
+    live, start = packing.live, packing.start
     n, L, T = len(packing.last), len(packing.post), len(live)
     hd = wh.value.shape[0]
     tv, wxv = table.value, wx.value
@@ -277,7 +272,6 @@ def lstm_seq(table: Node, ids: np.ndarray, wx: Node, b: Node, wh: Node, h0: Node
     uniq, inv = np.unique(idx, return_inverse=True)
     if L and (uniq[0] < 0 or uniq[-1] >= tv.shape[0]):
         raise ContractError(f"lstm_seq: id out of range for table with {tv.shape[0]} rows")
-    start = np.concatenate(([0], np.cumsum(live)))  # step t is packed rows start[t]:start[t+1]
     # H and C hold the n initial states, then the packed states: the state
     # before step t is block blk[t], the state after it block blk[t + 1]
     blk = np.concatenate(([0], n + start[:-1]))
@@ -436,11 +430,9 @@ def attention_pool(states: Node, w: Node, b: Node, u: Node,
     # in length order; one scatter through post[:n] restores batch order
     acc = np.zeros((n, s.shape[1]))
     tmp = np.empty_like(acc)
-    start = 0
-    for k in packing.live:
-        np.multiply(a[start : start + k, None], s[start : start + k], out=tmp[:k])
+    for k, j in zip(packing.live, packing.start):
+        np.multiply(a[j : j + k, None], s[j : j + k], out=tmp[:k])
         acc[:k] += tmp[:k]
-        start += k
     pooled = np.empty_like(acc)
     pooled[post[:n]] = acc
     return alpha, Node(pooled, op="attention_pool", parents=(states, w, b, u),

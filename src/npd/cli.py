@@ -187,9 +187,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _check_writable(args.out)
     model = load_checkpoint(args.model)
-    if args.variant and args.variant != model.variant.value:
-        raise NpdError(f"requested variant {args.variant} but checkpoint holds "
-                       f"{model.variant.value}")
+    if args.variant and args.variant != model.variant:
+        raise NpdError(f"requested variant {args.variant} but checkpoint holds {model.variant}")
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab(model, vocab, args.model, args.embeddings)

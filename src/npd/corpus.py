@@ -13,7 +13,7 @@ null-signal control corpora.
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,13 +234,6 @@ class SynthConfig:
         if "prevalence" in raw:
             raw["prevalence"] = tuple(raw["prevalence"])
         return cls(**raw)
-
-    def to_json(self, path: str) -> None:
-        rec = asdict(self)
-        rec["prevalence"] = list(rec["prevalence"])
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rec, fh, indent=2)
-            fh.write("\n")
 
     def correlation_table(self) -> np.ndarray:
         """[5 x 2 x m] conditional emotion probabilities given (gender, location)."""

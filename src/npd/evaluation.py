@@ -165,9 +165,9 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
 
     No forward keeps a backward closure, and the model's parameters and
     gradients are untouched (see NpdModel.forward). Labels are scored as
-    predictions gives them. Posts are batched in order of length,
-    which cuts padding; every count is a sum over posts, so the report does
-    not depend on that order.
+    predictions gives them. Posts are batched in order of length, which
+    shortens each batch's time loop to about its posts' own length; every
+    count is a sum over posts, so the report does not depend on that order.
 
     With more than one batch, and where blas.worker_allowed says so, one worker
     thread runs the cheaper batches (see _worker_batches) while the caller
@@ -196,7 +196,7 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     f1 = [f1_score(counts, j) for j in range(len(EMOTIONS))]
     first = scores[0]  # every batch's predictions have the same parts
     return EvalReport(
-        variant=model.variant.value,
+        variant=model.variant,
         seed=int(model.manifest["seed"]),
         f1=f1,
         average_f1=float(np.mean(f1)),

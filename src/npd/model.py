@@ -2,18 +2,20 @@
 gradient-reversed gender/location discriminators, and five 2-class emotion
 heads, with every ablation variant wired from the same parts.
 
-Forward passes are batched. Posts are padded to the batch's longest
-sequence, and the {0,1} validity mask is turned once per batch into a
-packing (autodiff.pack) that lists the batch's L live (step, post) pairs.
-The whole encoder then runs on those pairs only: the fused lstm_seq node
-takes the [V x e] embedding table and the pairs' token ids, projects the
-row of each distinct id onto the gates with their bias once, gathers each
-pair's gate row from those and runs each step on the posts still running,
-returning the [L x h] state after every pair; the attention pools score
-those rows, and each post's final state is the row packing.last picks.
-Padded steps are never computed. Attention weights are reported as a dense
-[b x T] array, exactly 0 on padding. Every dense layer of the emotion heads
-and the discriminators is one affine node x W + b.
+Forward passes are batched, and no batch is padded. The posts' lengths
+are turned once per batch into a packing (autodiff.pack) that lists the
+batch's L live (step, post) pairs, and each pair's token id is read from
+the posts' concatenated ids. The whole encoder runs on those pairs only:
+the fused lstm_seq node takes the [V x e] embedding table and the pairs'
+token ids, projects the row of each distinct id onto the gates with their
+bias once, gathers each pair's gate row from those and runs each step on
+the posts still running, returning the [L x h] state after every pair; the
+attention pools score those rows, and each post's final state is the row
+packing.last picks. Attention weights are reported as a dense [b x T]
+array over the longest post's T steps, exactly 0 past each post's end, and
+ForwardResult.mask is the matching {0,1} array of each post's steps. Every
+dense layer of the emotion heads and the discriminators is one affine node
+x W + b.
 All parameters live in a flat name -> Node map whose name prefix ("f.",
 "y.", "g.", "l.") is the parameter partition used by the saddle-point
 update. An eval-mode forward reads those parameters as constants over the
@@ -33,12 +35,12 @@ Checkpoint layout (little-endian, documented for external readers):
   save/load round-trips bit-exactly.
 """
 
+import itertools
 import json
 import math
 import os
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -48,19 +50,6 @@ from .autodiff import Node
 from .corpus import EMOTIONS, TokenizedPost
 from .errors import ConfigError, ContractError, DataError
 from .seeding import substream
-
-
-class ModelVariant(str, Enum):
-    LSTM = "LSTM"
-    LSTM_ATTRIBUTES = "LSTM_ATTRIBUTES"
-    LSTM_ATTENTION = "LSTM_ATTENTION"
-    LSTM_ADVERSARIAL = "LSTM_ADVERSARIAL"
-    NPD_GENDER = "NPD_GENDER"
-    NPD_LOCATION = "NPD_LOCATION"
-    NPD = "NPD"
-
-
-VARIANT_NAMES = [v.value for v in ModelVariant]
 
 
 class Wiring(NamedTuple):
@@ -77,14 +66,16 @@ class Wiring(NamedTuple):
 # discriminator, location discriminator, gradient reversal. LSTM_ATTRIBUTES
 # predicts attributes as plain extra labels, with no adversary.
 _WIRING = {
-    ModelVariant.LSTM:             Wiring(False, False, False, False, False),
-    ModelVariant.LSTM_ATTRIBUTES:  Wiring(False, False, True,  True,  False),
-    ModelVariant.LSTM_ATTENTION:   Wiring(True,  True,  False, False, False),
-    ModelVariant.LSTM_ADVERSARIAL: Wiring(False, False, True,  True,  True),
-    ModelVariant.NPD_GENDER:       Wiring(True,  False, True,  False, True),
-    ModelVariant.NPD_LOCATION:     Wiring(False, True,  False, True,  True),
-    ModelVariant.NPD:              Wiring(True,  True,  True,  True,  True),
+    "LSTM":             Wiring(False, False, False, False, False),
+    "LSTM_ATTRIBUTES":  Wiring(False, False, True,  True,  False),
+    "LSTM_ATTENTION":   Wiring(True,  True,  False, False, False),
+    "LSTM_ADVERSARIAL": Wiring(False, False, True,  True,  True),
+    "NPD_GENDER":       Wiring(True,  False, True,  False, True),
+    "NPD_LOCATION":     Wiring(False, True,  False, True,  True),
+    "NPD":              Wiring(True,  True,  True,  True,  True),
 }
+
+VARIANT_NAMES = list(_WIRING)
 
 
 @dataclass
@@ -115,14 +106,14 @@ class ForwardResult:
     location_probs: Node | None  # [b x m]
     attention: dict = field(default_factory=dict)  # name -> constant Node [b x T] of weights
     head_input: Node | None = None
-    mask: np.ndarray | None = None
+    mask: np.ndarray | None = None  # [b x T] 1.0 on each post's steps, 0.0 after
 
 
 def _param_specs(manifest: dict, vocab_size: int) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every parameter of the manifest's model by name: its shape and how it
     starts ("uniform", "normal", "zeros" or "embedding"), in the order the
     initialiser draws them, which is also the order of NpdModel.params."""
-    wiring = _WIRING[ModelVariant(manifest["variant"])]
+    wiring = _WIRING[manifest["variant"]]
     e, h, a, hh, m = (int(manifest[key]) for key in (
         "embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim", "num_locations"))
     specs = {"f.lstm.wx": ((e, 4 * h), "uniform"), "f.lstm.wh": ((h, 4 * h), "uniform"),
@@ -155,7 +146,7 @@ class NpdModel:
         names and shapes; otherwise the parameters are drawn from the
         manifest's seed."""
         self.manifest = dict(manifest)
-        self.variant = ModelVariant(manifest["variant"])
+        self.variant = manifest["variant"]
         self.wiring = _WIRING[self.variant]
         self.embedding = np.asarray(embedding, dtype=np.float64)
         self.lambda_rev = float(manifest["lambda_rev"])
@@ -194,19 +185,22 @@ class NpdModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _embed_all_steps(self, p: dict[str, Node], ids: np.ndarray,
+    def _embed_all_steps(self, p: dict[str, Node], tokens: np.ndarray, first: np.ndarray,
                          packing: ad.Packing) -> tuple[Node, np.ndarray]:
         """The [V x e] embedding node and the token id of each of the batch's
-        live (step, post) pairs in packing's order; lstm_seq gathers and
-        projects the rows of those ids, once per distinct id."""
+        live (step, post) pairs in packing's order, read from the posts'
+        concatenated ids tokens at first[post] + step, where first[i] is
+        post i's first position; lstm_seq gathers and projects the rows of
+        those ids, once per distinct id."""
         table = p["f.embed"] if self.finetune_embeddings else ad.constant(self.embedding)
-        return table, ids[packing.post, packing.step]
+        return table, tokens[first[packing.post] + packing.step]
 
-    def _encode(self, p: dict[str, Node], ids: np.ndarray, packing: ad.Packing) -> Node:
-        """Run the LSTM over the padded ids' live pairs as one fused node,
+    def _encode(self, p: dict[str, Node], tokens: np.ndarray, first: np.ndarray,
+                packing: ad.Packing) -> Node:
+        """Run the LSTM over the batch's live pairs as one fused node,
         embedding gather and input projection included. Returns the hidden
         state after every live pair as an [L x h] node in packing's order."""
-        return ad.lstm_seq(*self._embed_all_steps(p, ids, packing),
+        return ad.lstm_seq(*self._embed_all_steps(p, tokens, first, packing),
                            *(p[f"f.lstm.{name}"] for name in ("wx", "b", "wh", "h0", "c0")),
                            packing)
 
@@ -242,25 +236,15 @@ class NpdModel:
         bits as a train-mode forward without dropout, and the parameters'
         values and gradients are left untouched.
         """
-        if not batch:
-            raise ContractError("forward: empty batch")
-        if any(len(p.ids) == 0 for p in batch):
-            raise ContractError("forward: posts must be nonempty")
-        b = len(batch)
-        T = max(len(p.ids) for p in batch)
-        ids = np.zeros((b, T), dtype=np.int64)  # 0 is the PAD row
-        mask = np.zeros((b, T))
-        for i, post in enumerate(batch):
-            n = len(post.ids)
-            ids[i, :n] = post.ids
-            mask[i, :n] = 1.0
-
+        lengths = np.array([len(post.ids) for post in batch], dtype=np.int64)
+        packing = ad.pack(lengths)  # a ContractError for an empty batch or post
+        tokens = np.fromiter(itertools.chain.from_iterable(post.ids for post in batch),
+                             dtype=np.int64, count=packing.start[-1])
         if train_mode:
             p = self.params
         else:
             p = {name: ad.constant(node.value) for name, node in self.params.items()}
-        packing = ad.pack(mask)
-        states = self._encode(p, ids, packing)
+        states = self._encode(p, tokens, np.cumsum(lengths) - lengths, packing)
         wiring = self.wiring
 
         attention: dict[str, Node] = {}
@@ -290,18 +274,21 @@ class NpdModel:
         if wiring.location_discriminator:
             location_probs = self._discriminate(p, v_l or h_last, "l")
 
+        mask = (np.arange(len(packing.live)) < lengths[:, None]).astype(np.float64)
         return ForwardResult(emotion_probs=self._emotion_heads(p, head_in),
                              gender_prob=gender_prob, location_probs=location_probs,
                              attention=attention, head_input=head_in, mask=mask)
 
 
-def build_model(variant, embedding: np.ndarray, num_locations: int, seed: int,
+def build_model(variant: str, embedding: np.ndarray, num_locations: int, seed: int,
                 dims: ModelDims | None = None, vocab_hash: str = "") -> NpdModel:
     """Assemble a fresh model with seeded initialization; dims defaults to ModelDims()."""
+    if variant not in _WIRING:
+        raise ConfigError(f"unknown variant {variant!r}; choose from {', '.join(VARIANT_NAMES)}")
     dims = dims or ModelDims()
     dims.validate()
     manifest = {
-        "variant": ModelVariant(variant).value,
+        "variant": variant,
         "embed_dim": int(embedding.shape[1]),
         "hidden_dim": int(dims.hidden_dim),
         "attention_dim": int(dims.attention_dim or dims.hidden_dim),

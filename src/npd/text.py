@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _add_rows, _sigmoid_stable
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, DivergenceError
 
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
@@ -170,7 +170,8 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
     """Train skip-gram-with-negative-sampling embeddings over encoded posts.
 
     Deterministic given cfg.seed; zero epochs (or a corpus with no
-    co-occurring pairs) returns the random initialization unchanged.
+    co-occurring pairs) returns the random initialization unchanged. A
+    table that comes out non-finite raises DivergenceError.
     """
     cfg.validate()
     flat = np.fromiter(itertools.chain.from_iterable(corpus), dtype=np.int64)
@@ -187,10 +188,7 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
 
     counts = np.bincount(flat, minlength=vocab_size).astype(np.float64)
     noise = counts**0.75
-    total_noise = noise.sum()
-    if total_noise == 0:
-        return EmbeddingTable(w_in)
-    noise_cdf = np.cumsum(noise / total_noise)
+    noise_cdf = np.cumsum(noise / noise.sum())  # positive: the corpus is nonempty
 
     # pair count varies per epoch with the dynamic windows; an upper bound
     # keeps the linear decay schedule deterministic and monotone
@@ -227,6 +225,10 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
             _add_rows(w_out, neg, np.multiply(-lr * g_neg[:, :, None], vin[:, None, :], out=vneg))
             _add_rows(w_in, c, -lr * grad_in)
 
+    diverged = ~np.isfinite(w_in).all(axis=1)
+    if diverged.any():
+        raise DivergenceError(f"skip-gram diverged: {int(diverged.sum())} of {vocab_size} "
+                              f"embedding rows are not finite", tensor_name="embedding")
     return EmbeddingTable(w_in)
 
 

@@ -4,6 +4,7 @@ Runs the real subcommands in-process against small synthetic corpora; the
 full-size determinism and trend runs live in the acceptance suite.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,8 @@ from npd import blas, cli, text
 from npd.cli import PREDICT_BATCH, main
 from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta
 from npd.errors import DataError
-from npd.model import NpdModel, load_checkpoint, save_checkpoint
+from npd.model import ModelDims, NpdModel, load_checkpoint, save_checkpoint
+from npd.training import TrainingConfig
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +33,7 @@ def mini_pipeline(tmp_path_factory):
                       markers_per_attribute_value=5, emotion_markers_per_cell=4,
                       seed=5)
     cfg_path = root / "synth.json"
-    cfg.to_json(cfg_path)
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     corpus = root / "corpus.jsonl"
     emb = root / "emb.txt"
     model = root / "model.bin"
@@ -50,7 +52,7 @@ class TestSynth:
     def test_same_seed_identical_files(self, tmp_path):
         cfg = SynthConfig(n_posts=60, neutral_tokens=50, seed=3)
         cfg_path = tmp_path / "c.json"
-        cfg.to_json(cfg_path)
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["synth", "--config", str(cfg_path), "--out", str(a)]) == 0
         assert main(["synth", "--config", str(cfg_path), "--out", str(b)]) == 0
@@ -149,6 +151,20 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_diverged_embeddings_exit_2_before_the_write(self, tmp_path, capsys):
+        """Skip-gram at the default learning rate diverges on this corpus
+        tokenized by character; embed stops with exit 2 and writes no table
+        with non-finite rows."""
+        cfg_path, corpus, out = tmp_path / "c.json", tmp_path / "c.jsonl", tmp_path / "e.txt"
+        cfg_path.write_text(json.dumps(dataclasses.asdict(SynthConfig(n_posts=600, seed=7))))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(corpus)]) == 0
+        code = main(["embed", "--corpus", str(corpus), "--out", str(out), "--tokenizer", "char",
+                     "--embed-epochs", "1", "--embed-dim", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: skip-gram diverged: ") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [("synth", "--out"), ("eval", "--model"),
                                               ("eval", "--out")],
@@ -503,6 +519,24 @@ BAD_TRAINING_OPTIONS = [
     # reversal node, so only the option check can reject the value
     (["--variant", "LSTM", "--lambda-rev", "-1"], "lambda_rev"),
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "c", "--embeddings", "e", "--variant", "NPD", "--out", "m"],
+    ["ablate", "--corpus", "c", "--variants", "NPD", "--seeds", "0"],
+    ["embed", "--corpus", "c", "--out", "e"],
+], ids=lambda argv: argv[0])
+def test_cli_defaults_are_the_library_defaults(argv):
+    """Each option default is written twice, in the parser and in its config
+    dataclass; a command given only its required arguments builds the
+    dataclass defaults, which code that calls the library directly takes as
+    the CLI's."""
+    args = cli.build_parser().parse_args(argv)
+    if argv[0] != "embed":
+        assert cli._training_config(args) == TrainingConfig()
+        assert cli._model_dims(args) == ModelDims()
+    if argv[0] != "train":
+        assert cli._skipgram_config(args) == text.SkipGramConfig()
 
 
 class TestBadTrainingOptions:

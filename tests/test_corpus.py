@@ -5,6 +5,7 @@ classifier as the oracle for whether attribute information is textually
 recoverable.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -259,7 +260,7 @@ class TestSynthesize:
     def test_config_json_roundtrip(self, tmp_path):
         cfg = SynthConfig(n_posts=123, gender_tilt=0.25, seed=99)
         path = tmp_path / "synth.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert SynthConfig.from_json(path) == cfg
 
 

@@ -24,10 +24,10 @@ from npd.evaluation import (
     format_report_table,
     seed_mean_average_f1,
 )
-from npd.model import ForwardResult, ModelDims, ModelVariant
+from npd.model import VARIANT_NAMES, ForwardResult, ModelDims
 from npd.training import TrainingConfig, ablate, train
 
-from test_model import ALL_VARIANTS, VOCAB, make_post, small_model
+from test_model import VOCAB, make_post, small_model
 from test_training import tiny_dataset, tiny_embedding
 
 
@@ -59,7 +59,7 @@ class StubModel:
     def __init__(self, probs_by_post, posts):
         self.probs = np.asarray(probs_by_post, dtype=np.float64)  # [n x 5]
         self.row = {id(post): i for i, post in enumerate(posts)}
-        self.variant = ModelVariant.LSTM
+        self.variant = "LSTM"
         self.manifest = {"seed": 0}
 
     def forward(self, batch, train_mode=False):
@@ -205,7 +205,7 @@ class TestWorker:
         monkeypatch.setattr(evaluation, "_worker_batches",
                             lambda batches: list(range(1, len(batches), 2)))
 
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_same_report_with_the_worker(self, monkeypatch, variant):
         rng = np.random.default_rng(30)
         model = small_model(variant, seed=31)

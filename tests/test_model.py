@@ -16,12 +16,11 @@ from npd import autodiff as ad
 from npd.corpus import TokenizedPost
 from npd.errors import ContractError, DataError
 from npd.evaluation import evaluate
-from npd.model import (ModelDims, ModelVariant, NpdModel, build_model, load_checkpoint,
+from npd.model import (VARIANT_NAMES, ModelDims, NpdModel, build_model, load_checkpoint,
                        save_checkpoint)
 from npd.training import TrainingConfig, batch_losses, emotion_loss, gender_loss
 
 VOCAB = 24
-ALL_VARIANTS = [v.value for v in ModelVariant]
 
 
 def make_post(rng, n, m=5):
@@ -124,7 +123,7 @@ class TestAttention:
         states = ad.constant(np.array([[big, 0.0, 0.0, 0.0],
                                        [-big, 0.0, 0.0, 0.0],
                                        [-big, 0.0, 0.0, 0.0]]))  # T=3 steps of one post
-        weights, _ = model._attend(p, states, ad.pack(np.ones((1, 3))), "g")
+        weights, _ = model._attend(p, states, ad.pack([3]), "g")
         assert weights.value[0, 0] > 0.999
 
 
@@ -223,11 +222,11 @@ class TestForwardVariants:
 
     def test_partition_covers_every_parameter_once(self):
         """AdaGrad and batch_losses' "y." filter sort parameters by this prefix."""
-        for variant in ALL_VARIANTS:
+        for variant in VARIANT_NAMES:
             model = small_model(variant)
             assert {name.split(".", 1)[0] for name in model.params} <= {"f", "y", "g", "l"}
 
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_forward_matches_oracle(self, variant):
         model = small_model(variant, seed=21)
         rng = np.random.default_rng(21)
@@ -327,7 +326,7 @@ def closures(fwd):
 
 
 @pytest.mark.parametrize("finetune", [False, True], ids=["frozen-embed", "finetune-embed"])
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
 def test_frozen_view(variant, finetune):
     """An eval-mode forward reads the parameters as a frozen view, constants
     over the model's own arrays: its graph keeps no closure, its outputs are

@@ -16,7 +16,7 @@ from npd import corpus, text, training
 from npd.corpus import TokenizedPost
 from npd.errors import ConfigError, ContractError, DivergenceError
 from npd.evaluation import evaluate
-from npd.model import ModelDims, build_model
+from npd.model import VARIANT_NAMES, ModelDims, build_model
 from npd.training import (
     AdaGrad,
     TrainingConfig,
@@ -29,7 +29,7 @@ from npd.training import (
     train,
 )
 
-from test_model import ALL_VARIANTS, make_post, param_values, small_model
+from test_model import make_post, param_values, small_model
 
 
 def probs_nodes(values):
@@ -230,7 +230,7 @@ class TestClip:
         np.testing.assert_array_equal(p.grad, 0.1)
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
 def test_training_step_leaves_no_cyclic_garbage(variant):
     """No backward closure refers to its own node, so a step's graph holds no
     reference cycle and reference counting alone frees it."""
@@ -255,7 +255,7 @@ def test_training_step_leaves_no_cyclic_garbage(variant):
     assert garbage == 0
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
 def test_eval_leaves_no_cyclic_garbage(variant):
     """No eval graph is a reference cycle, so reference counting alone frees
     it: an eval-mode forward, the one evaluate runs, keeps no closure at
@@ -301,7 +301,7 @@ TRAIN_STEP_OPS = {"affine", "attention_pool", "concat", "const", "dropout", "gra
 
 def test_training_step_op_set():
     ops = set()
-    for variant in ALL_VARIANTS:
+    for variant in VARIANT_NAMES:
         for finetune in (False, True):
             rng = np.random.default_rng(22)
             batch = [make_post(rng, k) for k in (5, 3, 7)]
@@ -413,6 +413,12 @@ class TestTrainLoop:
         rng = np.random.default_rng(14)
         with pytest.raises(ContractError):
             train([], [], "LSTM", TrainingConfig(), tiny_embedding(rng), 5)
+
+    def test_unknown_variant_names_the_choices(self):
+        rng = np.random.default_rng(15)
+        choices = ", ".join(VARIANT_NAMES)
+        with pytest.raises(ConfigError, match=f"^unknown variant 'BOGUS'; choose from {choices}$"):
+            train(tiny_dataset(rng, 4), [], "BOGUS", TrainingConfig(), tiny_embedding(rng), 5)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
