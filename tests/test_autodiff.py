@@ -513,8 +513,8 @@ def test_every_public_function_has_a_caller_in_the_package():
     """Guards against dead code: each public function, class and method of
     the npd package is referenced from outside its own definition somewhere
     in the package, by name or as an attribute (the CLI handlers through
-    set_defaults(func=...), say). Names are matched, not bindings, so a name
-    a referenced one shares passes too."""
+    set_defaults(func=...), say). Names are matched as text, so a definition
+    that shares its name with a referenced one also passes."""
     defined, referenced = [], []
     for path in sorted(Path(ad.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
