@@ -5,7 +5,9 @@ is first imported; setting them later changes nothing in this process. The
 npd command (npd.__main__) sets any of them the environment leaves unset to
 1 before it imports numpy, so every BLAS call runs on one thread, and
 evaluate runs a second batch on the other core instead (see
-worker_allowed). This module imports neither numpy nor any other npd module.
+worker_allowed). That is faster only where the host gives the second thread
+a core of its own, which a 2-core virtual host does not always do (see
+npd.evaluation). This module imports neither numpy nor any other npd module.
 """
 
 import os

@@ -41,7 +41,9 @@ def _add_embed_args(p):
 
 
 def _add_train_args(p):
-    p.add_argument("--lr", type=float, default=0.0001, help="learning rate mu")
+    p.add_argument("--lr", type=float, default=0.0001,
+                   help="AdaGrad learning rate mu; on the synthetic corpus the default "
+                        "learns only the label priors (see TrainingConfig.mu)")
     p.add_argument("--lambdas", default="1,1,1",
                    help="comma-separated loss weights lambda1,lambda2,lambda3")
     p.add_argument("--l2", type=float, default=1e-4)
@@ -122,6 +124,9 @@ def _check_vocab(model, vocab, model_path, embeddings_path):
 
 
 def cmd_synth(args) -> int:
+    if args.config and args.preset:
+        raise ConfigError("--config and --preset cannot be combined: each names the whole "
+                          "synth config")
     if args.config:
         cfg = SynthConfig.from_json(args.config)
     elif args.preset == "null":
@@ -156,7 +161,7 @@ def _pretrain_embeddings(posts, args, cfg):
 
 def cmd_embed(args) -> int:
     cfg = _skipgram_config(args)
-    _check_writable(args.out)
+    _check_writable(args.out, text_mod.companion_path(args.out))
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args, cfg)
     text_mod.save_embeddings(args.out, vocab, table)
@@ -252,7 +257,8 @@ def _predict_record(fwd, pred, i: int, tokens: list[str]) -> dict:
 
 
 def cmd_predict(args) -> int:
-    """Print one JSON record per non-blank stdin line, in input order.
+    """Print one JSON record per non-blank stdin line, in input order. A line
+    that is not UTF-8 is a DataError naming <stdin>:line.
 
     Lines are read in chunks of up to PREDICT_BATCH (128) non-blank lines.
     Each chunk takes one eval-mode forward pass, so no graph keeps a
@@ -263,7 +269,9 @@ def cmd_predict(args) -> int:
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab(model, vocab, args.model, args.embeddings)
     mode = model.manifest["tokenizer_mode"]
-    texts = filter(None, (line.strip() for line in sys.stdin))
+    # stdin's bytes where it has them, so UTF-8 is checked under any locale
+    lines = text_mod.decode_lines("<stdin>", getattr(sys.stdin, "buffer", sys.stdin))
+    texts = filter(None, (line.strip() for _, line in lines))
     # a non-blank line has a non-space character, so it yields at least one token
     while token_lists := [text_mod.tokenize(t, mode)
                           for t in itertools.islice(texts, PREDICT_BATCH)]:
@@ -286,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic planted-correlation corpus")
     p.add_argument("--config", help="SynthConfig JSON file")
-    p.add_argument("--preset", choices=("default", "null"), default="default",
-                   help="'null' removes all attribute signal from the text")
+    p.add_argument("--preset", choices=("default", "null"),
+                   help="built-in config in place of --config (default: 'default'); "
+                        "'null' removes all attribute signal from the text")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's seed")
@@ -295,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="pretrain skip-gram embeddings over a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="text embedding file; its binary companion, read by later "
+                        "loads, goes to OUT.npde")
     _add_embed_args(p)
     _add_seed(p)
     p.set_defaults(func=cmd_embed)

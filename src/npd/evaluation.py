@@ -12,6 +12,13 @@ thread takes the cheaper batches, up to WORKER_SHARE of the caller's work,
 and numpy's BLAS calls and ufunc loops release the GIL, so the two forwards
 overlap. Each batch is reduced to its predicted labels, whose counts and
 hits are summed in batch order, so a report is the same on one thread or two.
+
+Whether the worker is faster depends on the host, not on the core count
+alone: it pays only where the second thread gets a core of its own. On one
+2-vCPU host, two threads of one-thread 256^2 to 1024^2 matrix products got
+0.92-1.05x the total throughput of one thread at some times and 1.99x at
+others; at the low end the worker gains no speed and its buffers add to
+peak memory (tools/bench_ab.py records this ratio as thread_scaling).
 """
 
 from concurrent.futures import Future, ThreadPoolExecutor

@@ -14,11 +14,27 @@ An embedding file is read with one np.loadtxt pass over all its values,
 fed one checked line at a time, so no Python float() runs per value and
 the line text never piles up in memory. Its values are decimal or
 exponent floats, nan and inf, in ASCII digits.
+
+save_embeddings also writes a binary companion beside the text file, at
+`<path>.npde` (companion_path), so a later load need not parse the values
+again. The text stays the file of record: load_embeddings runs every line
+check over it and takes the values from the companion only when the
+companion's magic, the SHA-256 of the text's bytes, its shape and its
+length all match; otherwise it parses the text. So a text edited after the
+save, a truncated companion or one of another shape falls back to the
+parse, and a load returns the same table and raises the same errors with
+or without a companion. Loading never writes a file.
+
+Companion layout (little-endian): magic b"NPDE" | SHA-256 of the text
+file's bytes (32 bytes) | u64 rows | u64 dim | rows x dim raw float64
+values, row by row.
 """
 
 import hashlib
 import itertools
 import math
+import os
+import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,16 +46,33 @@ from .errors import ConfigError, ContractError, DataError, DivergenceError
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
+_COMPANION_MAGIC = b"NPDE"
+_COMPANION_HEAD = struct.Struct("<4s32sQQ")  # magic, text digest, rows, dim
+
 
 def read_lines(path: str):
     """Yield (line number, line) over a UTF-8 text file, decoding one line at a
     time, so bytes that are not UTF-8 raise a DataError naming path:line."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield lineno, raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+        yield from decode_lines(path, fh)
+
+
+def decode_lines(name: str, lines):
+    """Yield (line number, line) over lines of bytes or str, numbered from 1.
+
+    A bytes line is decoded as UTF-8; a str line must hold no lone
+    surrogate, which is what surrogateescape decoding leaves of bytes that
+    are not UTF-8. Either fault is a DataError naming name:line.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            else:
+                line.encode("utf-8")
+        except UnicodeError as exc:
+            raise DataError(f"{name}:{lineno}: not valid UTF-8 ({exc})") from exc
+        yield lineno, line
 
 
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:
@@ -233,7 +266,8 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
 
 
 def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None:
-    """Write `<vocab_size> <embed_dim>` then one `token v1 ... vd` line per token.
+    """Write `<vocab_size> <embed_dim>` then one `token v1 ... vd` line per token,
+    then the table's binary companion (see the module docstring).
 
     Floats are written in shortest round-trip form, so load(save(x)) is
     bit-exact.
@@ -244,6 +278,46 @@ def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None
         fh.write(f"{table.vocab_size} {table.embed_dim}\n")
         for tok, row in zip(vocab.id_to_token, table.matrix.tolist()):
             fh.write(f"{tok} {' '.join(map(repr, row))}\n")
+    matrix = np.asarray(table.matrix, dtype="<f8")
+    with open(companion_path(path), "wb") as fh:
+        fh.write(_COMPANION_HEAD.pack(_COMPANION_MAGIC, _text_digest(path), *matrix.shape))
+        matrix.tofile(fh)  # no tobytes() copy of the table
+
+
+def companion_path(path) -> str:
+    """Where save_embeddings writes the binary companion of the text file at path."""
+    return f"{os.fspath(path)}.npde"
+
+
+def _text_digest(path) -> bytes:
+    """SHA-256 of the file's bytes, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _companion_values(path, size: int, dim: int):
+    """The [size x dim] table in the companion of the text file at path, or
+    None unless the companion's magic, text digest, shape and length match."""
+    try:
+        fh = open(companion_path(path), "rb")
+    except OSError:  # none, a directory, no permission: parse the text
+        return None
+    with fh:
+        head = fh.read(_COMPANION_HEAD.size)
+        if len(head) != _COMPANION_HEAD.size:
+            return None
+        magic, digest, rows, cols = _COMPANION_HEAD.unpack(head)
+        if ((magic, rows, cols) != (_COMPANION_MAGIC, size, dim)
+                or os.fstat(fh.fileno()).st_size != _COMPANION_HEAD.size + 8 * size * dim
+                or digest != _text_digest(path)):
+            return None
+        values = np.fromfile(fh, dtype="<f8", count=size * dim)
+    if values.size != size * dim:  # the file shrank since the fstat
+        return None
+    return values.astype(np.float64, copy=False).reshape(size, dim)
 
 
 def _parse_values(lines, dim: int) -> np.ndarray:
@@ -271,10 +345,11 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
     """Read a save_embeddings file; every malformed or non-finite entry, and
     a token seen twice, is a DataError naming path:line.
 
-    All values are parsed in one np.loadtxt pass, fed one line at a time.
-    It accepts the float() syntax except underscores between digits and
-    non-ASCII digits: a line holding those is rejected as non-numeric, as
-    save_embeddings never writes them.
+    The values come from the file's companion where it matches the text;
+    otherwise they are parsed in one np.loadtxt pass, fed one line at a
+    time. The parse accepts the float() syntax except underscores between
+    digits and non-ASCII digits: a line holding those is rejected as
+    non-numeric, as save_embeddings never writes them.
     """
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].split()
@@ -286,12 +361,18 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
         raise DataError(f"{path}:1: embedding dimension must be >= 1, got {dim}")
     first_line: dict[str, int] = {}  # token -> its line, in file order
     rows = _embedding_rows(path, lines, dim, first_line)
-    first = next(rows, None)  # np.loadtxt warns on empty input
-    try:
-        matrix = np.empty((0, dim)) if first is None else _parse_values(
-            itertools.chain([first], rows), dim)
-    except ValueError as exc:
-        raise DataError(f"{path}:{_first_unparsed_line(path, dim)}: non-numeric value") from exc
+    matrix = _companion_values(path, size, dim)
+    if matrix is not None:
+        for _ in rows:  # the line checks alone
+            pass
+    else:
+        first = next(rows, None)  # np.loadtxt warns on empty input
+        try:
+            matrix = np.empty((0, dim)) if first is None else _parse_values(
+                itertools.chain([first], rows), dim)
+        except ValueError as exc:
+            raise DataError(f"{path}:{_first_unparsed_line(path, dim)}: "
+                            f"non-numeric value") from exc
     if len(first_line) != size:
         raise DataError(f"{path}: header declares {size} rows, found {len(first_line)}")
     tokens = list(first_line)

@@ -65,6 +65,17 @@ class TestSynth:
         text = out.read_text(encoding="utf-8")
         assert "gmark_" not in text and "lmark_" not in text
 
+    @pytest.mark.parametrize("preset", ["null", "default"])
+    def test_config_with_preset_exits_1(self, tmp_path, capsys, preset):
+        """--preset is not silently dropped in favour of --config."""
+        cfg_path, out = tmp_path / "c.json", tmp_path / "c.jsonl"
+        cfg_path.write_text(json.dumps(dataclasses.asdict(SynthConfig(n_posts=20))))
+        assert main(["synth", "--config", str(cfg_path), "--preset", preset,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--config" in err and "--preset" in err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_train_log_format(self, mini_pipeline):
@@ -259,18 +270,23 @@ class TestMalformedInputs:
                              ids=[v if c == "eval" else f"{c}-{v}" for c, v in BAD_VALUE_RUNS])
     def test_bad_embedding_value(self, mini_pipeline, tmp_path, monkeypatch, capsys,
                                  command, value):
-        """predict reads only the vocabulary of the file, and still rejects it."""
+        """predict reads only the vocabulary of the file, and still rejects it,
+        also beside the companion the unedited file was saved with."""
         lines = mini_pipeline["embeddings"].read_text(encoding="utf-8").splitlines()
         token, _, *rest = lines[3].split(" ")
         lines[3] = " ".join([token, value, *rest])
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", io.StringIO("neutral_0001 neutral_0002\n"))
         inputs = {"eval": ["--corpus", str(mini_pipeline["corpus"])], "predict": []}[command]
-        assert main([command, "--model", str(mini_pipeline["model"]), *inputs,
-                     "--embeddings", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert f"{path}:4: " in captured.err and captured.out == ""
+        stale = text.companion_path(mini_pipeline["embeddings"])
+        for companion in (None, stale):
+            if companion:
+                Path(text.companion_path(path)).write_bytes(Path(companion).read_bytes())
+            monkeypatch.setattr("sys.stdin", io.StringIO("neutral_0001 neutral_0002\n"))
+            assert main([command, "--model", str(mini_pipeline["model"]), *inputs,
+                         "--embeddings", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert f"{path}:4: " in captured.err and captured.out == ""
 
     def test_non_utf8_embeddings(self, mini_pipeline, tmp_path, capsys):
         lines = mini_pipeline["embeddings"].read_bytes().split(b"\n")
@@ -712,6 +728,59 @@ class TestBatchedPredict:
         assert len(records) == n
         assert len(calls) == math.ceil(n / 128)
         assert sum(calls) == n
+
+
+# a valid line, a blank line, then bytes that are not UTF-8 on physical line 3
+BAD_STDIN = b"ok words\n\n\xff\xfe bad\n"
+STDIN_STREAMS = {
+    "strict": lambda: io.TextIOWrapper(io.BytesIO(BAD_STDIN), encoding="utf-8"),
+    "surrogateescape": lambda: io.TextIOWrapper(io.BytesIO(BAD_STDIN), encoding="utf-8",
+                                                errors="surrogateescape"),
+    "latin-1": lambda: io.TextIOWrapper(io.BytesIO(BAD_STDIN), encoding="latin-1"),
+    "text stream": lambda: io.StringIO(BAD_STDIN.decode("utf-8", "surrogateescape")),
+}
+
+
+class TestPredictStdin:
+    """predict reads stdin as UTF-8 whatever the stream's own encoding; a line
+    that is not UTF-8 is a DataError naming <stdin> and its physical line."""
+
+    def predict(self, mini_pipeline):
+        return main(["predict", "--model", str(mini_pipeline["model"]),
+                     "--embeddings", str(mini_pipeline["embeddings"])])
+
+    @pytest.mark.parametrize("stream", list(STDIN_STREAMS))
+    def test_not_utf8_exits_1(self, mini_pipeline, monkeypatch, capsys, stream):
+        monkeypatch.setattr("sys.stdin", STDIN_STREAMS[stream]())
+        assert self.predict(mini_pipeline) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: <stdin>:3: not valid UTF-8 (")
+        assert captured.out == ""
+
+    def test_utf8_bytes_are_decoded_as_utf8(self, mini_pipeline, monkeypatch, capsys):
+        raw = "caf\u00e9 \u00fcber\n".encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="latin-1"))
+        assert self.predict(mini_pipeline) == 0
+        (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert record["tokens"] == ["caf\u00e9", "\u00fcber"]
+
+    @pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8"},
+                                     {"PYTHONIOENCODING": "utf-8:surrogateescape"},
+                                     {"LC_ALL": "C"}],
+                             ids=["strict", "surrogateescape", "C locale"])
+    def test_not_utf8_exits_1_in_the_npd_command(self, mini_pipeline, env):
+        clean = {k: v for k, v in os.environ.items()
+                 if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")}
+        root = Path(__file__).resolve().parents[1]
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"),
+                                                            clean.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-m", "npd", "predict",
+                              "--model", str(mini_pipeline["model"]),
+                              "--embeddings", str(mini_pipeline["embeddings"])],
+                             input=BAD_STDIN, env=clean | env, capture_output=True, timeout=120)
+        assert out.returncode == 1 and out.stdout == b""
+        assert out.stderr.decode("utf-8").startswith("error: <stdin>:3: not valid UTF-8 ("), \
+            out.stderr
 
 
 class TestEntryPoint:

@@ -1,5 +1,7 @@
 """Tokenizer, vocabulary, skip-gram, and embedding persistence tests."""
 
+import hashlib
+import struct
 import warnings
 
 import numpy as np
@@ -289,3 +291,145 @@ class TestMalformedEmbeddings:
         vocab2, table2 = load_embeddings(path)
         assert vocab2.id_to_token == vocab.id_to_token
         np.testing.assert_array_equal(table2.matrix.view(np.int64), matrix.view(np.int64))
+
+
+def _good_saved(path):
+    """Write GOOD_EMBEDDINGS through save_embeddings, which also writes its
+    companion, and return the table."""
+    table = EmbeddingTable(np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 2.0]]))
+    save_embeddings(path, Vocabulary(["alpha"]), table)
+    assert path.read_text(encoding="utf-8") == GOOD_EMBEDDINGS
+    return table
+
+
+def _load_error(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as caught:
+            load_embeddings(path)
+    return str(caught.value)
+
+
+def _wide_table(seed=23, shape=(300, 40)):
+    """Values over many orders of magnitude, subnormals and -0.0 included."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    matrix[0, :3] = [-0.0, 5e-324, -2.2250738585072014e-308]
+    return Vocabulary([f"w{i}" for i in range(shape[0] - 2)]), EmbeddingTable(matrix)
+
+
+class TestCompanion:
+    """save_embeddings writes `<path>.npde`; load_embeddings reads the values
+    from it only while it matches the text, and otherwise parses the text."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The number of load_embeddings calls that parsed values from the text."""
+        calls = []
+        real = text._parse_values
+
+        def counting(lines, dim):
+            calls.append(dim)
+            return real(lines, dim)
+
+        monkeypatch.setattr(text, "_parse_values", counting)
+        return calls
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        vocab, table = _wide_table()
+        save_embeddings(path, vocab, table)
+        blob = (tmp_path / "emb.txt.npde").read_bytes()
+        assert text.companion_path(path) == f"{path}.npde"
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        assert blob[:52] == b"NPDE" + digest + struct.pack("<QQ", 300, 40)
+        assert blob[52:] == table.matrix.astype("<f8").tobytes()
+
+    def test_loads_bit_identically_with_and_without(self, tmp_path, parses):
+        path = tmp_path / "emb.txt"
+        vocab, table = _wide_table()
+        save_embeddings(path, vocab, table)
+        fast_vocab, fast = load_embeddings(path)
+        assert parses == []  # the values came from the companion
+        (tmp_path / "emb.txt.npde").unlink()
+        slow_vocab, slow = load_embeddings(path)
+        assert parses == [40]
+        assert fast_vocab.id_to_token == slow_vocab.id_to_token == vocab.id_to_token
+        assert fast.matrix.dtype == slow.matrix.dtype == np.float64
+        assert fast.matrix.shape == slow.matrix.shape == (300, 40)
+        assert fast.matrix.tobytes() == slow.matrix.tobytes() == table.matrix.tobytes()
+
+    def test_load_writes_no_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        _good_saved(path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        load_embeddings(path)
+        (tmp_path / "emb.txt.npde").unlink()
+        load_embeddings(path)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == [before[0]]
+
+    @pytest.mark.parametrize("spoil", ["stale digest", "truncated", "header only", "empty",
+                                       "other shape", "bad magic", "a directory"])
+    def test_mismatched_companion_falls_back_to_the_parse(self, tmp_path, parses, spoil):
+        path, companion = tmp_path / "emb.txt", tmp_path / "emb.txt.npde"
+        vocab, table = _wide_table(shape=(30, 4))
+        save_embeddings(path, vocab, table)
+        blob = companion.read_bytes()
+        if spoil == "stale digest":  # one value edited in the text
+            lines = path.read_text(encoding="utf-8").split("\n")
+            token, value, *rest = lines[5].split(" ")
+            lines[5] = " ".join([token, repr(float(value) + 1.0), *rest])
+            path.write_text("\n".join(lines), encoding="utf-8")
+        elif spoil == "truncated":
+            companion.write_bytes(blob[:-1])
+        elif spoil == "header only":
+            companion.write_bytes(blob[:52])
+        elif spoil == "empty":
+            companion.write_bytes(b"")
+        elif spoil == "other shape":  # right digest and a length that fits the shape
+            companion.write_bytes(blob[:36] + struct.pack("<QQ", 40, 3) + blob[52:])
+        elif spoil == "bad magic":
+            companion.write_bytes(b"NPDF" + blob[4:])
+        else:
+            companion.unlink()
+            companion.mkdir()
+        vocab2, table2 = load_embeddings(path)
+        assert parses == [4]
+        if companion.is_dir():
+            companion.rmdir()
+        else:
+            companion.unlink()
+        ref_vocab, ref_table = load_embeddings(path)
+        assert vocab2.id_to_token == ref_vocab.id_to_token
+        assert table2.matrix.tobytes() == ref_table.matrix.tobytes()
+        if spoil != "stale digest":
+            assert table2.matrix.tobytes() == table.matrix.tobytes()
+
+    @pytest.mark.parametrize("case,content,line", BAD_EMBEDDINGS,
+                             ids=[c[0] for c in BAD_EMBEDDINGS])
+    def test_edited_after_save_raises_as_without_companion(self, tmp_path, case, content, line):
+        path = tmp_path / "emb.txt"
+        _good_saved(path)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        stale = _load_error(path)
+        (tmp_path / "emb.txt.npde").unlink()
+        assert stale == _load_error(path)
+
+    def test_saved_non_finite_table_raises_on_both_paths(self, tmp_path, parses):
+        path = tmp_path / "emb.txt"
+        vocab, table = _wide_table(shape=(30, 4))
+        table.matrix[7, 2] = np.nan
+        save_embeddings(path, vocab, table)
+        fast = _load_error(path)
+        assert parses == []
+        (tmp_path / "emb.txt.npde").unlink()
+        assert fast == _load_error(path) == f"{path}:9: non-finite value"
+
+    def test_saved_file_failing_a_line_check_raises_on_both_paths(self, tmp_path, parses):
+        """A token with a space in it gives its line one field too many; the
+        line checks run over the text whether or not the companion matches."""
+        path = tmp_path / "emb.txt"
+        save_embeddings(path, Vocabulary(["alpha", "two words"]), EmbeddingTable(np.ones((4, 2))))
+        fast = _load_error(path)
+        (tmp_path / "emb.txt.npde").unlink()
+        assert fast == _load_error(path) == f"{path}:5: expected token + 2 values"

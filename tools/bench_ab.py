@@ -21,10 +21,18 @@ Each run also records ``minflt``, the minor page faults of its process (and
 of any child it waits for), and each workload the median per side: a
 throughput that moves on unchanged code can be read against the heap state
 it ran in.
+
+Before each run a child process, with BLAS pinned to one thread per call,
+measures ``thread_scaling``: the total throughput of 256 x 256 matrix
+products on two threads at once over that of one thread. It reads about 2
+where the host gives a second thread a core of its own and about 1 where it
+does not, which moves npd's two-thread evaluate; each run records it, and
+each workload the median per side.
 """
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -34,6 +42,31 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest the A/B protocol accepts
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Times a fixed loop of 256 x 256 products on one thread, then the same loop
+# on each of two threads at once, and prints two threads' total throughput
+# over one thread's.
+SCALING_PROBE = """
+import threading, time
+import numpy as np
+a = np.random.default_rng(0).standard_normal((256, 256))
+outs = [np.empty_like(a) for _ in range(2)]
+def loop(out):
+    for _ in range(200):
+        np.matmul(a, a, out=out)
+loop(outs[0])  # warm-up
+start = time.perf_counter()
+loop(outs[0])
+one = time.perf_counter() - start
+threads = [threading.Thread(target=loop, args=(out,)) for out in outs]
+start = time.perf_counter()
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(2 * one / (time.perf_counter() - start))
+"""
 
 
 def parse_args(argv):
@@ -52,6 +85,15 @@ def git_ids(checkout: Path) -> dict:
         out = subprocess.run(["git", "rev-parse", rev], cwd=checkout, capture_output=True, text=True)
         ids[key] = out.stdout.strip() if out.returncode == 0 else None
     return ids
+
+
+def thread_scaling() -> float:
+    """Two threads' total matrix-product throughput over one thread's, measured
+    in a child process with each of THREAD_VARS set to 1."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+    out = subprocess.run([sys.executable, "-c", SCALING_PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    return round(float(out.stdout), 3)
 
 
 def run_once(checkout: Path, command: list, workload: str, seed: int, seconds) -> dict:
@@ -129,11 +171,14 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             first.append(order[0])
             for side in order:
+                scaling = thread_scaling()
                 run = run_once(checkouts[side], spec["command"], workload, seed, spec["run_seconds"])
+                run["thread_scaling"] = scaling
                 runs[side].append(run)
                 environments.add(run["environment"])
                 print(f"{workload} pair {i} seed {seed} {side}: correct={run['correct']} "
-                      f"wall {run['wall_s']:.1f} s", file=sys.stderr, flush=True)
+                      f"wall {run['wall_s']:.1f} s, thread scaling {scaling}", file=sys.stderr,
+                      flush=True)
         record["workloads"][workload] = {
             "seeds": [args.first_seed + 100 * k + i for i in range(PAIRS)],
             "first_side": first,
@@ -142,6 +187,8 @@ def main(argv=None) -> int:
             "metrics": {m["name"]: compare(runs, m) for m in spec["end_to_end"]},
             "minflt_median": {side: statistics.median(r["minflt"] for r in runs[side])
                               for side in SIDES},
+            "thread_scaling_median": {
+                side: statistics.median(r["thread_scaling"] for r in runs[side]) for side in SIDES},
             "runs": runs,
         }
         # written after each workload, so a stopped run keeps what it measured
