@@ -215,6 +215,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_companion_fails_before_the_work(self, mini_pipeline, tmp_path,
+                                                        monkeypatch, capsys):
+        """embed checks the companion's path with the table's, so a companion
+        it could not write leaves no table behind."""
+        monkeypatch.setattr(cli, "_pretrain_embeddings", lambda *a: pytest.fail("pretrained"))
+        out = tmp_path / "e.txt"
+        companion = Path(text.companion_path(out))
+        companion.mkdir()
+        assert main(["embed", "--corpus", str(mini_pipeline["corpus"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: Is a directory: {companion}\n"
+        assert list(tmp_path.iterdir()) == [companion]
+
 
 def checkpoint_cuts(blob: bytes) -> dict:
     """Byte lengths at which to cut a checkpoint: the start of every section
