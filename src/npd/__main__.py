@@ -2,11 +2,11 @@
 
 Before npd.cli, and with it numpy, is imported, blas.pin_one_thread sets
 each BLAS thread-count variable the environment leaves unset to 1, so every
-BLAS call runs on one thread. evaluate then runs a second batch on the other
-core (see blas.worker_allowed), which beats OpenBLAS's own threads on one
-batch at a time where the second thread gets a core of its own; on a host
-where it does not, it gains little (see npd.evaluation). A value the user
-exported is kept. Importing npd.cli sets none of them.
+BLAS call runs on one thread. The pin is kept for `npd ablate --jobs`: each
+job process inherits it and runs one BLAS thread, so the jobs do not
+oversubscribe the cores. Its effect on the speed of one process is not
+measured (see npd.blas). A value the user exported is kept. Importing
+npd.cli sets none of them.
 """
 
 import sys

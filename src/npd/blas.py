@@ -1,13 +1,14 @@
-"""How many threads one BLAS call may use, and when evaluate may add a thread.
+"""How many threads one BLAS call may use.
 
 OpenBLAS, OpenMP and MKL read their thread-count variables once, when numpy
 is first imported; setting them later changes nothing in this process. The
 npd command (npd.__main__) sets any of them the environment leaves unset to
-1 before it imports numpy, so every BLAS call runs on one thread, and
-evaluate runs a second batch on the other core instead (see
-worker_allowed). That is faster only where the host gives the second thread
-a core of its own, which a 2-core virtual host does not always do (see
-npd.evaluation). This module imports neither numpy nor any other npd module.
+1 before it imports numpy, so every BLAS call runs on one thread. The
+processes that `npd ablate --jobs` spawns inherit the variables, so each job
+runs one BLAS thread and the jobs do not contend for the same cores. What
+the pin does to the speed of a single process is not measured by the
+benchmark, which pins BLAS in its own process. This module imports neither
+numpy nor any other npd module.
 """
 
 import os
@@ -21,19 +22,3 @@ def pin_one_thread() -> None:
     imported."""
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
-
-
-def worker_allowed() -> bool:
-    """Whether evaluate may run batches on a second thread beside the caller:
-    the process may use at least 2 cores, and all of THREAD_VARS read "1".
-
-    Under OpenBLAS's default of a thread per core, two overlapping batches
-    contend for the cores and run slower than one batch at a time. The
-    variables are read from os.environ at each call, but BLAS took its
-    thread count from them when numpy was imported, so a program that sets
-    them must do so before its first numpy import. Where the platform cannot
-    say which cores the process may use (no os.sched_getaffinity, as on
-    macOS), there is no worker.
-    """
-    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and all(os.environ.get(var) == "1" for var in THREAD_VARS))

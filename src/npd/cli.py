@@ -20,7 +20,7 @@ from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
 from .errors import ConfigError, DataError, DivergenceError, NpdError
 from .evaluation import evaluate, format_report_table, predictions
-from .model import VARIANT_NAMES, ModelDims, load_checkpoint, save_checkpoint
+from .model import VARIANT_NAMES, ModelDims, check_variant, load_checkpoint, save_checkpoint
 from .training import TrainingConfig, ablate, train, write_log
 
 PREDICT_BATCH = 128  # predict's lines per forward pass; evaluate's default batch size
@@ -218,9 +218,8 @@ def cmd_ablate(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in VARIANT_NAMES:
-            raise NpdError(f"unknown variant {v!r}; choose from {','.join(VARIANT_NAMES)}")
+    for v in variants:  # fail before skip-gram runs
+        check_variant(v)
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg, dims, sg_cfg = _training_config(args), _model_dims(args), _skipgram_config(args)
     _check_writable(args.out)

@@ -5,37 +5,21 @@ zero denominator (no predicted positives, no gold positives, or both) makes
 the affected quantity 0. The ablation harness that fills the report table
 lives beside train, in training.ablate.
 
-evaluate runs its length-sorted batches on two threads where
-blas.worker_allowed says so (at least 2 usable cores, and BLAS pinned to
-one thread per call, as the npd command pins it by default): a worker
-thread takes the cheaper batches, up to WORKER_SHARE of the caller's work,
-and numpy's BLAS calls and ufunc loops release the GIL, so the two forwards
-overlap. Each batch is reduced to its predicted labels, whose counts and
-hits are summed in batch order, so a report is the same on one thread or two.
-
-Whether the worker is faster depends on the host, not on the core count
-alone: it pays only where the second thread gets a core of its own. On one
-2-vCPU host, two threads of one-thread 256^2 to 1024^2 matrix products got
-0.92-1.05x the total throughput of one thread at some times and 1.99x at
-others; at the low end the worker gains no speed and its buffers add to
-peak memory (tools/bench_ab.py records this ratio as thread_scaling).
+evaluate runs its length-sorted batches in order on the calling thread.
+Each batch is reduced to its predicted labels, whose counts and hits are
+summed in batch order.
 """
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import blas
 from .corpus import EMOTIONS, TokenizedPost
 from .errors import ContractError
 from .model import ForwardResult, NpdModel
 
 _COLUMNS = ("Happiness", "Sadness", "Anger", "Surprise", "Fear")
-# The worker's estimated work is at most this share of the caller's, so it
-# finishes with time to spare and the call lasts as long as the caller's part.
-WORKER_SHARE = 0.75
 
 
 @dataclass
@@ -104,69 +88,6 @@ def predictions(fwd: ForwardResult) -> Predictions:
     return Predictions((present > 0.5).astype(np.int64), male, location)
 
 
-def _score_batch(model: NpdModel, batch: list[TokenizedPost]) -> Predictions:
-    """One eval-mode forward over a batch, reduced to its predictions."""
-    return predictions(model.forward(batch, train_mode=False))
-
-
-def _worker_batches(batches: list) -> list[int]:
-    """The indices, ascending, of the batches the worker runs.
-
-    A batch's cost is its posts' total length, which the LSTM's work grows
-    with. In order of falling cost, each batch goes to the worker if the
-    worker's total would stay within WORKER_SHARE of the caller's, else to
-    the caller, who so takes the costliest batch. The call then lasts
-    about as long as the caller's part, and a worker slowed by a busy core
-    still finishes within it. An even split finishes sooner on two idle
-    cores, but the call then waits on whichever thread is slower, so its
-    duration follows the load on both cores instead of the caller's alone.
-    """
-    cost = [sum(len(p.ids) for p in batch) for batch in batches]
-    worker, worker_cost, caller_cost = [], 0, 0
-    for i in sorted(range(len(batches)), key=lambda i: -cost[i]):
-        if worker_cost + cost[i] <= WORKER_SHARE * caller_cost:
-            worker.append(i)
-            worker_cost += cost[i]
-        else:
-            caller_cost += cost[i]
-    return sorted(worker)
-
-
-def _score_overlapped(model: NpdModel, batches: list, on_worker: list[int]) -> list[Predictions]:
-    """Each batch's predictions, in batch order: the batches on_worker names run,
-    in order, on one worker thread while the calling thread runs the others,
-    also in order. numpy releases the GIL inside BLAS calls and ufunc loops,
-    so the two forwards overlap.
-
-    A failed batch stops both threads: before each of its batches the caller
-    checks the worker's finished earlier batches, and the worker's batches
-    not yet started are cancelled. Of two failed batches the earlier one's
-    error is raised, as in a serial run, and the worker thread has exited
-    before this returns or raises.
-    """
-    pool = ThreadPoolExecutor(1)
-    try:
-        futures = {i: pool.submit(_score_batch, model, batches[i]) for i in on_worker}
-        scores = [None] * len(batches)
-        for i in range(len(batches)):
-            if i in futures:
-                continue
-            earlier = [future for j, future in futures.items() if j < i]
-            try:
-                for done in filter(Future.done, earlier):
-                    done.result()  # raises a failed worker batch's error now
-                scores[i] = _score_batch(model, batches[i])
-            except Exception:
-                for future in earlier:  # the worker runs them in order
-                    future.result()
-                raise
-        for i, future in futures.items():
-            scores[i] = future.result()
-        return scores
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128) -> EvalReport:
     """Run the model over a labeled set in eval mode and score it.
 
@@ -176,22 +97,14 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128)
     shortens each batch's time loop to about its posts' own length; every
     count is a sum over posts, so the report does not depend on that order.
 
-    With more than one batch, and where blas.worker_allowed says so, one worker
-    thread runs the cheaper batches (see _worker_batches) while the caller
-    runs the others, so at most two batches are in flight. Their counts and
-    hits are added in batch order, and the report is the same with or
-    without the worker. An error in either thread is raised here, and no
-    thread outlives the call.
+    The batches run one after another on the calling thread; the first
+    batch that fails raises its error here.
     """
     if not posts:
         raise ContractError("evaluate: empty evaluation set")
     by_length = sorted(posts, key=lambda p: len(p.ids))
     batches = [by_length[start : start + batch_size] for start in range(0, len(posts), batch_size)]
-    on_worker = _worker_batches(batches) if len(batches) > 1 and blas.worker_allowed() else []
-    if on_worker:
-        scores = _score_overlapped(model, batches, on_worker)
-    else:
-        scores = [_score_batch(model, batch) for batch in batches]
+    scores = [predictions(model.forward(batch, train_mode=False)) for batch in batches]
     counts = ConfusionCounts.zeros()
     gender_hits = location_hits = 0
     for pred, batch in zip(scores, batches):

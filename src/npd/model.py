@@ -280,11 +280,16 @@ class NpdModel:
                              attention=attention, head_input=head_in, mask=mask)
 
 
+def check_variant(variant: str) -> None:
+    """Raise ConfigError unless variant is one of VARIANT_NAMES."""
+    if variant not in _WIRING:
+        raise ConfigError(f"unknown variant {variant!r}; choose from {', '.join(VARIANT_NAMES)}")
+
+
 def build_model(variant: str, embedding: np.ndarray, num_locations: int, seed: int,
                 dims: ModelDims | None = None, vocab_hash: str = "") -> NpdModel:
     """Assemble a fresh model with seeded initialization; dims defaults to ModelDims()."""
-    if variant not in _WIRING:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {', '.join(VARIANT_NAMES)}")
+    check_variant(variant)
     dims = dims or ModelDims()
     dims.validate()
     manifest = {

@@ -1,5 +1,5 @@
-"""tools/bench_ab.py: compare() on hand-made parent/change runs, the per-run
-fault counts on a stub benchmark command, and the thread-scaling probe."""
+"""tools/bench_ab.py: compare() on hand-made parent/change runs, and the per-run
+fault counts on a stub benchmark command."""
 
 import importlib.util
 import json
@@ -110,42 +110,16 @@ def test_run_once_counts_the_runs_own_minor_faults(tmp_path):
     assert 0 < again["minflt"] < touched["minflt"]  # not a running total
 
 
-def test_record_holds_each_runs_faults_and_a_median_per_side(tmp_path, monkeypatch):
-    probes = iter(range(1, 2 * bench_ab.PAIRS + 1))  # one probe before each run
-    monkeypatch.setattr(bench_ab, "thread_scaling", lambda: float(next(probes)))
+def test_record_holds_each_runs_faults_and_a_median_per_side(tmp_path):
     parent, change = stub_checkout(tmp_path / "parent", 16), stub_checkout(tmp_path / "change", 0)
     out = tmp_path / "bench.json"
     assert bench_ab.main(["--parent", str(parent), "--change", str(change),
                           "--first-seed", "1", "--out", str(out)]) == 0
     workload = json.loads(out.read_text())["workloads"]["w"]
     medians = workload["minflt_median"]
-    scalings = []
     for side in bench_ab.SIDES:
         faults = [run["minflt"] for run in workload["runs"][side]]
         assert len(faults) == bench_ab.PAIRS and all(f > 0 for f in faults)
         assert medians[side] == statistics.median(faults)
-        side_scalings = [run["thread_scaling"] for run in workload["runs"][side]]
-        assert workload["thread_scaling_median"][side] == statistics.median(side_scalings)
-        scalings += side_scalings
     assert medians["parent"] - medians["change"] > 4096 - 100
-    assert sorted(scalings) == list(range(1, 2 * bench_ab.PAIRS + 1))
-    # the side that runs first alternates, and each run takes the probe made just before it
-    assert [run["thread_scaling"] for run in workload["runs"]["parent"]][:2] == [1.0, 4.0]
-
-
-def test_thread_scaling_probe_pins_blas_and_reports_a_ratio(monkeypatch):
-    """The probe's child runs with every BLAS variable at 1, whatever the
-    caller's environment says, and its ratio lies between no scaling and
-    two full cores, with room for timing noise."""
-    seen = []
-    real_run = bench_ab.subprocess.run
-
-    def spying_run(cmd, **kwargs):
-        seen.append({var: kwargs["env"].get(var) for var in bench_ab.THREAD_VARS})
-        return real_run(cmd, **kwargs)
-
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    monkeypatch.setattr(bench_ab.subprocess, "run", spying_run)
-    ratio = bench_ab.thread_scaling()
-    assert seen == [dict.fromkeys(bench_ab.THREAD_VARS, "1")]
-    assert 0.3 < ratio < 2.5
+    assert workload["first_side"] == list(bench_ab.SIDES) * (bench_ab.PAIRS // 2)

@@ -158,7 +158,9 @@ class TestExitCodes:
     def test_unknown_variant_in_ablate(self, mini_pipeline, capsys):
         assert main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
                      "--variants", "SVM", "--seeds", "1"]) == 1
-        assert "SVM" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown variant 'SVM'; choose from LSTM, LSTM_ATTRIBUTES, LSTM_ATTENTION, "
+            "LSTM_ADVERSARIAL, NPD_GENDER, NPD_LOCATION, NPD\n")
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -6,13 +6,10 @@ raw prediction/gold pairs.
 
 import dataclasses
 import threading
-import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from npd import blas, evaluation
 from npd import autodiff as ad
 from npd.corpus import EMOTIONS
 from npd.errors import ConfigError, ContractError
@@ -162,6 +159,25 @@ class TestEvaluate:
             assert r.gender_accuracy == ref.gender_accuracy
             assert r.location_accuracy == ref.location_accuracy
 
+    @pytest.mark.parametrize("bad_length", [2, 6, 10], ids=["batch-0", "batch-1", "batch-2"])
+    def test_out_of_range_id_in_any_batch_is_raised(self, bad_length):
+        """Posts of lengths 1 to 12 form batches of 4 with lengths 1-4, 5-8
+        and 9-12; an out-of-range id in any one of them raises."""
+        rng = np.random.default_rng(33)
+        posts = [make_post(rng, int(n)) for n in rng.permutation(range(1, 13))]
+        bad = next(p for p in posts if len(p.ids) == bad_length)
+        bad.ids[-1] = VOCAB + 3
+        with pytest.raises(ContractError):
+            evaluate(small_model("NPD"), posts, batch_size=4)
+
+    def test_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: pytest.fail("evaluate started a thread"))
+        report = evaluate(small_model("NPD"), tiny_dataset(np.random.default_rng(34), 20),
+                          batch_size=3)
+        assert report.counts.tp.sum() + report.counts.tn.sum() + report.counts.fp.sum() \
+            + report.counts.fn.sum() == 5 * 20
+
     def test_empty_set_rejected(self):
         with pytest.raises(ContractError):
             evaluate(small_model("LSTM"), [])
@@ -169,175 +185,6 @@ class TestEvaluate:
     def test_reference_average_reconstruction(self):
         published = (0.657, 0.510, 0.459, 0.135, 0.127)
         assert abs(float(np.mean(published)) - 0.378) <= 0.001
-
-
-def posts_of_lengths(rng, lengths):
-    """One post per length, in a shuffled order; evaluate sorts them back."""
-    return [make_post(rng, int(n)) for n in rng.permutation(lengths)]
-
-
-def batches_of(posts, size):
-    """The batches evaluate forms: posts in order of length, size at a time."""
-    by_length = sorted(posts, key=lambda p: len(p.ids))
-    return [by_length[start : start + size] for start in range(0, len(by_length), size)]
-
-
-class TestWorker:
-    """evaluate's second thread: the batches _worker_batches names run on it
-    when blas.worker_allowed says so, and nothing else changes."""
-
-    def record_threads(self, monkeypatch):
-        """Patch in a _score_batch that notes, for each batch, the thread
-        that ran it, keyed by the id of the batch's first post."""
-        seen = {}
-        score = evaluation._score_batch
-
-        def noting(model, batch):
-            seen[id(batch[0])] = threading.get_ident()
-            return score(model, batch)
-
-        monkeypatch.setattr(evaluation, "_score_batch", noting)
-        return seen
-
-    def odd_on_worker(self, monkeypatch):
-        """Put the odd-numbered batches on the worker, whatever their cost."""
-        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
-        monkeypatch.setattr(evaluation, "_worker_batches",
-                            lambda batches: list(range(1, len(batches), 2)))
-
-    @pytest.mark.parametrize("variant", VARIANT_NAMES)
-    def test_same_report_with_the_worker(self, monkeypatch, variant):
-        rng = np.random.default_rng(30)
-        model = small_model(variant, seed=31)
-        posts = tiny_dataset(rng, 40)
-        shares = []
-        for batch_size, n_batches in ((40, 1), (20, 2), (14, 3), (6, 7)):
-            monkeypatch.setattr(blas, "worker_allowed", lambda: False)
-            alone = evaluate(model, posts, batch_size=batch_size)
-            monkeypatch.setattr(blas, "worker_allowed", lambda: True)
-            seen = self.record_threads(monkeypatch)
-            paired = evaluate(model, posts, batch_size=batch_size)
-            monkeypatch.undo()
-            for k in ("tp", "fp", "fn", "tn"):
-                np.testing.assert_array_equal(getattr(paired.counts, k), getattr(alone.counts, k))
-            assert (paired.f1, paired.average_f1) == (alone.f1, alone.average_f1)
-            assert paired.gender_accuracy == alone.gender_accuracy
-            assert paired.location_accuracy == alone.location_accuracy
-            batches = batches_of(posts, batch_size)
-            assert len(batches) == len(seen) == n_batches
-            share = evaluation._worker_batches(batches)
-            caller = threading.get_ident()
-            assert {key for key, thread in seen.items() if thread != caller} \
-                == {id(batches[i][0]) for i in share}, batch_size
-            shares.append(share)
-        assert any(shares)  # the worker ran in at least one case
-
-    @pytest.mark.parametrize("costs,share", [
-        ([6, 15, 24, 33], [0, 2]),  # worker 24 + 6 = 30, within 0.75 of the caller's 33 + 15
-        ([26, 41, 19], [0]),        # 26 + 19 would pass 0.75 of 41
-        ([10, 10], []),             # an even split would put the worker on the critical path
-        ([7], []),
-    ])
-    def test_worker_share(self, costs, share):
-        """In order of falling cost, a batch goes to the worker while the
-        worker's total post length stays within WORKER_SHARE of the caller's."""
-        assert evaluation.WORKER_SHARE == 0.75
-        batches = [[SimpleNamespace(ids=range(cost))] for cost in costs]
-        assert evaluation._worker_batches(batches) == share
-
-    def test_the_worker_runs_its_share(self, monkeypatch):
-        """Batches of 3 posts with lengths 1..12 cost 6, 15, 24 and 33: the
-        worker runs batches 0 and 2, the caller batches 1 and 3."""
-        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
-        seen = self.record_threads(monkeypatch)
-        posts = posts_of_lengths(np.random.default_rng(32), range(1, 13))
-        evaluate(small_model("NPD"), posts, batch_size=3)
-        caller = threading.get_ident()
-        assert [seen[id(batch[0])] == caller for batch in batches_of(posts, 3)] \
-            == [False, True, False, True]
-
-    def test_no_thread_for_an_empty_share(self, monkeypatch):
-        """Two batches of equal cost leave the worker nothing to run."""
-        monkeypatch.setattr(blas, "worker_allowed", lambda: True)
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda self: pytest.fail("evaluate started a thread"))
-        posts = [make_post(np.random.default_rng(37), 5) for _ in range(6)]
-        report = evaluate(small_model("NPD"), posts, batch_size=3)
-        assert report.counts.tp.sum() + report.counts.fn.sum() == \
-            sum(int(p.emotion_bits.sum()) for p in posts)
-
-    @pytest.mark.parametrize("bad_length", [2, 6, 10], ids=["batch-0", "batch-1", "batch-2"])
-    def test_error_in_either_thread_is_raised(self, monkeypatch, bad_length):
-        """An out-of-range id raises the ContractError of a serial run,
-        whichever thread meets it, and no thread is left behind."""
-        rng = np.random.default_rng(33)
-        posts = posts_of_lengths(rng, range(1, 13))  # batches of 4: lengths 1-4, 5-8, 9-12
-        bad = next(p for p in posts if len(p.ids) == bad_length)
-        bad.ids[-1] = VOCAB + 3
-        model = small_model("NPD")
-        monkeypatch.setattr(blas, "worker_allowed", lambda: False)
-        with pytest.raises(ContractError) as serial:
-            evaluate(model, posts, batch_size=4)
-        self.odd_on_worker(monkeypatch)
-        threads = threading.active_count()
-        with pytest.raises(ContractError) as paired:
-            evaluate(model, posts, batch_size=4)
-        assert str(paired.value) == str(serial.value)
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("slow", [0, 1], ids=["caller-slow", "worker-slow"])
-    @pytest.mark.parametrize("bad", [(0, 1), (1, 2), (1, 3), (2, 3), (2, 5)],
-                             ids=["0+1", "1+2", "1+3", "2+3", "2+5"])
-    def test_of_two_failed_batches_the_earlier_is_raised(self, monkeypatch, bad, slow):
-        """As in a serial run, the first failed batch in batch order raises,
-        whether the worker's later batch fails first (the caller's batches
-        slowed) or the caller's later batch does (the worker's slowed), with
-        the odd-numbered batches on the worker."""
-        self.odd_on_worker(monkeypatch)
-        score = evaluation._score_batch
-
-        def failing(model, batch):
-            j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..18
-            if j % 2 == slow:
-                time.sleep(0.05)
-            if j in bad:
-                raise ContractError(f"batch {j}")
-            return score(model, batch)
-
-        monkeypatch.setattr(evaluation, "_score_batch", failing)
-        posts = posts_of_lengths(np.random.default_rng(35), range(1, 19))
-        threads = threading.active_count()
-        with pytest.raises(ContractError, match=f"^batch {bad[0]}$"):
-            evaluate(small_model("NPD"), posts, batch_size=3)
-        assert threading.active_count() == threads
-
-    def test_a_failed_worker_batch_stops_the_caller(self, monkeypatch):
-        """Batch 1 fails at once on the worker while the caller spends 50 ms
-        on each of batches 0, 2, 4 and 6: the caller stops before batch 6."""
-        self.odd_on_worker(monkeypatch)
-        ran = []
-
-        def failing(model, batch):
-            j = (min(len(p.ids) for p in batch) - 1) // 3  # batches of 3, lengths 1..24
-            if j == 1:
-                raise ContractError("batch 1")
-            ran.append(j)
-            time.sleep(0.05)
-
-        monkeypatch.setattr(evaluation, "_score_batch", failing)
-        posts = posts_of_lengths(np.random.default_rng(36), range(1, 25))
-        with pytest.raises(ContractError, match="^batch 1$"):
-            evaluate(small_model("NPD"), posts, batch_size=3)
-        assert 6 not in ran
-
-    def test_no_thread_without_the_gate(self, monkeypatch):
-        monkeypatch.setattr(blas, "worker_allowed", lambda: False)
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda self: pytest.fail("evaluate started a thread"))
-        report = evaluate(small_model("NPD"), tiny_dataset(np.random.default_rng(34), 20),
-                          batch_size=3)
-        assert report.counts.tp.sum() + report.counts.tn.sum() + report.counts.fp.sum() \
-            + report.counts.fn.sum() == 5 * 20
 
 
 class TestAblate:
