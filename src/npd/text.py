@@ -5,10 +5,17 @@ by default it stays frozen during model training. Skip-gram uses negative
 sampling with the unigram^0.75 noise distribution and a linearly decayed
 learning rate, processed in vectorized chunks so pretraining on a
 ~100k-token corpus takes seconds. Each epoch's (center, context) pairs come
-from one masked offset grid over all tokens, and each chunk's three row
-updates go through autodiff._add_rows: np.add.at over one flat element
-index, which gives bit-for-bit the result of the row-wise np.add.at at a
-fraction of its cost. Everything is deterministic given a seed.
+from one masked offset grid over all tokens. A chunk's negatives run in
+blocks of _CHUNK // k consecutive pairs (at least one), so no array in a
+chunk is larger than [_CHUNK x d] unless one pair's k rows are. A chunk
+reads before it writes: each block gathers and scores its negative rows
+and adds its share to the center rows' gradient; then the context rows'
+update, each block's negative update in block order and the center rows'
+update go through autodiff._add_rows (np.add.at over one flat element
+index). The blocks are consecutive runs of the flattened (pair, negative)
+order in which np.add.at applies updates, so the table is bit-for-bit the
+one a single whole-chunk update gives. Everything is deterministic given
+a seed.
 
 An embedding file is read with one np.loadtxt pass over all its values,
 fed one checked line at a time, so no Python float() runs per value and
@@ -172,7 +179,9 @@ class SkipGramConfig:
 
 
 # small enough that SGD stays stochastic on desk-scale corpora, large enough
-# for the vectorized update to amortize numpy dispatch
+# for the vectorized update to amortize numpy dispatch; negatives run in
+# blocks of _CHUNK // k pairs, so their [pairs x k x d] arrays stay within
+# [_CHUNK x d]
 _CHUNK = 512
 
 
@@ -227,6 +236,7 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
     # keeps the linear decay schedule deterministic and monotone
     approx_total = max(1, flat.size * 2 * cfg.window) * max(1, cfg.epochs)
     k = cfg.negatives_per_positive
+    block = max(1, _CHUNK // k)  # pairs per negative block
     lr0 = cfg.learning_rate
     processed = 0
 
@@ -244,18 +254,21 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
             neg = np.searchsorted(noise_cdf, rng.random((b, k)))
             vin = w_in[c]
             vpos = w_out[o]
-            vneg = w_out[neg]
 
             g_pos = _sigmoid_stable(np.einsum("bd,bd->b", vin, vpos)) - 1.0
-            g_neg = _sigmoid_stable(np.einsum("bd,bkd->bk", vin, vneg))
-            g_neg[neg == o[:, None]] = 0.0  # accidental hits are not negatives
+            grad_in = g_pos[:, None] * vpos
+            blocks = [slice(lo, lo + block) for lo in range(0, b, block)]
+            g_neg = []  # per block: [pairs x k]
+            for s in blocks:
+                vneg = w_out[neg[s]]
+                g = _sigmoid_stable(np.einsum("bd,bkd->bk", vin[s], vneg))
+                g[neg[s] == o[s, None]] = 0.0  # accidental hits are not negatives
+                grad_in[s] += np.einsum("bk,bkd->bd", g, vneg)
+                g_neg.append(g)
 
-            grad_in = g_pos[:, None] * vpos + np.einsum("bk,bkd->bd", g_neg, vneg)
             _add_rows(w_out, o, -lr * g_pos[:, None] * vin)
-            # the update values reuse the dead vneg buffer: one more [b*k x d]
-            # array beside _add_rows's flat index made every chunk return its
-            # heap and fault it back (25x the minor page faults per call)
-            _add_rows(w_out, neg, np.multiply(-lr * g_neg[:, :, None], vin[:, None, :], out=vneg))
+            for s, g in zip(blocks, g_neg):
+                _add_rows(w_out, neg[s], -lr * g[:, :, None] * vin[s, None, :])
             _add_rows(w_in, c, -lr * grad_in)
 
     diverged = ~np.isfinite(w_in).all(axis=1)

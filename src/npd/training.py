@@ -13,12 +13,12 @@ The ablation harness, ablate, lives here too: it retrains every (variant,
 seed) pair on shared splits and embeddings, in worker processes if asked.
 """
 
+import concurrent.futures
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -277,8 +277,11 @@ def ablate(splits, variants: list[str], seeds: list[int], cfg: TrainingConfig,
                             num_locations=num_locations, dims=dims)
     pairs = [(variant, seed) for variant in variants for seed in seeds]
     reports: list[EvalReport] = []
-    # spawn, not fork: a fork copies the BLAS thread pool's locks but not its threads
-    with ProcessPoolExecutor(jobs, get_context("spawn")) if jobs > 1 else nullcontext() as pool:
+    # spawn, not fork: a fork copies the BLAS thread pool's locks but not its threads.
+    # Reached through the package, ProcessPoolExecutor loads its submodule (and
+    # subprocess) only when a pool is built.
+    with (concurrent.futures.ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn"))
+          if jobs > 1 else nullcontext()) as pool:
         # each call returns the run's report or raises what the run raised
         calls = [pool.submit(run, v, s).result if pool else functools.partial(run, v, s)
                  for v, s in pairs]

@@ -824,6 +824,14 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["None"] * 3
 
+    def test_importing_cli_loads_no_process_pool(self):
+        # ablate builds its pool only for --jobs > 1; every other command,
+        # and the benchmark, would pay for the submodule and subprocess
+        out = self.run("-c", "import sys, npd.cli; "
+                       "print('concurrent.futures.process' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
+
     def test_python_m_npd_and_the_script_run_the_entry_point(self):
         out = self.run("-m", "npd", "--help")
         assert out.returncode == 0 and out.stdout.startswith("usage: npd")

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +200,76 @@ class TestAddRows:
         monkeypatch.setattr(text, "_add_rows", row_add_at)
         rows = train_skipgram(corpus, vocab_size=60, cfg=cfg).matrix
         assert flat.tobytes() == rows.tobytes()
+
+
+def _whole_chunk_skipgram(corpus, vocab_size, cfg):
+    """train_skipgram's loop with each chunk's negatives in one [b x k x d]
+    update, as it ran before the block loop; returns the table and each
+    epoch's pair count."""
+    rng = np.random.default_rng(cfg.seed)
+    d, k, lr0 = cfg.embed_dim, cfg.negatives_per_positive, cfg.learning_rate
+    w_in = (rng.random((vocab_size, d)) - 0.5) / d
+    w_out = np.zeros((vocab_size, d))
+    flat = np.concatenate([np.asarray(ids, dtype=np.int64) for ids in corpus])
+    noise = np.bincount(flat, minlength=vocab_size).astype(np.float64) ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    approx_total = max(1, flat.size * 2 * cfg.window) * max(1, cfg.epochs)
+    processed, pair_counts = 0, []
+    post_order = np.arange(len(corpus))
+    for _ in range(cfg.epochs):
+        rng.shuffle(post_order)
+        centers, contexts = text._epoch_pairs([corpus[i] for i in post_order], cfg.window, rng)
+        pair_counts.append(len(centers))
+        for start in range(0, len(centers), text._CHUNK):
+            c = centers[start : start + text._CHUNK]
+            o = contexts[start : start + text._CHUNK]
+            b = len(c)
+            lr = max(lr0 * (1.0 - processed / approx_total), lr0 * 1e-4)
+            processed += b
+            neg = np.searchsorted(noise_cdf, rng.random((b, k)))
+            vin, vpos, vneg = w_in[c], w_out[o], w_out[neg]
+            g_pos = text._sigmoid_stable(np.einsum("bd,bd->b", vin, vpos)) - 1.0
+            g_neg = text._sigmoid_stable(np.einsum("bd,bkd->bk", vin, vneg))
+            g_neg[neg == o[:, None]] = 0.0
+            grad_in = g_pos[:, None] * vpos + np.einsum("bk,bkd->bd", g_neg, vneg)
+            _add_rows(w_out, o, -lr * g_pos[:, None] * vin)
+            _add_rows(w_out, neg, np.multiply(-lr * g_neg[:, :, None], vin[:, None, :], out=vneg))
+            _add_rows(w_in, c, -lr * grad_in)
+    return w_in, pair_counts
+
+
+class TestNegativeBlocks:
+    # k = 5 and 7 give blocks of 102 and 73 pairs, so a full chunk ends with a
+    # short block (2 and 1 pairs); k > _CHUNK // 2 gives one-pair blocks, and
+    # k > _CHUNK one block larger than [_CHUNK x d]
+    @pytest.mark.parametrize("k, d, epochs", [(5, 8, 2), (7, 8, 2), (300, 3, 1), (600, 3, 1)])
+    def test_bit_identical_to_the_whole_chunk_update(self, k, d, epochs):
+        rng = np.random.default_rng(12)
+        corpus = _posts(rng, rng.integers(0, 25, size=120), 60)
+        cfg = SkipGramConfig(embed_dim=d, window=3, negatives_per_positive=k, epochs=epochs, seed=4)
+        ref, pair_counts = _whole_chunk_skipgram(corpus, 60, cfg)
+        # more than three chunks per epoch, the last one short
+        assert all(n > 3 * text._CHUNK and n % text._CHUNK for n in pair_counts), pair_counts
+        assert np.isfinite(ref).all()
+        assert train_skipgram(corpus, vocab_size=60, cfg=cfg).matrix.tobytes() == ref.tobytes()
+
+    def test_working_set_within_the_tables_and_seven_chunk_arrays(self):
+        rng = np.random.default_rng(5)
+        corpus = _posts(rng, rng.integers(0, 25, size=40), 60)
+        cfg = SkipGramConfig(embed_dim=100, window=3, negatives_per_positive=5, epochs=1, seed=2)
+        assert len(text._epoch_pairs(corpus, 3, np.random.default_rng(0))[0]) > 2 * text._CHUNK
+        tables = 2 * 60 * 100 * 8
+        chunk_array = text._CHUNK * 100 * 8
+        tracemalloc.start()
+        try:
+            train_skipgram(corpus, vocab_size=60, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the chunk's center rows, context rows and center gradient, one
+        # block's negative rows, one _add_rows call's values and flat index:
+        # six; the seventh holds the epoch's pair arrays and small temporaries
+        assert peak <= tables + 7 * chunk_array, (peak - tables) / chunk_array
 
 
 class TestPersistence:
