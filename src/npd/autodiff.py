@@ -96,11 +96,12 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 def _add_rows(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     """table[idx[k]] += vals[k] for every k, repeated rows accumulating.
 
-    Bit-identical to np.add.at(table, idx, vals), and about three times
-    faster on skip-gram's 2560-row updates: the scatter runs through one
-    flat element index, and ufunc.at applies its indices in order, so each
-    element receives its additions in the same k order in both forms. vals
-    has shape idx.shape + (d,).
+    Bit-identical to np.add.at(table, idx, vals), and about four times
+    faster on skip-gram's updates, which scatter at most 512 rows per call
+    (at d = 100): the scatter runs through one flat element index, and
+    ufunc.at applies its indices in order, so each element receives its
+    additions in the same k order in both forms. vals has shape
+    idx.shape + (d,).
     """
     if not table.flags.c_contiguous:
         # reshape would return a copy, and the update would be lost

@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="pretrain skip-gram embeddings over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True,
-                   help="text embedding file; its binary companion, read by later "
-                        "loads, goes to OUT.npde")
+                   help="text embedding file; its binary companion, which caches "
+                        "the tokens and values for later loads, goes to OUT.npde")
     _add_embed_args(p)
     _add_seed(p)
     p.set_defaults(func=cmd_embed)

@@ -23,18 +23,32 @@ the line text never piles up in memory. Its values are decimal or
 exponent floats, nan and inf, in ASCII digits.
 
 save_embeddings also writes a binary companion beside the text file, at
-`<path>.npde` (companion_path), so a later load need not parse the values
-again. The text stays the file of record: load_embeddings runs every line
-check over it and takes the values from the companion only when the
-companion's magic, the SHA-256 of the text's bytes, its shape and its
-length all match; otherwise it parses the text. So a text edited after the
-save, a truncated companion or one of another shape falls back to the
-parse, and a load returns the same table and raises the same errors with
-or without a companion. Loading never writes a file.
+`<path>.npde` (companion_path): a cache of the whole parse, so a later
+load need not decode, check or parse the text's rows. load_embeddings
+reads the text's header line and checks it first, then takes the tokens
+and values from the companion when its magic, the SHA-256 of the text's
+bytes and its shape match, it holds the whole table, and its token
+section holds exactly `rows` tokens, none with a space in it and none
+repeated (the conditions the line checks enforce). Otherwise it parses
+the text and runs every line check, as it does with no companion. The
+checks that PAD and OOV come first, that the header's row count holds and
+that every value is finite (naming path:line) run on both paths, so a load
+returns the same table and raises the same errors with or without a
+companion. Loading never writes a file.
 
-Companion layout (little-endian): magic b"NPDE" | SHA-256 of the text
+The digest binds the companion to the text bytes save_embeddings wrote
+beside it: a text edited after the save no longer matches and is checked
+line by line. A companion forged to match an edited text is trusted for
+its tokens and its values alike.
+
+Companion layout (little-endian): magic b"NPD2" | SHA-256 of the text
 file's bytes (32 bytes) | u64 rows | u64 dim | rows x dim raw float64
-values, row by row.
+values, row by row | the rows' tokens, PAD and OOV included, each in
+strict UTF-8 and followed by b"\n", to the end of the file. The
+terminator makes a token section cut short or run on by any bytes fail
+the token count or the terminator check. A companion with another magic,
+such as the values-only b"NPDE" layout, is not read: the load parses the
+text until save_embeddings rewrites the pair.
 """
 
 import hashlib
@@ -53,7 +67,7 @@ from .errors import ConfigError, ContractError, DataError, DivergenceError
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
-_COMPANION_MAGIC = b"NPDE"
+_COMPANION_MAGIC = b"NPD2"
 _COMPANION_HEAD = struct.Struct("<4s32sQQ")  # magic, text digest, rows, dim
 
 
@@ -280,7 +294,7 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
 
 def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None:
     """Write `<vocab_size> <embed_dim>` then one `token v1 ... vd` line per token,
-    then the table's binary companion (see the module docstring).
+    then the binary companion of the table and tokens (see the module docstring).
 
     Floats are written in shortest round-trip form, so load(save(x)) is
     bit-exact.
@@ -295,6 +309,7 @@ def save_embeddings(path: str, vocab: Vocabulary, table: EmbeddingTable) -> None
     with open(companion_path(path), "wb") as fh:
         fh.write(_COMPANION_HEAD.pack(_COMPANION_MAGIC, _text_digest(path), *matrix.shape))
         matrix.tofile(fh)  # no tobytes() copy of the table
+        fh.write("".join(f"{tok}\n" for tok in vocab.id_to_token).encode("utf-8"))
 
 
 def companion_path(path) -> str:
@@ -311,9 +326,10 @@ def _text_digest(path) -> bytes:
     return digest.digest()
 
 
-def _companion_values(path, size: int, dim: int):
-    """The [size x dim] table in the companion of the text file at path, or
-    None unless the companion's magic, text digest, shape and length match."""
+def _companion(path, size: int, dim: int):
+    """(tokens, [size x dim] table) from the companion of the text file at
+    path, or None unless it matches the text and its tokens would pass the
+    line checks (see the module docstring)."""
     try:
         fh = open(companion_path(path), "rb")
     except OSError:  # none, a directory, no permission: parse the text
@@ -323,14 +339,19 @@ def _companion_values(path, size: int, dim: int):
         if len(head) != _COMPANION_HEAD.size:
             return None
         magic, digest, rows, cols = _COMPANION_HEAD.unpack(head)
-        if ((magic, rows, cols) != (_COMPANION_MAGIC, size, dim)
-                or os.fstat(fh.fileno()).st_size != _COMPANION_HEAD.size + 8 * size * dim
-                or digest != _text_digest(path)):
+        if (magic, rows, cols) != (_COMPANION_MAGIC, size, dim) or digest != _text_digest(path):
             return None
         values = np.fromfile(fh, dtype="<f8", count=size * dim)
-    if values.size != size * dim:  # the file shrank since the fstat
+        section = fh.read()
+    if values.size != size * dim:
         return None
-    return values.astype(np.float64, copy=False).reshape(size, dim)
+    try:
+        tokens = section.decode("utf-8").split("\n")
+    except UnicodeError:
+        return None
+    if tokens.pop() != "" or len(tokens) != size or b" " in section or len(set(tokens)) != size:
+        return None
+    return tokens, values.astype(np.float64, copy=False).reshape(size, dim)
 
 
 def _parse_values(lines, dim: int) -> np.ndarray:
@@ -358,11 +379,13 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
     """Read a save_embeddings file; every malformed or non-finite entry, and
     a token seen twice, is a DataError naming path:line.
 
-    The values come from the file's companion where it matches the text;
-    otherwise they are parsed in one np.loadtxt pass, fed one line at a
-    time. The parse accepts the float() syntax except underscores between
-    digits and non-ASCII digits: a line holding those is rejected as
-    non-numeric, as save_embeddings never writes them.
+    The header line is read and checked first. The tokens and values then
+    come from the file's companion where it matches the text, with no line
+    read past the header; otherwise every line is checked and the values
+    are parsed in one np.loadtxt pass, fed one line at a time. The parse
+    accepts the float() syntax except underscores between digits and
+    non-ASCII digits: a line holding those is rejected as non-numeric, as
+    save_embeddings never writes them.
     """
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].split()
@@ -372,13 +395,13 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
     size, dim = int(header[0]), int(header[1])
     if dim < 1:
         raise DataError(f"{path}:1: embedding dimension must be >= 1, got {dim}")
-    first_line: dict[str, int] = {}  # token -> its line, in file order
-    rows = _embedding_rows(path, lines, dim, first_line)
-    matrix = _companion_values(path, size, dim)
-    if matrix is not None:
-        for _ in rows:  # the line checks alone
-            pass
+    cached = _companion(path, size, dim)
+    if cached is not None:
+        lines.close()  # no row line is read
+        tokens, matrix = cached
     else:
+        first_line: dict[str, int] = {}  # token -> its line, in file order
+        rows = _embedding_rows(path, lines, dim, first_line)
         first = next(rows, None)  # np.loadtxt warns on empty input
         try:
             matrix = np.empty((0, dim)) if first is None else _parse_values(
@@ -386,9 +409,9 @@ def load_embeddings(path: str) -> tuple[Vocabulary, EmbeddingTable]:
         except ValueError as exc:
             raise DataError(f"{path}:{_first_unparsed_line(path, dim)}: "
                             f"non-numeric value") from exc
-    if len(first_line) != size:
-        raise DataError(f"{path}: header declares {size} rows, found {len(first_line)}")
-    tokens = list(first_line)
+        tokens = list(first_line)
+    if len(tokens) != size:
+        raise DataError(f"{path}: header declares {size} rows, found {len(tokens)}")
     if tokens[:2] != [PAD_TOKEN, OOV_TOKEN]:
         raise DataError(f"{path}: first rows must be {PAD_TOKEN} and {OOV_TOKEN}")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))

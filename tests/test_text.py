@@ -413,8 +413,11 @@ class TestCompanion:
         blob = (tmp_path / "emb.txt.npde").read_bytes()
         assert text.companion_path(path) == f"{path}.npde"
         digest = hashlib.sha256(path.read_bytes()).digest()
-        assert blob[:52] == b"NPDE" + digest + struct.pack("<QQ", 300, 40)
-        assert blob[52:] == table.matrix.astype("<f8").tobytes()
+        values = table.matrix.astype("<f8").tobytes()
+        assert blob[:52] == b"NPD2" + digest + struct.pack("<QQ", 300, 40)
+        assert blob[52:52 + len(values)] == values
+        assert blob[52 + len(values):] == "".join(
+            f"{tok}\n" for tok in vocab.id_to_token).encode("utf-8")
 
     def test_loads_bit_identically_with_and_without(self, tmp_path, parses):
         path = tmp_path / "emb.txt"
