@@ -5,6 +5,7 @@ full-size determinism and trend runs live in the acceptance suite.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -427,6 +428,49 @@ def test_vocab_hash_mismatch_names_both_files(mini_pipeline, tmp_path, monkeypat
     assert code == 1 and captured.out == ""
     assert "vocab hash " + "0" * 16 in captured.err and "Traceback" not in captured.err
     assert str(path) in captured.err and str(mini_pipeline["embeddings"]) in captured.err
+
+
+def test_eval_and_predict_print_the_same_with_any_companion(mini_pipeline, tmp_path,
+                                                           monkeypatch, capsys):
+    """eval and predict print the same bytes beside the companion embed wrote,
+    beside none, and beside a values-only companion of the older layout, which
+    the load passes over for the text; embed's text file keeps its format."""
+    emb = mini_pipeline["embeddings"]
+    vocab, table = text.load_embeddings(emb)
+    assert emb.read_text(encoding="utf-8") == f"{len(vocab)} {table.embed_dim}\n" + "".join(
+        f"{tok} {' '.join(map(repr, row))}\n"
+        for tok, row in zip(vocab.id_to_token, table.matrix.tolist()))
+    path = tmp_path / "emb.txt"
+    path.write_bytes(emb.read_bytes())
+    companion = Path(text.companion_path(path))
+    values_only = struct.pack("<4s32sQQ", b"NPDE", hashlib.sha256(emb.read_bytes()).digest(),
+                              *table.matrix.shape) + table.matrix.astype("<f8").tobytes()
+    checked = []  # the loads that checked the text line by line
+    real = text._embedding_rows
+
+    def counting(*args):
+        checked.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(text, "_embedding_rows", counting)
+    posts = "\n".join(corpus_texts(mini_pipeline, 5)) + "\n"
+    outputs = []
+    for blob, checks in ((Path(text.companion_path(emb)).read_bytes(), 0), (None, 2),
+                         (values_only, 2)):
+        if blob is None:
+            companion.unlink()
+        else:
+            companion.write_bytes(blob)
+        checked.clear()
+        for command, extra in (("eval", ["--corpus", str(mini_pipeline["corpus"])]),
+                               ("predict", [])):
+            monkeypatch.setattr("sys.stdin", io.StringIO(posts))
+            assert main([command, "--model", str(mini_pipeline["model"]),
+                         "--embeddings", str(path), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(checked) == checks
+    assert outputs[0:2] == outputs[2:4] == outputs[4:6]
+    assert outputs[0].startswith("Variant\t") and outputs[1].count("\n") == 5
 
 
 # what build_model writes, and what npd train adds (see npd.model's docstring)

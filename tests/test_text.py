@@ -433,6 +433,27 @@ class TestCompanion:
         assert fast.matrix.shape == slow.matrix.shape == (300, 40)
         assert fast.matrix.tobytes() == slow.matrix.tobytes() == table.matrix.tobytes()
 
+    def test_matching_companion_skips_the_line_checks(self, tmp_path, monkeypatch):
+        """The rows of a text beside a matching companion are never checked
+        line by line; with the companion gone, they are, once."""
+        calls = []
+        real = text._embedding_rows
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(text, "_embedding_rows", counting)
+        path = tmp_path / "emb.txt"
+        save_embeddings(path, *_wide_table())
+        fast_vocab, fast = load_embeddings(path)
+        assert len(calls) == 0
+        (tmp_path / "emb.txt.npde").unlink()
+        slow_vocab, slow = load_embeddings(path)
+        assert len(calls) == 1
+        assert fast_vocab.id_to_token == slow_vocab.id_to_token
+        assert fast.matrix.tobytes() == slow.matrix.tobytes()
+
     def test_load_writes_no_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         _good_saved(path)
@@ -443,19 +464,33 @@ class TestCompanion:
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == [before[0]]
 
     @pytest.mark.parametrize("spoil", ["stale digest", "truncated", "header only", "empty",
-                                       "other shape", "bad magic", "a directory"])
+                                       "other shape", "bad magic", "a directory",
+                                       "values-only layout", "token with a space", "repeated token",
+                                       "token not UTF-8", "tokens cut short", "extra byte"])
     def test_mismatched_companion_falls_back_to_the_parse(self, tmp_path, parses, spoil):
         path, companion = tmp_path / "emb.txt", tmp_path / "emb.txt.npde"
         vocab, table = _wide_table(shape=(30, 4))
         save_embeddings(path, vocab, table)
         blob = companion.read_bytes()
+        tokens_at = 52 + 30 * 4 * 8  # where the token section starts
         if spoil == "stale digest":  # one value edited in the text
             lines = path.read_text(encoding="utf-8").split("\n")
             token, value, *rest = lines[5].split(" ")
             lines[5] = " ".join([token, repr(float(value) + 1.0), *rest])
             path.write_text("\n".join(lines), encoding="utf-8")
-        elif spoil == "truncated":
+        elif spoil == "truncated":  # inside the values
+            companion.write_bytes(blob[:tokens_at - 1])
+        elif spoil == "values-only layout":  # magic, digest, shape and values only
+            companion.write_bytes(b"NPDE" + blob[4:tokens_at])
+        elif spoil in ("token with a space", "repeated token", "token not UTF-8"):
+            new = {"token with a space": b"w 12", "repeated token": b"w11",
+                   "token not UTF-8": b"w\xff2"}[spoil]
+            assert blob.count(b"\nw12\n") == 1
+            companion.write_bytes(blob.replace(b"\nw12\n", b"\n" + new + b"\n"))
+        elif spoil == "tokens cut short":
             companion.write_bytes(blob[:-1])
+        elif spoil == "extra byte":
+            companion.write_bytes(blob + b"x")
         elif spoil == "header only":
             companion.write_bytes(blob[:52])
         elif spoil == "empty":
@@ -501,7 +536,8 @@ class TestCompanion:
 
     def test_saved_file_failing_a_line_check_raises_on_both_paths(self, tmp_path, parses):
         """A token with a space in it gives its line one field too many; the
-        line checks run over the text whether or not the companion matches."""
+        companion's copy of that token keeps the load off the companion, so
+        the line checks run over the text on both paths."""
         path = tmp_path / "emb.txt"
         save_embeddings(path, Vocabulary(["alpha", "two words"]), EmbeddingTable(np.ones((4, 2))))
         fast = _load_error(path)
