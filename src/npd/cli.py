@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,8 @@ PREDICT_BATCH = 128  # predict's lines per forward pass; evaluate's default batc
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="master seed for all substreams")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed for all substreams, in [0, 2**32)")
 
 
 def _add_embed_args(p):
@@ -222,6 +224,8 @@ def cmd_ablate(args) -> int:
         check_variant(v)
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg, dims, sg_cfg = _training_config(args), _model_dims(args), _skipgram_config(args)
+    for seed in seeds:  # fail before skip-gram runs, as for the variants
+        replace(cfg, seed=seed).validate()
     _check_writable(args.out)
     posts, m = corpus_mod.load_with_meta(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args, sg_cfg)

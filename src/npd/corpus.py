@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .seeding import substream
+from .seeding import RANDOM_UNIT, SEED_LIMIT, RawSampler, substream
 from .text import read_lines, tokenize
 
 EMOTIONS = ("happiness", "sadness", "anger", "surprise", "fear")
@@ -263,6 +263,16 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
+        # RawSampler.integers(n), which synthesize draws from, serves n < 2**32
+        ranges = {"markers_per_attribute_value": self.markers_per_attribute_value,
+                  "emotion_markers_per_cell": self.emotion_markers_per_cell,
+                  "2 + m_locations": 2 + self.m_locations,
+                  "max_len - min_len + 1": self.max_len - self.min_len + 1}
+        for name, n in ranges.items():
+            if n >= 2**32:
+                raise ConfigError(f"{name} must be below 2**32, got {n}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
         probs = (self.gender_marker_prob, self.location_marker_prob, self.emotion_marker_prob)
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ConfigError("marker probabilities must lie in [0, 1]")
@@ -292,8 +302,8 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
     Per post, the draws from the "synth" substream come in this order:
     gender `integers(2)`, location `integers(m)`, one `random()` per
     emotion in EMOTIONS order (present when below its correlation table
-    entry), the length `integers(min_len, max_len + 1)`, then per token a
-    `random()` r that picks the kind:
+    entry), the length `min_len + integers(max_len - min_len + 1)`, then
+    per token a `random()` r that picks the kind:
     - r < gender_marker_prob: `integers(n_mark)`, the gender marker;
     - below that plus location_marker_prob: `integers(n_mark)`, the
       location marker;
@@ -303,13 +313,19 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
       or `integers(2 + m)` over all cells, then `integers(n_cell)`;
     - otherwise a `random()` placed in the Zipf CDF by `bisect_left`.
 
+    The draws are computed by a RawSampler from the substream's raw PCG64
+    output, exactly as the substream Generator's `random()` and
+    `integers(n)` calls listed would give them; `integers(1)`, a
+    one-value range, draws nothing. The per-token kind draw and the
+    neutral draw inline RawSampler.random.
+
     Every token name is built once per call. There are N + 1 neutral
     names for N neutral tokens: the CDF's last entry is rounded and can
     lie below 1, so a draw above it lands on index N.
     """
     cfg.validate()
-    rng = substream(cfg.seed, "synth")
-    random, integers = rng.random, rng.integers
+    draws = RawSampler(cfg.seed, "synth")
+    raw, random, integers = draws.raw, draws.random, draws.integers
     m = cfg.m_locations
     table = cfg.correlation_table().tolist()
 
@@ -320,6 +336,7 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
     p_g, p_l, p_e = cfg.gender_marker_prob, cfg.location_marker_prob, cfg.emotion_marker_prob
     n_mark = cfg.markers_per_attribute_value
     n_cell = cfg.emotion_markers_per_cell
+    n_len = cfg.max_len - cfg.min_len + 1
     cells = ["f", "m"] + [f"loc{k}" for k in range(m)]
     gmark = [[f"gmark_{g}_{i:02d}" for i in range(n_mark)] for g in "fm"]
     lmark = [[f"lmark_{loc}_{i:02d}" for i in range(n_mark)] for loc in range(m)]
@@ -328,13 +345,13 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
 
     posts = []
     for _ in range(cfg.n_posts):
-        g = int(integers(2))
-        loc = int(integers(m))
+        g = integers(2)
+        loc = integers(m)
         present = [j for j in range(len(EMOTIONS)) if random() < table[j][g][loc]]
-        length = int(integers(cfg.min_len, cfg.max_len + 1))
+        length = cfg.min_len + integers(n_len)
         tokens = []
         for _ in range(length):
-            r = random()
+            r = (raw() >> 11) * RANDOM_UNIT
             if r < p_g:
                 tokens.append(gmark[g][integers(n_mark)])
             elif r < p_g + p_l:
@@ -347,7 +364,7 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
                     cell = integers(len(cells))
                 tokens.append(emo[j][cell][integers(n_cell)])
             else:
-                tokens.append(neutral[bisect_left(zipf_cdf, random())])
+                tokens.append(neutral[bisect_left(zipf_cdf, (raw() >> 11) * RANDOM_UNIT)])
         posts.append(Post(text=" ".join(tokens),
                           emotions={EMOTIONS[j] for j in present},
                           gender=GENDERS[g], location=loc))

@@ -29,7 +29,7 @@ from .corpus import TokenizedPost
 from .errors import ConfigError, ContractError, DivergenceError
 from .evaluation import EvalReport
 from .model import ForwardResult, ModelDims, NpdModel, build_model
-from .seeding import substream
+from .seeding import SEED_LIMIT, substream
 
 _PROB_FLOOR = 1e-300   # emotion heads: guards log(0) on collapsed softmax
 _BCE_EPS = 1e-12       # discriminators: clamp range [eps, 1-eps]
@@ -70,6 +70,8 @@ class TrainingConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_epochs < 0 or self.patience < 0:
             raise ConfigError("max_epochs and patience must be nonnegative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Node],

@@ -578,6 +578,16 @@ def test_synth_count_below_one_exits_1(tmp_path, capsys, field):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_synth_seed_beyond_32_bits_exits_1(tmp_path, capsys):
+    """Seed 2**32 is a ConfigError naming it, not seed 0's corpus."""
+    out = tmp_path / "c.jsonl"
+    code = main(["synth", "--seed", "4294967296", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: seed must lie in [0, 2**32), got 4294967296\n"
+    assert not out.exists()
+
+
 # (extra training arguments, text the error must contain)
 BAD_TRAINING_OPTIONS = [
     (["--lambdas", "a,b,c"], "--lambdas"),
@@ -678,6 +688,8 @@ BAD_SIZE_OPTIONS = [
     ("ablate", ["--lr", "nan"], "mu"),
     ("ablate", ["--dropout", "1"], "dropout_rate"),
     ("ablate", ["--seed", "-3"], "seed"),
+    ("ablate", ["--seeds", "1,4294967296"], "4294967296"),
+    ("train", ["--seed", "-3"], "seed"),
 ]
 
 

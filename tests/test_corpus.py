@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from npd.corpus import (
     synthesize,
 )
 from npd.errors import ConfigError, DataError
+from npd.seeding import substream
 from npd.text import build_vocab, tokenize
 
 
@@ -200,7 +203,120 @@ GOLDEN_CORPORA = [
 ]
 
 
+def reference_synthesize(cfg: SynthConfig) -> list[Post]:
+    """synthesize as a loop of numpy Generator calls on the "synth"
+    substream, in the draw order its docstring lists: the reference that
+    synthesize's raw-output draws must reproduce byte for byte."""
+    cfg.validate()
+    rng = substream(cfg.seed, "synth")
+    random, integers = rng.random, rng.integers
+    m = cfg.m_locations
+    table = cfg.correlation_table().tolist()
+
+    zipf_w = np.arange(1, cfg.neutral_tokens + 1, dtype=np.float64) ** (-cfg.zipf_exponent)
+    zipf_cdf = np.cumsum(zipf_w / zipf_w.sum()).tolist()
+    neutral = [f"neutral_{nid:04d}" for nid in range(cfg.neutral_tokens + 1)]
+
+    p_g, p_l, p_e = cfg.gender_marker_prob, cfg.location_marker_prob, cfg.emotion_marker_prob
+    n_mark = cfg.markers_per_attribute_value
+    n_cell = cfg.emotion_markers_per_cell
+    cells = ["f", "m"] + [f"loc{k}" for k in range(m)]
+    gmark = [[f"gmark_{g}_{i:02d}" for i in range(n_mark)] for g in "fm"]
+    lmark = [[f"lmark_{loc}_{i:02d}" for i in range(n_mark)] for loc in range(m)]
+    emo = [[[f"emo_{name[:3]}_{cell}_{i:02d}" for i in range(n_cell)] for cell in cells]
+           for name in EMOTIONS]
+
+    posts = []
+    for _ in range(cfg.n_posts):
+        g = int(integers(2))
+        loc = int(integers(m))
+        present = [j for j in range(len(EMOTIONS)) if random() < table[j][g][loc]]
+        length = int(integers(cfg.min_len, cfg.max_len + 1))
+        tokens = []
+        for _ in range(length):
+            r = random()
+            if r < p_g:
+                tokens.append(gmark[g][integers(n_mark)])
+            elif r < p_g + p_l:
+                tokens.append(lmark[loc][integers(n_mark)])
+            elif r < p_g + p_l + p_e and present:
+                j = present[integers(len(present))]
+                if cfg.attribute_conditioned_markers:
+                    cell = g if random() < 0.5 else 2 + loc
+                else:
+                    cell = integers(len(cells))
+                tokens.append(emo[j][cell][integers(n_cell)])
+            else:
+                tokens.append(neutral[bisect_left(zipf_cdf, random())])
+        posts.append(Post(text=" ".join(tokens),
+                          emotions={EMOTIONS[j] for j in present},
+                          gender=GENDERS[g], location=loc))
+    return posts
+
+
+# configs for the reference comparison, each run at REFERENCE_SEEDS: one
+# emotion present, min_len == max_len and one marker per cell all draw from
+# one-value ranges
+REFERENCE_CONFIGS = [
+    ("planted", dict()),
+    ("null signal", dataclasses.asdict(SynthConfig.null_signal())),
+    ("unconditioned markers", dict(attribute_conditioned_markers=False)),
+    ("fixed length", dict(min_len=12, max_len=12)),
+    ("m 7, one marker per cell", dict(m_locations=7, markers_per_attribute_value=1,
+                                      emotion_markers_per_cell=1)),
+    ("emotion markers 0.9", dict(emotion_marker_prob=0.9, gender_marker_prob=0.05,
+                                 location_marker_prob=0.05)),
+]
+REFERENCE_SEEDS = [0, 11, 2**32 - 1]
+
+
+def saved_bytes(tmp_path, posts, m):
+    path = tmp_path / "c.jsonl"
+    save(path, posts, m=m)
+    return path.read_bytes()
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    @pytest.mark.parametrize("case, fields", REFERENCE_CONFIGS,
+                             ids=[case for case, _ in REFERENCE_CONFIGS])
+    def test_matches_the_generator_reference(self, tmp_path, case, fields, seed):
+        cfg = SynthConfig(**{**fields, "n_posts": 200, "seed": seed})
+        m = cfg.m_locations
+        assert saved_bytes(tmp_path, synthesize(cfg), m) == \
+            saved_bytes(tmp_path, reference_synthesize(cfg), m)
+
+    def test_default_config_matches_the_generator_reference(self, tmp_path):
+        cfg = SynthConfig(n_posts=1000)
+        assert saved_bytes(tmp_path, synthesize(cfg), cfg.m_locations) == \
+            saved_bytes(tmp_path, reference_synthesize(cfg), cfg.m_locations)
+
+    def test_cli_synthesizes_the_widest_seed(self, tmp_path):
+        """Seed 2**32 - 1 keeps its stream; 2**32 is rejected (test_cli.py)."""
+        cfg = SynthConfig(n_posts=40)
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"n_posts": 40}))
+        out = tmp_path / "cli.jsonl"
+        assert main(["synth", "--config", str(config), "--seed", str(2**32 - 1),
+                     "--out", str(out)]) == 0
+        reference = reference_synthesize(dataclasses.replace(cfg, seed=2**32 - 1))
+        assert out.read_bytes() == saved_bytes(tmp_path, reference, cfg.m_locations)
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(markers_per_attribute_value=2**32), "markers_per_attribute_value"),
+        (dict(emotion_markers_per_cell=2**32), "emotion_markers_per_cell"),
+        (dict(m_locations=2**32 - 2), "2 + m_locations"),
+        (dict(min_len=1, max_len=2**32), "max_len - min_len + 1"),
+        (dict(seed=2**32), "seed"),
+        (dict(seed=-1), "seed"),
+    ], ids=["gender and location markers", "emotion markers", "cells", "lengths",
+            "seed 2**32", "seed -1"])
+    def test_range_beyond_32_bits_rejected(self, fields, named):
+        """synthesize's RawSampler serves integers(n) only for n < 2**32, and
+        a seed is one 32-bit word of the substream key."""
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            SynthConfig(**fields).validate()
+
     def test_deterministic(self):
         a = synthesize(SynthConfig(n_posts=100, seed=13))
         b = synthesize(SynthConfig(n_posts=100, seed=13))
