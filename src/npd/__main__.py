@@ -1,12 +1,7 @@
 """The npd command, run as ``npd`` or ``python -m npd``.
 
-Before npd.cli, and with it numpy, is imported, blas.pin_one_thread sets
-each BLAS thread-count variable the environment leaves unset to 1, so every
-BLAS call runs on one thread. The pin is kept for `npd ablate --jobs`: each
-job process inherits it and runs one BLAS thread, so the jobs do not
-oversubscribe the cores. Its effect on the speed of one process is not
-measured (see npd.blas). A value the user exported is kept. Importing
-npd.cli sets none of them.
+blas.pin_one_thread runs before npd.cli, and with it numpy, is imported;
+npd.blas says why. Importing npd.cli pins nothing.
 """
 
 import sys

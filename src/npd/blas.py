@@ -17,8 +17,6 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def pin_one_thread() -> None:
-    """Set each of THREAD_VARS that the environment leaves unset to 1. A
-    value the user exported is kept. Has effect only before numpy is
-    imported."""
+    """Set each of THREAD_VARS that the environment leaves unset to 1."""
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")

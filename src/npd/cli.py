@@ -1,10 +1,10 @@
 """Command-line entry point: synth, embed, train, eval, ablate, predict.
 
-Defaults mirror the reference hyperparameters (vocabulary 2000, batch size
-32, dropout 0.2, learning rate 0.0001, loss weights 1:1:1). Every stochastic
-component keys off --seed through named substreams, so identical invocations
-produce byte-identical outputs. Exit codes: 0 success, 1 validation error,
-2 runtime abort (e.g. divergence).
+Option defaults are the configs' (see the option tables), corpus.TRAIN_FRAC
+and text.TOKENIZER_MODES[0]. --seed keys every random draw: skip-gram's via
+np.random.default_rng(seed), the rest via named substreams, so identical
+invocations produce byte-identical outputs. Exit codes: 0 success, 1
+validation error, 2 runtime abort (e.g. divergence).
 """
 
 import argparse
@@ -20,46 +20,59 @@ from . import corpus as corpus_mod
 from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
 from .errors import ConfigError, DataError, DivergenceError, NpdError
-from .evaluation import evaluate, format_report_table, predictions
+from .evaluation import EVAL_BATCH, evaluate, format_report_table, predictions
 from .model import VARIANT_NAMES, ModelDims, check_variant, load_checkpoint, save_checkpoint
+from .text import TOKENIZER_MODES, SkipGramConfig
 from .training import TrainingConfig, ablate, train, write_log
 
-PREDICT_BATCH = 128  # predict's lines per forward pass; evaluate's default batch size
+# option -> the config field it sets
+_SKIPGRAM_OPTIONS = {"--embed-dim": "embed_dim", "--window": "window",
+                     "--negatives": "negatives_per_positive", "--embed-epochs": "epochs",
+                     "--embed-lr": "learning_rate"}
+_TRAINING_OPTIONS = {"--l2": "l2_lambda", "--batch-size": "batch_size",
+                     "--dropout": "dropout_rate", "--epochs": "max_epochs",
+                     "--patience": "patience", "--grad-clip": "grad_clip"}
+_DIMS_OPTIONS = {"--hidden-dim": "hidden_dim", "--attention-dim": "attention_dim",
+                 "--head-hidden-dim": "head_hidden_dim", "--lambda-rev": "lambda_rev"}
+_LAMBDAS = ("lambda1", "lambda2", "lambda3")  # the fields --lambdas sets, in order
 
 
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed for all substreams, in [0, 2**32)")
+def _add_options(p, cls, options):
+    """Add each option with its cls field's default, typed as that default (int for None)."""
+    for flag, name in options.items():
+        default = getattr(cls, name)
+        p.add_argument(flag, type=int if default is None else type(default), default=default)
+
+
+def _config(cls, args, options, **fields):
+    """A validated cls of the options' parsed values and fields."""
+    cfg = cls(**{name: getattr(args, flag[2:].replace("-", "_")) for flag, name in options.items()},
+              **fields)
+    cfg.validate()
+    return cfg
+
+
+def _add_seed(p, cls):
+    p.add_argument("--seed", type=int, default=cls.seed,
+                   help="master seed of every random draw, in [0, 2**32)")
 
 
 def _add_embed_args(p):
     p.add_argument("--vocab-size", type=int, default=2000)
-    p.add_argument("--embed-dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--embed-epochs", type=int, default=5)
-    p.add_argument("--embed-lr", type=float, default=0.025)
-    p.add_argument("--tokenizer", choices=("whitespace", "char"), default="whitespace")
+    _add_options(p, SkipGramConfig, _SKIPGRAM_OPTIONS)
+    p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
 
 
 def _add_train_args(p):
-    p.add_argument("--lr", type=float, default=0.0001,
+    p.add_argument("--lr", type=float, default=TrainingConfig.mu,
                    help="AdaGrad learning rate mu; on the synthetic corpus the default "
                         "learns only the label priors (see TrainingConfig.mu)")
-    p.add_argument("--lambdas", default="1,1,1",
+    p.add_argument("--lambdas", default=",".join(str(getattr(TrainingConfig, n)) for n in _LAMBDAS),
                    help="comma-separated loss weights lambda1,lambda2,lambda3")
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--grad-clip", type=float, default=5.0)
-    p.add_argument("--hidden-dim", type=int, default=128)
-    p.add_argument("--attention-dim", type=int, default=None)
-    p.add_argument("--head-hidden-dim", type=int, default=None)
-    p.add_argument("--lambda-rev", type=float, default=1.0)
+    _add_options(p, TrainingConfig, _TRAINING_OPTIONS)
+    _add_options(p, ModelDims, _DIMS_OPTIONS)
     p.add_argument("--finetune-embeddings", action="store_true")
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--train-frac", type=float, default=corpus_mod.TRAIN_FRAC)
 
 
 def _parse_list(raw, flag, kind):
@@ -74,22 +87,12 @@ def _training_config(args):
     lambdas = _parse_list(args.lambdas, "--lambdas", float)
     if len(lambdas) != 3:
         raise ConfigError(f"--lambdas needs 3 comma-separated values, got {args.lambdas!r}")
-    l1, l2_, l3 = lambdas
-    cfg = TrainingConfig(mu=args.lr, lambda1=l1, lambda2=l2_, lambda3=l3,
-                         l2_lambda=args.l2, batch_size=args.batch_size,
-                         dropout_rate=args.dropout, max_epochs=args.epochs,
-                         patience=args.patience, grad_clip=args.grad_clip,
-                         seed=args.seed)
-    cfg.validate()
-    return cfg
+    return _config(TrainingConfig, args, _TRAINING_OPTIONS, mu=args.lr,
+                   **dict(zip(_LAMBDAS, lambdas)), seed=args.seed)
 
 
 def _model_dims(args):
-    dims = ModelDims(hidden_dim=args.hidden_dim, attention_dim=args.attention_dim,
-                     head_hidden_dim=args.head_hidden_dim, lambda_rev=args.lambda_rev,
-                     finetune_embeddings=args.finetune_embeddings)
-    dims.validate()
-    return dims
+    return _config(ModelDims, args, _DIMS_OPTIONS, finetune_embeddings=args.finetune_embeddings)
 
 
 def _check_writable(*paths):
@@ -145,12 +148,7 @@ def cmd_synth(args) -> int:
 
 
 def _skipgram_config(args):
-    cfg = text_mod.SkipGramConfig(embed_dim=args.embed_dim, window=args.window,
-                                  negatives_per_positive=args.negatives,
-                                  epochs=args.embed_epochs, learning_rate=args.embed_lr,
-                                  seed=args.seed)
-    cfg.validate()
-    return cfg
+    return _config(SkipGramConfig, args, _SKIPGRAM_OPTIONS, seed=args.seed)
 
 
 def _pretrain_embeddings(posts, args, cfg):
@@ -199,8 +197,9 @@ def cmd_eval(args) -> int:
     posts, _ = corpus_mod.load_with_meta(args.corpus)
     vocab, _ = text_mod.load_embeddings(args.embeddings)
     _check_vocab(model, vocab, args.model, args.embeddings)
-    parts = corpus_mod.split(posts, train_frac=model.manifest.get("train_frac", 0.7),
-                             seed=model.manifest.get("split_seed", 0))
+    # the split npd train stamped; split's own default stands in for a field not there
+    parts = corpus_mod.split(posts, **{arg: model.manifest[key] for arg, key in (
+        ("train_frac", "train_frac"), ("seed", "split_seed")) if key in model.manifest})
     chosen = {"train": 0, "dev": 1, "test": 2}[args.split]
     encoded = corpus_mod.encode(parts[chosen], vocab, model.manifest["tokenizer_mode"])
     report = evaluate(model, encoded)
@@ -263,7 +262,7 @@ def cmd_predict(args) -> int:
     """Print one JSON record per non-blank stdin line, in input order. A line
     that is not UTF-8 is a DataError naming <stdin>:line.
 
-    Lines are read in chunks of up to PREDICT_BATCH (128) non-blank lines.
+    Lines are read in chunks of up to EVAL_BATCH non-blank lines.
     Each chunk takes one eval-mode forward pass, so no graph keeps a
     backward closure, and its records are printed, in input order, before
     the next chunk is read, so memory stays bounded on long inputs.
@@ -277,7 +276,7 @@ def cmd_predict(args) -> int:
     texts = filter(None, (line.strip() for _, line in lines))
     # a non-blank line has a non-space character, so it yields at least one token
     while token_lists := [text_mod.tokenize(t, mode)
-                          for t in itertools.islice(texts, PREDICT_BATCH)]:
+                          for t in itertools.islice(texts, EVAL_BATCH)]:
         posts = [corpus_mod.TokenizedPost(ids=vocab.encode(tokens),
                                           emotion_bits=np.zeros(5, dtype=np.int64),
                                           gender_bit=0, location=0)
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text embedding file; its binary companion, which caches "
                         "the tokens and values for later loads, goes to OUT.npde")
     _add_embed_args(p)
-    _add_seed(p)
+    _add_seed(p, SkipGramConfig)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("train", help="train one model variant")
@@ -320,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=VARIANT_NAMES)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", help="per-epoch TSV training log path")
-    p.add_argument("--tokenizer", choices=("whitespace", "char"), default="whitespace")
+    p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
     _add_train_args(p)
-    _add_seed(p)
+    _add_seed(p, TrainingConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
@@ -344,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_embed_args(p)
     _add_train_args(p)
-    _add_seed(p)
+    _add_seed(p, TrainingConfig)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("predict", help="read posts from stdin, print one JSON record per "
-                       f"non-blank line, in input order, in chunks of up to {PREDICT_BATCH} lines")
+                       f"non-blank line, in input order, in chunks of up to {EVAL_BATCH} lines")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
     p.set_defaults(func=cmd_predict)

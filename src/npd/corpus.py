@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .seeding import RANDOM_UNIT, SEED_LIMIT, RawSampler, substream
-from .text import read_lines, tokenize
+from .errors import ConfigError, DataError, check_at_least
+from .seeding import RANDOM_UNIT, RawSampler, check_seed, substream
+from .text import TOKENIZER_MODES, read_lines, tokenize
 
 EMOTIONS = ("happiness", "sadness", "anger", "surprise", "fear")
 GENDERS = ("female", "male")
+
+TRAIN_FRAC = 0.7  # split's default share of the posts in the training pool
 
 # emotion prevalence in the reference annotation statistics, kept as defaults
 _DEFAULT_PREVALENCE = (2915 / 11157, 2454 / 11157, 153 / 11157, 601 / 11157, 359 / 11157)
@@ -132,7 +134,7 @@ def save(path: str, posts: list[Post], m: int | None = None) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def split(posts: list[Post], train_frac: float = 0.7, seed: int = 0):
+def split(posts: list[Post], train_frac: float = TRAIN_FRAC, seed: int = 0):
     """Seeded random partition into (train, dev, test).
 
     train_frac of the posts form the training pool, the remainder is the
@@ -254,13 +256,10 @@ class SynthConfig:
         return table
 
     def validate(self):
-        if self.n_posts < 1:
-            raise ConfigError("n_posts must be >= 1")
-        if self.m_locations < 2:
-            raise ConfigError("m_locations must be >= 2")
-        for name in ("neutral_tokens", "markers_per_attribute_value", "emotion_markers_per_cell"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_at_least(self, 1, "n_posts")
+        check_at_least(self, 2, "m_locations")
+        check_at_least(self, 1, "neutral_tokens", "markers_per_attribute_value",
+                       "emotion_markers_per_cell")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
         # RawSampler.integers(n), which synthesize draws from, serves n < 2**32
@@ -271,8 +270,7 @@ class SynthConfig:
         for name, n in ranges.items():
             if n >= 2**32:
                 raise ConfigError(f"{name} must be below 2**32, got {n}")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
+        check_seed(self.seed, ConfigError)
         probs = (self.gender_marker_prob, self.location_marker_prob, self.emotion_marker_prob)
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ConfigError("marker probabilities must lie in [0, 1]")
@@ -371,7 +369,7 @@ def synthesize(cfg: SynthConfig) -> list[Post]:
     return posts
 
 
-def encode(posts: list[Post], vocab, mode: str = "whitespace") -> list[TokenizedPost]:
+def encode(posts: list[Post], vocab, mode: str = TOKENIZER_MODES[0]) -> list[TokenizedPost]:
     """Map posts to token ids and label bits; rejects posts that tokenize to nothing."""
     out = []
     for i, p in enumerate(posts):

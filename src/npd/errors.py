@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the lower-bound check
+that the configs run on their count fields."""
 
 
 class NpdError(Exception):
@@ -15,6 +16,13 @@ class ContractError(NpdError, ValueError):
 
 class ConfigError(NpdError, ValueError):
     """A configuration value is out of its permitted range."""
+
+
+def check_at_least(cfg, least: int, *names: str) -> None:
+    """Raise ConfigError for the first of cfg's fields names below least."""
+    for name in names:
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
 
 
 class DataError(NpdError, ValueError):

@@ -4,10 +4,6 @@ Average F1 is the unweighted mean of the five per-emotion F1 scores; any
 zero denominator (no predicted positives, no gold positives, or both) makes
 the affected quantity 0. The ablation harness that fills the report table
 lives beside train, in training.ablate.
-
-evaluate runs its length-sorted batches in order on the calling thread.
-Each batch is reduced to its predicted labels, whose counts and hits are
-summed in batch order.
 """
 
 from dataclasses import dataclass
@@ -19,7 +15,8 @@ from .corpus import EMOTIONS, TokenizedPost
 from .errors import ContractError
 from .model import ForwardResult, NpdModel
 
-_COLUMNS = ("Happiness", "Sadness", "Anger", "Surprise", "Fear")
+EVAL_BATCH = 128  # posts per eval-mode forward pass, in evaluate and `npd predict`
+_COLUMNS = tuple(e.capitalize() for e in EMOTIONS)
 
 
 @dataclass
@@ -88,7 +85,8 @@ def predictions(fwd: ForwardResult) -> Predictions:
     return Predictions((present > 0.5).astype(np.int64), male, location)
 
 
-def evaluate(model: NpdModel, posts: list[TokenizedPost], batch_size: int = 128) -> EvalReport:
+def evaluate(model: NpdModel, posts: list[TokenizedPost],
+             batch_size: int = EVAL_BATCH) -> EvalReport:
     """Run the model over a labeled set in eval mode and score it.
 
     No forward keeps a backward closure, and the model's parameters and

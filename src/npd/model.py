@@ -23,10 +23,11 @@ same arrays, so its graph keeps no backward closure.
 
 Manifest fields, by writer: build_model writes the architecture (variant,
 embed_dim, hidden_dim, attention_dim, head_hidden_dim, num_locations,
-lambda_rev, finetune_embeddings), the init seed, vocab_hash and a default
-tokenizer_mode of "whitespace"; `npd train` adds split_seed and train_frac
-and sets tokenizer_mode to its --tokenizer. load_checkpoint ignores fields
-outside _MANIFEST_FIELDS, such as an older file's num_emotions or corpus_size.
+lambda_rev, finetune_embeddings), the init seed, vocab_hash and the default
+tokenizer_mode (text.TOKENIZER_MODES[0]); `npd train` adds split_seed and
+train_frac and sets tokenizer_mode to its --tokenizer. load_checkpoint
+ignores fields outside _MANIFEST_FIELDS, such as an older file's
+num_emotions or corpus_size.
 
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
@@ -48,8 +49,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .corpus import EMOTIONS, TokenizedPost
-from .errors import ConfigError, ContractError, DataError
-from .seeding import substream
+from .errors import ConfigError, ContractError, DataError, check_at_least
+from .seeding import is_seed, substream
+from .text import TOKENIZER_MODES
 
 
 class Wiring(NamedTuple):
@@ -89,10 +91,8 @@ class ModelDims:
     finetune_embeddings: bool = False
 
     def validate(self):
-        for name in ("hidden_dim", "attention_dim", "head_hidden_dim"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        sizes = ("hidden_dim", "attention_dim", "head_hidden_dim")
+        check_at_least(self, 1, *(name for name in sizes if getattr(self, name) is not None))
         if not (math.isfinite(self.lambda_rev) and self.lambda_rev >= 0):
             raise ConfigError(f"lambda_rev must be nonnegative and finite, got {self.lambda_rev}")
 
@@ -303,7 +303,7 @@ def build_model(variant: str, embedding: np.ndarray, num_locations: int, seed: i
         "seed": int(seed),
         "lambda_rev": float(dims.lambda_rev),
         "finetune_embeddings": bool(dims.finetune_embeddings),
-        "tokenizer_mode": "whitespace",
+        "tokenizer_mode": TOKENIZER_MODES[0],
     }
     return NpdModel(manifest, embedding)
 
@@ -350,13 +350,13 @@ _MANIFEST_FIELDS = {
     **{key: ("a positive integer", lambda v: type(v) is int and v > 0)
        for key in ("embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim")},
     "num_locations": ("an integer >= 2", lambda v: type(v) is int and v > 1),
-    "seed": ("an integer", lambda v: type(v) is int),
+    "seed": ("an integer in [0, 2**32)", is_seed),
     "lambda_rev": ("a finite number >= 0",
                    lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
     "finetune_embeddings": ("true or false", lambda v: type(v) is bool),
-    "tokenizer_mode": ("a string", lambda v: type(v) is str),
+    "tokenizer_mode": ("one of " + ", ".join(TOKENIZER_MODES), lambda v: v in TOKENIZER_MODES),
     # fields the CLI reads where present
-    "split_seed": ("an integer", lambda v: v is _ABSENT or type(v) is int),
+    "split_seed": ("an integer in [0, 2**32)", lambda v: v is _ABSENT or is_seed(v)),
     "train_frac": ("a finite number in (0, 1)",
                    lambda v: v is _ABSENT or type(v) in (int, float) and 0 < v < 1),
     "vocab_hash": ("a string", lambda v: v is _ABSENT or type(v) is str),

@@ -62,10 +62,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _add_rows, _sigmoid_stable
-from .errors import ConfigError, ContractError, DataError, DivergenceError
+from .errors import ConfigError, ContractError, DataError, DivergenceError, check_at_least
+from .seeding import check_seed
 
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
+
+TOKENIZER_MODES = ("whitespace", "char")  # the first is the default
 
 _COMPANION_MAGIC = b"NPD2"
 _COMPANION_HEAD = struct.Struct("<4s32sQQ")  # magic, text digest, rows, dim
@@ -96,7 +99,7 @@ def decode_lines(name: str, lines):
         yield lineno, line
 
 
-def tokenize(text: str, mode: str = "whitespace") -> list[str]:
+def tokenize(text: str, mode: str = TOKENIZER_MODES[0]) -> list[str]:
     """Split text into tokens: one per non-whitespace character, or on whitespace runs."""
     if mode == "char":
         return [ch for ch in text if not ch.isspace()]
@@ -177,19 +180,12 @@ class SkipGramConfig:
     seed: int = 0
 
     def validate(self):
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.negatives_per_positive < 1:
-            raise ConfigError(f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}")
+        check_at_least(self, 1, "window", "negatives_per_positive", "embed_dim")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.seed < 0:  # np.random.default_rng takes no negative seed
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_at_least(self, 0, "epochs")
+        check_seed(self.seed, ConfigError)
 
 
 # small enough that SGD stays stochastic on desk-scale corpora, large enough

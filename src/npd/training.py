@@ -26,10 +26,10 @@ from . import autodiff as ad
 from . import evaluation
 from .autodiff import Node
 from .corpus import TokenizedPost
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, check_at_least
 from .evaluation import EvalReport
 from .model import ForwardResult, ModelDims, NpdModel, build_model
-from .seeding import SEED_LIMIT, substream
+from .seeding import check_seed, substream
 
 _PROB_FLOOR = 1e-300   # emotion heads: guards log(0) on collapsed softmax
 _BCE_EPS = 1e-12       # discriminators: clamp range [eps, 1-eps]
@@ -64,14 +64,11 @@ class TrainingConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_at_least(self, 1, "batch_size")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.max_epochs < 0 or self.patience < 0:
-            raise ConfigError("max_epochs and patience must be nonnegative")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
+        check_at_least(self, 0, "max_epochs", "patience")
+        check_seed(self.seed, ConfigError)
 
 
 def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Node],

@@ -6,6 +6,7 @@ full-size determinism and trend runs live in the acceptance suite.
 
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -19,9 +20,10 @@ import numpy as np
 import pytest
 
 from npd import blas, cli, text
-from npd.cli import PREDICT_BATCH, main
+from npd.cli import main
 from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta
 from npd.errors import DataError
+from npd.evaluation import EVAL_BATCH
 from npd.model import ModelDims, NpdModel, load_checkpoint, save_checkpoint
 from npd.training import TrainingConfig
 
@@ -366,6 +368,9 @@ BAD_CHECKPOINTS = [
     ("string train_frac", _with("train_frac", "x"), "'train_frac'"),
     ("train_frac 1", _with("train_frac", 1.0), "'train_frac'"),
     ("number vocab_hash", _with("vocab_hash", 5), "'vocab_hash'"),
+    ("split_seed 2**32", _with("split_seed", 2**32), "'split_seed'"),
+    ("negative seed", _with("seed", -7), "'seed'"),
+    ("bpe tokenizer_mode", _with("tokenizer_mode", "bpe"), "'tokenizer_mode'"),
 ]
 
 
@@ -611,16 +616,39 @@ BAD_TRAINING_OPTIONS = [
     ["embed", "--corpus", "c", "--out", "e"],
 ], ids=lambda argv: argv[0])
 def test_cli_defaults_are_the_library_defaults(argv):
-    """Each option default is written twice, in the parser and in its config
-    dataclass; a command given only its required arguments builds the
-    dataclass defaults, which code that calls the library directly takes as
-    the CLI's."""
+    """An option default is read from its config dataclass, corpus.split or
+    text.tokenize; a command given only its required arguments builds the
+    library's defaults, so code that calls the library directly gets the
+    CLI's."""
     args = cli.build_parser().parse_args(argv)
     if argv[0] != "embed":
         assert cli._training_config(args) == TrainingConfig()
         assert cli._model_dims(args) == ModelDims()
+        split = inspect.signature(cli.corpus_mod.split).parameters
+        assert (args.train_frac, args.seed) == (split["train_frac"].default,
+                                               split["seed"].default)
     if argv[0] != "train":
         assert cli._skipgram_config(args) == text.SkipGramConfig()
+    assert args.tokenizer == inspect.signature(text.tokenize).parameters["mode"].default
+
+
+@pytest.mark.parametrize("command", ["synth", "embed", "train", "ablate"])
+def test_seed_beyond_32_bits_is_one_message_everywhere(mini_pipeline, tmp_path, monkeypatch,
+                                                      capsys, command):
+    """Every command that takes --seed rejects 2**32 with the same message,
+    before it reads an input or writes an output."""
+    monkeypatch.setattr(cli.corpus_mod, "load_with_meta", lambda *a: pytest.fail("corpus read"))
+    out = tmp_path / "out"
+    extra = {"synth": [],
+             "embed": ["--corpus", str(mini_pipeline["corpus"])],
+             "train": ["--corpus", str(mini_pipeline["corpus"]),
+                       "--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD"],
+             "ablate": ["--corpus", str(mini_pipeline["corpus"]), "--variants", "LSTM",
+                        "--seeds", "0"]}[command]
+    code = main([command, *extra, "--out", str(out), "--seed", "4294967296"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must lie in [0, 2**32), got 4294967296\n"
+    assert not out.exists()
 
 
 class TestBadTrainingOptions:
@@ -678,6 +706,7 @@ BAD_SIZE_OPTIONS = [
     ("embed", ["--embed-lr", "inf"], "learning_rate"),
     ("embed", ["--embed-epochs", "-1"], "epochs"),
     ("embed", ["--seed", "-5"], "seed"),
+    ("embed", ["--seed", "4294967296"], "4294967296"),
     ("train", ["--hidden-dim", "0"], "hidden_dim"),
     ("train", ["--hidden-dim", "-3"], "hidden_dim"),
     ("train", ["--attention-dim", "0"], "attention_dim"),
@@ -782,7 +811,7 @@ class TestBatchedPredict:
             for name, w in fwd.attention.items():
                 np.testing.assert_allclose(rec["attention"][name], w.value[0], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, PREDICT_BATCH, PREDICT_BATCH + 2])
+    @pytest.mark.parametrize("n", [1, EVAL_BATCH, EVAL_BATCH + 2])
     def test_one_forward_per_chunk(self, mini_pipeline, monkeypatch, capsys, n):
         calls = []
         original = NpdModel.forward
