@@ -632,15 +632,15 @@ def test_cli_defaults_are_the_library_defaults(argv):
     assert args.tokenizer == inspect.signature(text.tokenize).parameters["mode"].default
 
 
-@pytest.mark.parametrize("command", ["synth", "embed", "train", "ablate"])
+@pytest.mark.parametrize("command", ["embed", "train", "ablate"])
 def test_seed_beyond_32_bits_is_one_message_everywhere(mini_pipeline, tmp_path, monkeypatch,
                                                       capsys, command):
-    """Every command that takes --seed rejects 2**32 with the same message,
-    before it reads an input or writes an output."""
+    """Every command that takes --seed rejects 2**32 with synth's message
+    (test_synth_seed_beyond_32_bits_exits_1), before it reads an input or
+    writes an output."""
     monkeypatch.setattr(cli.corpus_mod, "load_with_meta", lambda *a: pytest.fail("corpus read"))
     out = tmp_path / "out"
-    extra = {"synth": [],
-             "embed": ["--corpus", str(mini_pipeline["corpus"])],
+    extra = {"embed": ["--corpus", str(mini_pipeline["corpus"])],
              "train": ["--corpus", str(mini_pipeline["corpus"]),
                        "--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD"],
              "ablate": ["--corpus", str(mini_pipeline["corpus"]), "--variants", "LSTM",
