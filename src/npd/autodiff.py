@@ -32,7 +32,10 @@ the attribute attention attention_pool (scores, per-post softmax and
 pooling), and the losses nll, the clipped mean negative log-likelihood of
 each row's gold class, sum_squares, the L2 penalty over a list of
 parameters, and weighted_total, the weighted sum of 0-d loss terms that
-makes the training objective.
+makes the training objective. Ops check their operands' shapes and the
+ids that index them, not their scalars: the configs and the checkpoint
+manifest that supply grad_reverse's lambda_rev and dropout's rate own
+their ranges.
 """
 
 from collections.abc import Sequence
@@ -40,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 
 
 class Node:
@@ -507,8 +510,6 @@ def grad_reverse(x: Node, lambda_rev: float) -> Node:
     realizes the saddle-point update: the discriminator descends its loss
     while the encoder ascends it, in a single joint backward pass.
     """
-    if not (np.isfinite(lambda_rev) and lambda_rev >= 0):
-        raise ConfigError(f"grad_reverse: lambda_rev must be >= 0 and finite, got {lambda_rev}")
 
     def _backward(g):
         x.grad += -lambda_rev * g
@@ -521,8 +522,6 @@ def dropout(x: Node, rate: float, rng: np.random.Generator) -> Node:
 
     Only training calls it; eval-mode forwards leave it out of the graph.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout: rate must be in [0, 1), got {rate}")
     keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
 
     def _backward(g):

@@ -1,10 +1,10 @@
 """Command-line entry point: synth, embed, train, eval, ablate, predict.
 
-Option defaults are the configs' (see the option tables), corpus.TRAIN_FRAC
-and text.TOKENIZER_MODES[0]. --seed keys every random draw: skip-gram's via
-np.random.default_rng(seed), the rest via named substreams, so identical
-invocations produce byte-identical outputs. Exit codes: 0 success, 1
-validation error, 2 runtime abort (e.g. divergence).
+Option defaults are the configs' (see the option tables), corpus.TRAIN_FRAC,
+text.VOCAB_SIZE and text.TOKENIZER_MODES[0]. --seed keys every random draw:
+skip-gram's via np.random.default_rng(seed), the rest via named substreams,
+so identical invocations produce byte-identical outputs. Exit codes: 0
+success, 1 validation error, 2 runtime abort (e.g. divergence).
 """
 
 import argparse
@@ -12,16 +12,16 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import text as text_mod
 from .corpus import EMOTIONS, GENDERS, SynthConfig
-from .errors import ConfigError, DataError, DivergenceError, NpdError
+from .errors import COUNT, LOCATIONS, ConfigError, DataError, DivergenceError, NpdError, check
 from .evaluation import EVAL_BATCH, evaluate, format_report_table, predictions
-from .model import VARIANT_NAMES, ModelDims, check_variant, load_checkpoint, save_checkpoint
+from .model import VARIANT, VARIANT_NAMES, ModelDims, load_checkpoint, save_checkpoint
+from .seeding import SEED
 from .text import TOKENIZER_MODES, SkipGramConfig
 from .training import TrainingConfig, ablate, train, write_log
 
@@ -58,7 +58,7 @@ def _add_seed(p, cls):
 
 
 def _add_embed_args(p):
-    p.add_argument("--vocab-size", type=int, default=2000)
+    p.add_argument("--vocab-size", type=int, default=text_mod.VOCAB_SIZE)
     _add_options(p, SkipGramConfig, _SKIPGRAM_OPTIONS)
     p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
 
@@ -105,6 +105,13 @@ def _check_writable(*paths):
             pass
         if not existed:
             os.remove(path)
+
+
+def _load_labelled_corpus(path):
+    """load_with_meta, with the location discriminator's 2 or more classes checked."""
+    posts, m = corpus_mod.load_with_meta(path)
+    check(LOCATIONS, f"{path}: location count m", m, DataError)
+    return posts, m
 
 
 def _prepare_splits(posts, vocab, args):
@@ -172,7 +179,7 @@ def cmd_embed(args) -> int:
 def cmd_train(args) -> int:
     cfg, dims = _training_config(args), _model_dims(args)
     _check_writable(args.out, args.log)
-    posts, m = corpus_mod.load_with_meta(args.corpus)
+    posts, m = _load_labelled_corpus(args.corpus)
     vocab, table = text_mod.load_embeddings(args.embeddings)
     train_posts, dev_posts, _ = _prepare_splits(posts, vocab, args)
     result = train(train_posts, dev_posts, args.variant, cfg, table.matrix, m,
@@ -216,17 +223,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    check(COUNT, "--jobs", args.jobs)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     for v in variants:  # fail before skip-gram runs
-        check_variant(v)
+        check(VARIANT, "variant", v)
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg, dims, sg_cfg = _training_config(args), _model_dims(args), _skipgram_config(args)
     for seed in seeds:  # fail before skip-gram runs, as for the variants
-        replace(cfg, seed=seed).validate()
+        check(SEED, "seed", seed)
     _check_writable(args.out)
-    posts, m = corpus_mod.load_with_meta(args.corpus)
+    posts, m = _load_labelled_corpus(args.corpus)
     vocab, table = _pretrain_embeddings(posts, args, sg_cfg)
     splits = _prepare_splits(posts, vocab, args)
     reports = ablate(splits, variants, seeds, cfg, table.matrix, m, dims=dims, jobs=args.jobs)

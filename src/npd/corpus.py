@@ -17,22 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_at_least
-from .seeding import RANDOM_UNIT, RawSampler, check_seed, substream
+from .errors import (COUNT, FINITE, FLAG, FRACTION, LOCATIONS, NONNEGATIVE_INT, PROBABILITY,
+                     ConfigError, DataError, at_least, check, check_fields, one_of, optional)
+from .seeding import RANDOM_UNIT, SEED, RawSampler, substream
 from .text import TOKENIZER_MODES, read_lines, tokenize
 
 EMOTIONS = ("happiness", "sadness", "anger", "surprise", "fear")
 GENDERS = ("female", "male")
+_EMOTION, _GENDER = one_of(EMOTIONS), one_of(GENDERS)
 
 TRAIN_FRAC = 0.7  # split's default share of the posts in the training pool
 
 # emotion prevalence in the reference annotation statistics, kept as defaults
 _DEFAULT_PREVALENCE = (2915 / 11157, 2454 / 11157, 153 / 11157, 601 / 11157, 359 / 11157)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer: bool is a subclass of int in Python but not a count."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number_list(x) -> bool:
@@ -57,15 +54,10 @@ class Post:
     def validate(self, m: int | None = None, where: str = "post"):
         if not isinstance(self.text, str) or not self.text.strip():  # no token in either mode
             raise DataError(f"{where}: text must have a non-space character, got {self.text!r}")
-        bad = sorted(set(self.emotions) - set(EMOTIONS))
-        if bad:
-            raise DataError(f"{where}: unknown emotion name {bad[0]!r} "
-                            f"(expected one of {', '.join(EMOTIONS)})")
-        if self.gender not in GENDERS:
-            raise DataError(f"{where}: gender must be 'female' or 'male', got {self.gender!r}")
-        if not _is_int(self.location) or self.location < 0:
-            raise DataError(f"{where}: location must be a nonnegative integer, "
-                            f"got {self.location!r}")
+        for name in sorted(self.emotions):
+            check(_EMOTION, f"{where}: emotion name", name, DataError)
+        check(_GENDER, f"{where}: gender", self.gender, DataError)
+        check(NONNEGATIVE_INT, f"{where}: location", self.location, DataError)
         if m is not None and self.location >= m:
             raise DataError(f"{where}: location {self.location} out of range for m={m}")
 
@@ -97,9 +89,7 @@ def load_with_meta(path: str) -> tuple[list[Post], int]:
             raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
         if lineno == 1 and isinstance(rec, dict) and "text" not in rec and "m" in rec:
             declared_m = rec["m"]
-            if not _is_int(declared_m) or declared_m < 1:
-                raise DataError(f"{where}: header m must be a positive integer, "
-                                f"got {declared_m!r}")
+            check(COUNT, f"{where}: header m", declared_m, DataError)
             continue
         if not isinstance(rec, dict):
             raise DataError(f"{where}: expected a JSON object")
@@ -142,10 +132,8 @@ def split(posts: list[Post], train_frac: float = TRAIN_FRAC, seed: int = 0):
     early stopping.
     """
     n = len(posts)
-    if n < 10:
-        raise ConfigError(f"need at least 10 posts to split, got {n}")
-    if not 0.0 < train_frac < 1.0:
-        raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
+    check(at_least(10), "the number of posts to split", n)
+    check(FRACTION, "train_frac", train_frac)
     rng = substream(seed, "split")
     order = rng.permutation(n)
     n_pool = math.floor(train_frac * n)
@@ -192,6 +180,19 @@ class SynthConfig:
     zipf_exponent: float = 1.1
     seed: int = 0
 
+    RULES = {
+        "n_posts": COUNT, "m_locations": LOCATIONS, "neutral_tokens": COUNT,
+        "markers_per_attribute_value": COUNT, "emotion_markers_per_cell": COUNT,
+        "gender_marker_prob": PROBABILITY, "location_marker_prob": PROBABILITY,
+        "emotion_marker_prob": PROBABILITY, "gender_tilt": FINITE, "location_tilt": FINITE,
+        "attribute_conditioned_markers": FLAG,
+        "correlation": optional((("be a list of finite numbers", _is_number_list),)),
+        "prevalence": ((f"be {len(EMOTIONS)} numbers in [0, 1]",
+                        lambda v: isinstance(v, (list, tuple)) and len(v) == len(EMOTIONS)
+                        and all(ok(t) for t in v for _, ok in PROBABILITY)),),
+        "min_len": COUNT, "max_len": COUNT, "zipf_exponent": FINITE, "seed": SEED,
+    }
+
     @classmethod
     def null_signal(cls, **overrides) -> "SynthConfig":
         """A control corpus whose text carries no attribute information."""
@@ -203,11 +204,10 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SynthConfig":
-        """Read a JSON object of SynthConfig fields, each optional.
+        """Read a JSON object of SynthConfig fields, each optional, and validate it.
 
         Malformed JSON, a top level that is not an object, an unknown field
-        and a value of the wrong JSON type raise DataError naming the path
-        and the field; a finite number is required wherever a float is.
+        and a value that validate() rejects raise DataError naming the path.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -217,25 +217,16 @@ class SynthConfig:
         if not isinstance(raw, dict):
             raise DataError(f"{path}: expected a JSON object of SynthConfig fields, "
                             f"got {type(raw).__name__}")
-        fields = cls.__dataclass_fields__
-        for name, value in raw.items():
-            if name not in fields:
+        for name in raw:
+            if name not in cls.RULES:
                 raise DataError(f"{path}: unknown SynthConfig field {name!r}")
-            default = fields[name].default
-            if isinstance(default, bool):
-                ok, want = isinstance(value, bool), "true or false"
-            elif isinstance(default, int):
-                ok, want = _is_int(value), "an integer"
-            elif isinstance(default, float):
-                ok, want = _is_number_list([value]), "a finite number"
-            else:  # prevalence, and correlation, which may also be null
-                ok = _is_number_list(value) or (default is None and value is None)
-                want = "a list of finite numbers"
-            if not ok:
-                raise DataError(f"{path}: field {name!r} must be {want}, got {value!r}")
-        if "prevalence" in raw:
-            raw["prevalence"] = tuple(raw["prevalence"])
-        return cls(**raw)
+        cfg = cls(**raw)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        cfg.prevalence = tuple(cfg.prevalence)
+        return cfg
 
     def correlation_table(self) -> np.ndarray:
         """[5 x 2 x m] conditional emotion probabilities given (gender, location)."""
@@ -252,16 +243,12 @@ class SynthConfig:
                 sg = np.where(np.arange(2) == pref_g, 1.0, -1.0)
                 sl = np.where(np.arange(m) == pref_l, 1.0, -1.0 / (m - 1))
                 mult[j] = 1.0 + self.gender_tilt * sg[:, None] + self.location_tilt * sl[None, :]
-        table = np.asarray(self.prevalence)[:, None, None] * mult
-        return table
+        return np.asarray(self.prevalence)[:, None, None] * mult
 
     def validate(self):
-        check_at_least(self, 1, "n_posts")
-        check_at_least(self, 2, "m_locations")
-        check_at_least(self, 1, "neutral_tokens", "markers_per_attribute_value",
-                       "emotion_markers_per_cell")
-        if not 1 <= self.min_len <= self.max_len:
-            raise ConfigError("need 1 <= min_len <= max_len")
+        check_fields(self)
+        if self.min_len > self.max_len:
+            raise ConfigError(f"min_len must be <= max_len {self.max_len}, got {self.min_len}")
         # RawSampler.integers(n), which synthesize draws from, serves n < 2**32
         ranges = {"markers_per_attribute_value": self.markers_per_attribute_value,
                   "emotion_markers_per_cell": self.emotion_markers_per_cell,
@@ -270,26 +257,16 @@ class SynthConfig:
         for name, n in ranges.items():
             if n >= 2**32:
                 raise ConfigError(f"{name} must be below 2**32, got {n}")
-        check_seed(self.seed, ConfigError)
-        probs = (self.gender_marker_prob, self.location_marker_prob, self.emotion_marker_prob)
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ConfigError("marker probabilities must lie in [0, 1]")
-        if sum(probs) > 1.0:
+        if self.gender_marker_prob + self.location_marker_prob + self.emotion_marker_prob > 1.0:
             raise ConfigError("marker probabilities must sum to at most 1")
-        if len(self.prevalence) != len(EMOTIONS):
-            raise ConfigError(f"prevalence needs {len(EMOTIONS)} entries")
-        if any(not 0.0 <= t <= 1.0 for t in self.prevalence):
-            raise ConfigError("prevalence targets must lie in [0, 1]")
         if sum(self.prevalence) > 1.0:
             raise ConfigError("prevalence targets must sum to at most 1")
         table = self.correlation_table()
         if np.any(table < 0.0) or np.any(table > 1.0):
             raise ConfigError("prevalence targets unsatisfiable: conditional "
                               "probabilities leave [0, 1] under the correlation table")
-        mean_mult = table.mean(axis=(1, 2))
         targets = np.asarray(self.prevalence)
-        off = np.abs(mean_mult - targets) > 1e-9 + 1e-6 * targets
-        if np.any(off):
+        if np.any(np.abs(table.mean(axis=(1, 2)) - targets) > 1e-9 + 1e-6 * targets):
             raise ConfigError("prevalence targets unsatisfiable: correlation table "
                               "multipliers do not average to 1 over uniform attributes")
 

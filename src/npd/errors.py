@@ -1,5 +1,11 @@
-"""Exception hierarchy shared across the toolkit, and the lower-bound check
-that the configs run on their count fields."""
+"""Exception hierarchy shared across the toolkit, and the value rules that
+each config's RULES table, the checkpoint manifest and the CLI name. A rule
+is a tuple of (wording, test) steps, the value's type first; check raises
+'<field> must <wording>, got <value>' at the first step it fails.
+"""
+
+import sys
+from numbers import Integral, Real
 
 
 class NpdError(Exception):
@@ -18,13 +24,6 @@ class ConfigError(NpdError, ValueError):
     """A configuration value is out of its permitted range."""
 
 
-def check_at_least(cfg, least: int, *names: str) -> None:
-    """Raise ConfigError for the first of cfg's fields names below least."""
-    for name in names:
-        if getattr(cfg, name) < least:
-            raise ConfigError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
-
-
 class DataError(NpdError, ValueError):
     """An input file or record failed validation."""
 
@@ -35,3 +34,52 @@ class DivergenceError(NpdError, RuntimeError):
     def __init__(self, message: str, tensor_name: str = ""):
         super().__init__(message)
         self.tensor_name = tensor_name
+
+
+INTEGER = ("be an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool))
+# false for nan, inf and an int too large for a float
+NUMBER = ("be a finite number", lambda v: isinstance(v, Real) and not isinstance(v, bool)
+          and abs(v) <= sys.float_info.max)
+
+FLAG = (("be true or false", lambda v: isinstance(v, bool)),)
+FINITE = (NUMBER,)
+NONNEGATIVE = (NUMBER, ("be >= 0", lambda v: v >= 0))
+POSITIVE = (NUMBER, ("be > 0", lambda v: v > 0))
+RATE = (NUMBER, ("be in [0, 1)", lambda v: 0 <= v < 1))
+FRACTION = (NUMBER, ("be in (0, 1)", lambda v: 0 < v < 1))
+PROBABILITY = (NUMBER, ("be in [0, 1]", lambda v: 0 <= v <= 1))
+
+
+def at_least(least: int) -> tuple:
+    """The rule of an integer >= least."""
+    return INTEGER, (f"be >= {least}", lambda v: v >= least)
+
+
+NONNEGATIVE_INT = at_least(0)
+COUNT = at_least(1)
+LOCATIONS = at_least(2)  # the location discriminator's classes
+
+
+def one_of(names) -> tuple:
+    """The rule of a value among names."""
+    return ((f"be one of {', '.join(names)}", lambda v: v in names),)
+
+
+def optional(rule) -> tuple:
+    """rule, with None allowed."""
+    return tuple((wording, lambda v, ok=ok: v is None or ok(v)) for wording, ok in rule)
+
+
+def check(rule, name: str, value, error: type[Exception] = ConfigError) -> None:
+    """Raise error('<name> must <wording>, got <value>') at the first step of
+    rule that value fails."""
+    for wording, ok in rule:
+        if not ok(value):
+            raise error(f"{name} must {wording}, got {value!r}")
+
+
+def check_fields(cfg) -> None:
+    """check each field of cfg against its rule in cfg.RULES, as a ConfigError;
+    the validate method of a config whose fields have no joint check."""
+    for name, rule in cfg.RULES.items():
+        check(rule, name, getattr(cfg, name))

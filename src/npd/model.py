@@ -26,8 +26,9 @@ embed_dim, hidden_dim, attention_dim, head_hidden_dim, num_locations,
 lambda_rev, finetune_embeddings), the init seed, vocab_hash and the default
 tokenizer_mode (text.TOKENIZER_MODES[0]); `npd train` adds split_seed and
 train_frac and sets tokenizer_mode to its --tokenizer. load_checkpoint
-ignores fields outside _MANIFEST_FIELDS, such as an older file's
-num_emotions or corpus_size.
+checks each field of _MANIFEST_FIELDS by the rule of the config or function
+whose value it records, so both reject a bad value in the same words, and
+ignores other fields, such as an older file's num_emotions or corpus_size.
 
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
@@ -38,7 +39,6 @@ Checkpoint layout (little-endian, documented for external readers):
 
 import itertools
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -49,9 +49,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .corpus import EMOTIONS, TokenizedPost
-from .errors import ConfigError, ContractError, DataError, check_at_least
-from .seeding import is_seed, substream
-from .text import TOKENIZER_MODES
+from .errors import (COUNT, FLAG, FRACTION, LOCATIONS, NONNEGATIVE, ContractError, DataError,
+                     check, check_fields, one_of, optional)
+from .seeding import SEED, substream
+from .text import TOKENIZER_MODES, SkipGramConfig
 
 
 class Wiring(NamedTuple):
@@ -78,6 +79,7 @@ _WIRING = {
 }
 
 VARIANT_NAMES = list(_WIRING)
+VARIANT = one_of(VARIANT_NAMES)
 
 
 @dataclass
@@ -90,11 +92,10 @@ class ModelDims:
     lambda_rev: float = 1.0
     finetune_embeddings: bool = False
 
-    def validate(self):
-        sizes = ("hidden_dim", "attention_dim", "head_hidden_dim")
-        check_at_least(self, 1, *(name for name in sizes if getattr(self, name) is not None))
-        if not (math.isfinite(self.lambda_rev) and self.lambda_rev >= 0):
-            raise ConfigError(f"lambda_rev must be nonnegative and finite, got {self.lambda_rev}")
+    RULES = {"hidden_dim": COUNT, "attention_dim": optional(COUNT),
+             "head_hidden_dim": optional(COUNT), "lambda_rev": NONNEGATIVE,
+             "finetune_embeddings": FLAG}
+    validate = check_fields
 
 
 @dataclass
@@ -151,8 +152,6 @@ class NpdModel:
         self.embedding = np.asarray(embedding, dtype=np.float64)
         self.lambda_rev = float(manifest["lambda_rev"])
         self.finetune_embeddings = bool(manifest["finetune_embeddings"])
-        if int(manifest["num_locations"]) < 2:
-            raise ConfigError(f"need at least 2 location classes, got {manifest['num_locations']}")
         if params is None:
             self.params = self._init_params()
         else:
@@ -280,16 +279,11 @@ class NpdModel:
                              attention=attention, head_input=head_in, mask=mask)
 
 
-def check_variant(variant: str) -> None:
-    """Raise ConfigError unless variant is one of VARIANT_NAMES."""
-    if variant not in _WIRING:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {', '.join(VARIANT_NAMES)}")
-
-
 def build_model(variant: str, embedding: np.ndarray, num_locations: int, seed: int,
                 dims: ModelDims | None = None, vocab_hash: str = "") -> NpdModel:
     """Assemble a fresh model with seeded initialization; dims defaults to ModelDims()."""
-    check_variant(variant)
+    check(VARIANT, "variant", variant)
+    check(LOCATIONS, "num_locations", num_locations)
     dims = dims or ModelDims()
     dims.validate()
     manifest = {
@@ -342,34 +336,32 @@ def _read(fh, size: int, path: str, section: str) -> bytes:
     return fh.read(size)
 
 
-_ABSENT = object()
-
-# every manifest field that NpdModel and the CLI read: (what it must be, its test)
+# every manifest field that NpdModel and the CLI read, with the rule of the
+# config, or of build_model or corpus.split, whose value it records
 _MANIFEST_FIELDS = {
-    "variant": ("one of " + ", ".join(VARIANT_NAMES), lambda v: v in VARIANT_NAMES),
-    **{key: ("a positive integer", lambda v: type(v) is int and v > 0)
-       for key in ("embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim")},
-    "num_locations": ("an integer >= 2", lambda v: type(v) is int and v > 1),
-    "seed": ("an integer in [0, 2**32)", is_seed),
-    "lambda_rev": ("a finite number >= 0",
-                   lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
-    "finetune_embeddings": ("true or false", lambda v: type(v) is bool),
-    "tokenizer_mode": ("one of " + ", ".join(TOKENIZER_MODES), lambda v: v in TOKENIZER_MODES),
+    "variant": VARIANT,
+    "embed_dim": SkipGramConfig.RULES["embed_dim"],
+    **dict.fromkeys(("hidden_dim", "attention_dim", "head_hidden_dim"),
+                    ModelDims.RULES["hidden_dim"]),  # build_model resolves a None size
+    "num_locations": LOCATIONS, "seed": SEED,
+    "lambda_rev": ModelDims.RULES["lambda_rev"],
+    "finetune_embeddings": ModelDims.RULES["finetune_embeddings"],
+    "tokenizer_mode": one_of(TOKENIZER_MODES),
     # fields the CLI reads where present
-    "split_seed": ("an integer in [0, 2**32)", lambda v: v is _ABSENT or is_seed(v)),
-    "train_frac": ("a finite number in (0, 1)",
-                   lambda v: v is _ABSENT or type(v) in (int, float) and 0 < v < 1),
-    "vocab_hash": ("a string", lambda v: v is _ABSENT or type(v) is str),
+    "split_seed": SEED, "train_frac": FRACTION,
+    "vocab_hash": (("be a string", lambda v: isinstance(v, str)),),
 }
+_OPTIONAL_FIELDS = ("split_seed", "train_frac", "vocab_hash")
 
 
 def _check_manifest(manifest, path: str) -> None:
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: checkpoint manifest must be a JSON object")
-    for key, (want, ok) in _MANIFEST_FIELDS.items():
-        if not ok(manifest.get(key, _ABSENT)):
-            got = repr(manifest[key]) if key in manifest else "no such field"
-            raise DataError(f"{path}: checkpoint manifest field {key!r} must be {want}, got {got}")
+    for key, rule in _MANIFEST_FIELDS.items():
+        if key in manifest:
+            check(rule, f"{path}: checkpoint manifest field {key!r}", manifest[key], DataError)
+        elif key not in _OPTIONAL_FIELDS:
+            raise DataError(f"{path}: checkpoint manifest has no field {key!r}")
 
 
 def load_checkpoint(path: str) -> NpdModel:

@@ -6,8 +6,8 @@ name, so any component can be reproduced in isolation and whole pipelines
 are bit-reproducible. Skip-gram alone draws from np.random.default_rng(seed).
 
 A seed is one 32-bit word of the substream's SeedSequence entropy, so every
-seed, skip-gram's too, must lie in [0, SEED_LIMIT) (check_seed): a wider
-seed would alias a narrower one.
+seed, skip-gram's too, must keep the SEED rule, [0, 2**32): a wider seed
+would alias a narrower one.
 RawSampler computes uniform floats and bounded integers from a substream's
 raw PCG64 output, so a synthetic corpus depends only on SeedSequence and
 PCG64's raw stream, not on how numpy's Generator methods map that stream
@@ -19,31 +19,19 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import INTEGER, ContractError, check
 
-SEED_LIMIT = 2**32
+SEED = (INTEGER, ("lie in [0, 2**32)", lambda v: 0 <= v < 2**32))
 RANDOM_UNIT = 2.0**-53  # RawSampler.random is (raw >> 11) * RANDOM_UNIT
 _MASK32 = 0xFFFFFFFF
 _BLOCK = 1024  # raw outputs read per numpy call
 
 
-def is_seed(value) -> bool:
-    """Whether value is an integer, not a bool, in [0, SEED_LIMIT)."""
-    return type(value) is not bool and isinstance(value, (int, np.integer)) \
-        and 0 <= value < SEED_LIMIT
-
-
-def check_seed(seed, error: type[Exception] = ContractError) -> None:
-    """Raise error, naming seed, unless is_seed(seed)."""
-    if not is_seed(seed):
-        raise error(f"seed must lie in [0, 2**32), got {seed}")
-
-
 def substream(seed: int, name: str) -> np.random.Generator:
     """Return a Generator keyed by (seed, name), stable across runs and platforms.
 
-    A seed that check_seed rejects is a ContractError."""
-    check_seed(seed)
+    A seed that breaks the SEED rule is a ContractError."""
+    check(SEED, "seed", seed, ContractError)
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))

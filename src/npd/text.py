@@ -53,7 +53,6 @@ text until save_embeddings rewrites the pair.
 
 import hashlib
 import itertools
-import math
 import os
 import struct
 from collections import Counter
@@ -62,13 +61,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _add_rows, _sigmoid_stable
-from .errors import ConfigError, ContractError, DataError, DivergenceError, check_at_least
-from .seeding import check_seed
+from .errors import (COUNT, NONNEGATIVE_INT, POSITIVE, ConfigError, ContractError, DataError,
+                     DivergenceError, check, check_fields)
+from .seeding import SEED
 
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
 TOKENIZER_MODES = ("whitespace", "char")  # the first is the default
+VOCAB_SIZE = 2000  # build_vocab's default cap on the kept corpus tokens
 
 _COMPANION_MAGIC = b"NPD2"
 _COMPANION_HEAD = struct.Struct("<4s32sQQ")  # magic, text digest, rows, dim
@@ -136,7 +137,7 @@ class Vocabulary:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
+def build_vocab(corpus: list[list[str]], max_size: int = VOCAB_SIZE) -> Vocabulary:
     """Keep the max_size most frequent tokens; ties go to the earlier first occurrence.
 
     Counting is one `collections.Counter` pass over the chained posts. The
@@ -144,8 +145,7 @@ def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
     count alone breaks ties by first occurrence. A corpus token spelled
     like PAD or OOV is not kept again: it maps to the special's id.
     """
-    if max_size < 1:
-        raise ConfigError(f"max_size must be >= 1, got {max_size}")
+    check(COUNT, "max_size", max_size)
     counts = Counter(itertools.chain.from_iterable(corpus))
     if not counts:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
@@ -179,13 +179,9 @@ class SkipGramConfig:
     learning_rate: float = 0.025
     seed: int = 0
 
-    def validate(self):
-        check_at_least(self, 1, "window", "negatives_per_positive", "embed_dim")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be positive and finite, "
-                              f"got {self.learning_rate}")
-        check_at_least(self, 0, "epochs")
-        check_seed(self.seed, ConfigError)
+    RULES = {"embed_dim": COUNT, "window": COUNT, "negatives_per_positive": COUNT,
+             "epochs": NONNEGATIVE_INT, "learning_rate": POSITIVE, "seed": SEED}
+    validate = check_fields
 
 
 # small enough that SGD stays stochastic on desk-scale corpora, large enough

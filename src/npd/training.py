@@ -26,10 +26,11 @@ from . import autodiff as ad
 from . import evaluation
 from .autodiff import Node
 from .corpus import TokenizedPost
-from .errors import ConfigError, ContractError, DivergenceError, check_at_least
+from .errors import (COUNT, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, RATE, ContractError,
+                     DivergenceError, check_fields)
 from .evaluation import EvalReport
 from .model import ForwardResult, ModelDims, NpdModel, build_model
-from .seeding import check_seed, substream
+from .seeding import SEED, substream
 
 _PROB_FLOOR = 1e-300   # emotion heads: guards log(0) on collapsed softmax
 _BCE_EPS = 1e-12       # discriminators: clamp range [eps, 1-eps]
@@ -57,18 +58,11 @@ class TrainingConfig:
     grad_clip: float = 5.0  # global-norm cap; 0 disables (gradient-check mode)
     seed: int = 0
 
-    def validate(self):
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError(f"learning rate mu must be positive and finite, got {self.mu}")
-        for name in ("lambda1", "lambda2", "lambda3", "l2_lambda", "grad_clip"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
-        check_at_least(self, 1, "batch_size")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        check_at_least(self, 0, "max_epochs", "patience")
-        check_seed(self.seed, ConfigError)
+    RULES = {"mu": POSITIVE, "lambda1": NONNEGATIVE, "lambda2": NONNEGATIVE,
+             "lambda3": NONNEGATIVE, "l2_lambda": NONNEGATIVE, "batch_size": COUNT,
+             "dropout_rate": RATE, "max_epochs": NONNEGATIVE_INT, "patience": NONNEGATIVE_INT,
+             "grad_clip": NONNEGATIVE, "seed": SEED}
+    validate = check_fields
 
 
 def emotion_loss(probs: list[Node], gold_bits: np.ndarray, head_params: list[Node],

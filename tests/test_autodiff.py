@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from npd import autodiff as ad
-from npd.errors import ConfigError, ContractError, DimensionError
+from npd.errors import ContractError, DimensionError
 
 FD_STEP = 1e-5
 
@@ -237,10 +237,6 @@ class TestGradReverse:
 
         np.testing.assert_allclose(build(True), -build(False), rtol=0, atol=1e-12)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError):
-            ad.grad_reverse(ad.constant([1.0]), -0.5)
-
 
 class TestBackward:
     def test_linear_case(self):
@@ -308,12 +304,6 @@ class TestDropout:
         assert 0.19 <= frac <= 0.21
         survivors = out.value[out.value != 0.0]
         np.testing.assert_allclose(survivors, 1.0 / 0.8)
-
-    def test_invalid_rate(self):
-        x = ad.constant([1.0])
-        for rate in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigError):
-                ad.dropout(x, rate, np.random.default_rng(0))
 
     def test_grad_matches_mask(self):
         x = ad.param(np.ones(1000))

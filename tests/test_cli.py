@@ -21,7 +21,7 @@ import pytest
 
 from npd import blas, cli, text
 from npd.cli import main
-from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta
+from npd.corpus import EMOTIONS, GENDERS, SynthConfig, TokenizedPost, load_with_meta, save
 from npd.errors import DataError
 from npd.evaluation import EVAL_BATCH
 from npd.model import ModelDims, NpdModel, load_checkpoint, save_checkpoint
@@ -162,8 +162,8 @@ class TestExitCodes:
         assert main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
                      "--variants", "SVM", "--seeds", "1"]) == 1
         assert capsys.readouterr().err == (
-            "error: unknown variant 'SVM'; choose from LSTM, LSTM_ATTRIBUTES, LSTM_ATTENTION, "
-            "LSTM_ADVERSARIAL, NPD_GENDER, NPD_LOCATION, NPD\n")
+            "error: variant must be one of LSTM, LSTM_ATTRIBUTES, LSTM_ATTENTION, "
+            "LSTM_ADVERSARIAL, NPD_GENDER, NPD_LOCATION, NPD, got 'SVM'\n")
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -536,24 +536,30 @@ def test_checkpoint_with_dropped_fields_evaluates_unchanged(mini_pipeline, tmp_p
     assert outputs[0] == outputs[1]
 
 
-# (bytes of a synth --config file, text the error must contain besides the path)
+# (bytes of a synth --config file, text the error must contain besides the
+# path); a value that SynthConfig's rules reject names the field and the rule
 BAD_SYNTH_CONFIGS = [
     (b'{"n_posts": 5', "malformed JSON"),
     (b'\xff{}', "malformed JSON"),
     (b"[1]", "JSON object"),
     (b'"n_posts"', "JSON object"),
     (b'{"n_postz": 5}', "'n_postz'"),
-    (b'{"n_posts": "abc"}', "'n_posts'"),
-    (b'{"n_posts": 5.5}', "'n_posts'"),
-    (b'{"n_posts": true}', "'n_posts'"),
-    (b'{"prevalence": 5}', "'prevalence'"),
-    (b'{"prevalence": [0.1, "a", 0.1, 0.1, 0.1]}', "'prevalence'"),
-    (b'{"prevalence": [0.1, NaN, 0.1, 0.1, 0.1]}', "'prevalence'"),
-    (b'{"gender_tilt": "0.5"}', "'gender_tilt'"),
-    (b'{"gender_tilt": Infinity}', "'gender_tilt'"),
-    (b'{"attribute_conditioned_markers": 1}', "'attribute_conditioned_markers'"),
-    (b'{"correlation": "none"}', "'correlation'"),
-    (b'{"correlation": [[1.0, 1.0], [1.0]]}', "'correlation'"),
+    (b'{"n_posts": "abc"}', "n_posts must be an integer, got 'abc'"),
+    (b'{"n_posts": 5.5}', "n_posts must be an integer, got 5.5"),
+    (b'{"n_posts": true}', "n_posts must be an integer, got True"),
+    (b'{"prevalence": 5}', "prevalence must be 5 numbers in [0, 1], got 5"),
+    (b'{"prevalence": [0.1, "a", 0.1, 0.1, 0.1]}', "prevalence must be 5 numbers in [0, 1]"),
+    (b'{"prevalence": [0.1, NaN, 0.1, 0.1, 0.1]}', "prevalence must be 5 numbers in [0, 1]"),
+    (b'{"gender_tilt": "0.5"}', "gender_tilt must be a finite number, got '0.5'"),
+    (b'{"gender_tilt": Infinity}', "gender_tilt must be a finite number, got inf"),
+    (b'{"attribute_conditioned_markers": 1}',
+     "attribute_conditioned_markers must be true or false, got 1"),
+    (b'{"correlation": "none"}', "correlation must be a list of finite numbers, got 'none'"),
+    (b'{"correlation": [[1.0, 1.0], [1.0]]}', "correlation must be a list of finite numbers"),
+    (b'{"n_posts": -5}', "n_posts must be >= 1, got -5"),
+    (b'{"gender_marker_prob": 2}', "gender_marker_prob must be in [0, 1], got 2"),
+    (b'{"min_len": 9, "max_len": 3}', "min_len must be <= max_len 3, got 9"),
+    (b'{"seed": -1}', "seed must lie in [0, 2**32), got -1"),
 ]
 
 
@@ -572,14 +578,15 @@ def test_bad_synth_config_exits_1(tmp_path, capsys, blob, named):
 @pytest.mark.parametrize("field", ["markers_per_attribute_value", "emotion_markers_per_cell",
                                    "neutral_tokens"])
 def test_synth_count_below_one_exits_1(tmp_path, capsys, field):
-    """A token count of 0 is a ConfigError, not a traceback from the rng
-    (markers) or a corpus of tokens the config says do not exist (neutral)."""
+    """A token count of 0 is an error naming the file, not a traceback from
+    the rng (markers) or a corpus of tokens the config says do not exist
+    (neutral)."""
     path = tmp_path / "synth.json"
     path.write_text(json.dumps({"n_posts": 20, field: 0}))
     code = main(["synth", "--config", str(path), "--out", str(tmp_path / "c.jsonl")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == f"error: {field} must be >= 1, got 0\n"
+    assert err == f"error: {path}: {field} must be >= 1, got 0\n"
     assert not (tmp_path / "c.jsonl").exists()
 
 
@@ -616,8 +623,8 @@ BAD_TRAINING_OPTIONS = [
     ["embed", "--corpus", "c", "--out", "e"],
 ], ids=lambda argv: argv[0])
 def test_cli_defaults_are_the_library_defaults(argv):
-    """An option default is read from its config dataclass, corpus.split or
-    text.tokenize; a command given only its required arguments builds the
+    """An option default is read from its config dataclass, corpus.split,
+    text.build_vocab or text.tokenize; a command given only its required arguments builds the
     library's defaults, so code that calls the library directly gets the
     CLI's."""
     args = cli.build_parser().parse_args(argv)
@@ -629,6 +636,8 @@ def test_cli_defaults_are_the_library_defaults(argv):
                                                split["seed"].default)
     if argv[0] != "train":
         assert cli._skipgram_config(args) == text.SkipGramConfig()
+        assert args.vocab_size == text.VOCAB_SIZE \
+            == inspect.signature(text.build_vocab).parameters["max_size"].default
     assert args.tokenizer == inspect.signature(text.tokenize).parameters["mode"].default
 
 
@@ -746,6 +755,30 @@ def test_bad_size_option_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, c
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err and "FAILED" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header m 1", "all locations 0"])
+def test_one_location_corpus_exits_1_before_embeddings(mini_pipeline, tmp_path, monkeypatch,
+                                                       capsys, header):
+    """The location discriminator needs 2 classes or more: train and ablate
+    reject a one-location corpus, naming it, before they read or train any
+    embedding; embed, which reads no label, accepts it."""
+    posts, _ = load_with_meta(str(mini_pipeline["corpus"]))
+    path = tmp_path / "one.jsonl"
+    save(str(path), [dataclasses.replace(p, location=0) for p in posts], m=1 if header else None)
+    assert main(["embed", "--corpus", str(path), "--out", str(tmp_path / "e.txt"),
+                 "--embed-dim", "4", "--embed-epochs", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(text, "load_embeddings", lambda *a: pytest.fail("embeddings read"))
+    monkeypatch.setattr(text, "train_skipgram", lambda *a: pytest.fail("skip-gram ran"))
+    out = tmp_path / "out"
+    for argv in (["train", "--embeddings", str(mini_pipeline["embeddings"]), "--variant", "LSTM"],
+                 ["ablate", "--variants", "LSTM", "--seeds", "0"]):
+        code = main([*argv, "--corpus", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1, argv[0]
+        assert captured.err == f"error: {path}: location count m must be >= 2, got 1\n"
+        assert "FAILED" not in captured.out and not out.exists()
 
 
 @pytest.fixture(scope="module")

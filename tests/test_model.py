@@ -3,6 +3,7 @@ and checkpoint IO. Forward values and gradients are verified against the
 straight-line numpy oracle."""
 
 import ast
+import dataclasses
 import importlib
 import struct
 from pathlib import Path
@@ -13,11 +14,13 @@ import pytest
 import oracle
 from test_autodiff import probe_loss
 from npd import autodiff as ad
-from npd.corpus import TokenizedPost
-from npd.errors import ContractError, DataError
+from npd import corpus
+from npd.corpus import Post, SynthConfig, TokenizedPost
+from npd.errors import ContractError, DataError, NpdError
 from npd.evaluation import evaluate
-from npd.model import (VARIANT_NAMES, ModelDims, NpdModel, build_model, load_checkpoint,
-                       save_checkpoint)
+from npd.model import (VARIANT_NAMES, ModelDims, NpdModel, _check_manifest, build_model,
+                       load_checkpoint, save_checkpoint)
+from npd.text import SkipGramConfig
 from npd.training import TrainingConfig, batch_losses, emotion_loss, gender_loss
 
 VOCAB = 24
@@ -453,3 +456,44 @@ def test_traced_layer_names_exist():
         if attr not in vars(owner):
             missing.append(f"{owner_name}.{attr}")
     assert missing == []
+
+
+SPLIT_POSTS = [Post(text=f"t{i}", emotions=set(), gender="male", location=0) for i in range(10)]
+TABLE = np.zeros((VOCAB, 8))
+
+# (manifest field, a value its rule rejects, the library check of the value it
+# records): the config that owns the field, or build_model and corpus.split
+SHARED_RULES = [
+    ("variant", "BERT", lambda v: build_model(v, TABLE, 5, 0)),
+    ("embed_dim", 0, lambda v: SkipGramConfig(embed_dim=v).validate()),
+    ("hidden_dim", 0, lambda v: ModelDims(hidden_dim=v).validate()),
+    ("attention_dim", -2, lambda v: ModelDims(attention_dim=v).validate()),
+    ("num_locations", 1, lambda v: build_model("LSTM", TABLE, v, 0)),
+    ("seed", 2**32, lambda v: TrainingConfig(seed=v).validate()),
+    ("lambda_rev", -1.0, lambda v: ModelDims(lambda_rev=v).validate()),
+    ("finetune_embeddings", 1, lambda v: ModelDims(finetune_embeddings=v).validate()),
+    ("split_seed", -1, lambda v: corpus.split(SPLIT_POSTS, seed=v)),
+    ("train_frac", 1.0, lambda v: corpus.split(SPLIT_POSTS, train_frac=v)),
+]
+
+
+@pytest.mark.parametrize("field,bad,library_check", SHARED_RULES,
+                         ids=[row[0] for row in SHARED_RULES])
+def test_manifest_and_library_reject_a_value_in_the_same_words(field, bad, library_check):
+    """A field that both a config (or build_model, or corpus.split) and the
+    checkpoint manifest check is rejected by both with one wording."""
+    manifest = {**small_model("NPD").manifest, "split_seed": 0, "train_frac": 0.7}
+    _check_manifest(manifest, "m.bin")  # the good manifest passes
+    with pytest.raises(NpdError) as by_library:
+        library_check(bad)
+    with pytest.raises(DataError) as by_manifest:
+        _check_manifest({**manifest, field: bad}, "m.bin")
+    library, stored = str(by_library.value), str(by_manifest.value)
+    assert stored.startswith(f"m.bin: checkpoint manifest field {field!r} must ")
+    assert stored[stored.index(" must "):] == library[library.index(" must "):]
+    assert library.endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("cls", [SynthConfig, SkipGramConfig, TrainingConfig, ModelDims])
+def test_every_config_field_has_a_rule(cls):
+    assert list(cls.RULES) == [f.name for f in dataclasses.fields(cls)]

@@ -417,7 +417,7 @@ class TestTrainLoop:
     def test_unknown_variant_names_the_choices(self):
         rng = np.random.default_rng(15)
         choices = ", ".join(VARIANT_NAMES)
-        with pytest.raises(ConfigError, match=f"^unknown variant 'BOGUS'; choose from {choices}$"):
+        with pytest.raises(ConfigError, match=f"^variant must be one of {choices}, got 'BOGUS'$"):
             train(tiny_dataset(rng, 4), [], "BOGUS", TrainingConfig(), tiny_embedding(rng), 5)
 
     def test_invalid_config_rejected(self):
