@@ -1,10 +1,12 @@
 """Command-line entry point: synth, embed, train, eval, ablate, predict.
 
-Option defaults are the configs' (see the option tables), corpus.TRAIN_FRAC,
-text.VOCAB_SIZE and text.TOKENIZER_MODES[0]. --seed keys every random draw:
-skip-gram's via np.random.default_rng(seed), the rest via named substreams,
-so identical invocations produce byte-identical outputs. Exit codes: 0
-success, 1 validation error, 2 runtime abort (e.g. divergence).
+embed alone runs skip-gram; train and ablate read the table it wrote
+(--embeddings). Option defaults are the configs' (see the option tables),
+corpus.TRAIN_FRAC, text.VOCAB_SIZE and text.TOKENIZER_MODES[0]. --seed keys
+its command's random draws: skip-gram's via np.random.default_rng(seed), the
+rest via named substreams, so identical invocations produce byte-identical
+outputs at a fixed BLAS thread count, which the npd command pins (npd.blas).
+Exit codes: 0 success, 1 validation error, 2 runtime abort (e.g. divergence).
 """
 
 import argparse
@@ -52,18 +54,13 @@ def _config(cls, args, options, **fields):
     return cfg
 
 
-def _add_seed(p, cls):
-    p.add_argument("--seed", type=int, default=cls.seed,
-                   help="master seed of every random draw, in [0, 2**32)")
-
-
-def _add_embed_args(p):
-    p.add_argument("--vocab-size", type=int, default=text_mod.VOCAB_SIZE)
-    _add_options(p, SkipGramConfig, _SKIPGRAM_OPTIONS)
-    p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
+def _add_seed(p, cls, keys):
+    p.add_argument("--seed", type=int, default=cls.seed, help=f"seed of {keys}, in [0, 2**32)")
 
 
 def _add_train_args(p):
+    """The options train and ablate share, apart from --corpus, --embeddings, --out and --seed."""
+    p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
     p.add_argument("--lr", type=float, default=TrainingConfig.mu,
                    help="AdaGrad learning rate mu; on the synthetic corpus the default "
                         "learns only the label priors (see TrainingConfig.mu)")
@@ -107,16 +104,22 @@ def _check_writable(*paths):
             os.remove(path)
 
 
-def _load_labelled_corpus(path):
-    """load_with_meta, with the location discriminator's 2 or more classes checked."""
-    posts, m = corpus_mod.load_with_meta(path)
-    check(LOCATIONS, f"{path}: location count m", m, DataError)
-    return posts, m
-
-
-def _prepare_splits(posts, vocab, args):
-    splits = corpus_mod.split(posts, train_frac=args.train_frac, seed=args.seed)
-    return tuple(corpus_mod.encode(part, vocab, args.tokenizer) for part in splits)
+def _read_inputs(args):
+    """(vocab, table, m, (train, dev, test)) for train and ablate: the corpus,
+    with its 2 or more locations checked, then the embeddings, then the
+    corpus split at --seed and encoded with --tokenizer. A training split
+    with no token in the vocabulary is a DataError: the embeddings were made
+    from another corpus or with another tokenizer."""
+    posts, m = corpus_mod.load_with_meta(args.corpus)
+    check(LOCATIONS, f"{args.corpus}: location count m", m, DataError)
+    vocab, table = text_mod.load_embeddings(args.embeddings)
+    splits = tuple(corpus_mod.encode(part, vocab, args.tokenizer) for part in
+                   corpus_mod.split(posts, train_frac=args.train_frac, seed=args.seed))
+    if splits[0] and all(i == vocab.oov_id for p in splits[0] for i in p.ids):
+        raise DataError(f"{args.embeddings}: no token of the training split of {args.corpus} "
+                        f"is in the embedding vocabulary under --tokenizer {args.tokenizer}; "
+                        "tokenize as npd embed did")
+    return vocab, table, m, splits
 
 
 def _check_vocab(model, vocab, model_path, embeddings_path):
@@ -154,23 +157,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _skipgram_config(args):
-    return _config(SkipGramConfig, args, _SKIPGRAM_OPTIONS, seed=args.seed)
-
-
-def _pretrain_embeddings(posts, args, cfg):
-    """(vocabulary, skip-gram table) trained on the posts with the embed args."""
-    token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
-    vocab = text_mod.build_vocab(token_lists, args.vocab_size)
-    encoded = [vocab.encode(toks) for toks in token_lists if toks]
-    return vocab, text_mod.train_skipgram(encoded, len(vocab), cfg)
-
-
 def cmd_embed(args) -> int:
-    cfg = _skipgram_config(args)
+    cfg = _config(SkipGramConfig, args, _SKIPGRAM_OPTIONS, seed=args.seed)
     _check_writable(args.out, text_mod.companion_path(args.out))
     posts, _ = corpus_mod.load_with_meta(args.corpus)
-    vocab, table = _pretrain_embeddings(posts, args, cfg)
+    token_lists = [text_mod.tokenize(p.text, args.tokenizer) for p in posts]
+    vocab = text_mod.build_vocab(token_lists, args.vocab_size)
+    table = text_mod.train_skipgram([vocab.encode(toks) for toks in token_lists if toks],
+                                    len(vocab), cfg)
     text_mod.save_embeddings(args.out, vocab, table)
     print(f"wrote {table.vocab_size} x {table.embed_dim} embeddings to {args.out}")
     return 0
@@ -179,9 +173,7 @@ def cmd_embed(args) -> int:
 def cmd_train(args) -> int:
     cfg, dims = _training_config(args), _model_dims(args)
     _check_writable(args.out, args.log)
-    posts, m = _load_labelled_corpus(args.corpus)
-    vocab, table = text_mod.load_embeddings(args.embeddings)
-    train_posts, dev_posts, _ = _prepare_splits(posts, vocab, args)
+    vocab, table, m, (train_posts, dev_posts, _) = _read_inputs(args)
     result = train(train_posts, dev_posts, args.variant, cfg, table.matrix, m,
                    dims=dims, vocab_hash=vocab.content_hash())
     result.model.manifest.update(split_seed=args.seed, train_frac=args.train_frac,
@@ -225,16 +217,14 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     check(COUNT, "--jobs", args.jobs)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:  # fail before skip-gram runs
+    for v in variants:  # fail before any input is read
         check(VARIANT, "variant", v)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    cfg, dims, sg_cfg = _training_config(args), _model_dims(args), _skipgram_config(args)
-    for seed in seeds:  # fail before skip-gram runs, as for the variants
+    cfg, dims = _training_config(args), _model_dims(args)
+    for seed in seeds:  # fail before any input is read, as for the variants
         check(SEED, "seed", seed)
     _check_writable(args.out)
-    posts, m = _load_labelled_corpus(args.corpus)
-    vocab, table = _pretrain_embeddings(posts, args, sg_cfg)
-    splits = _prepare_splits(posts, vocab, args)
+    _, table, m, splits = _read_inputs(args)
     reports = ablate(splits, variants, seeds, cfg, table.matrix, m, dims=dims, jobs=args.jobs)
     out = format_report_table(reports)
     sys.stdout.write(out)
@@ -315,8 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="text embedding file; its binary companion, which caches "
                         "the tokens and values for later loads, goes to OUT.npde")
-    _add_embed_args(p)
-    _add_seed(p, SkipGramConfig)
+    p.add_argument("--vocab-size", type=int, default=text_mod.VOCAB_SIZE)
+    _add_options(p, SkipGramConfig, _SKIPGRAM_OPTIONS)
+    p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
+    _add_seed(p, SkipGramConfig, "skip-gram's initialisation and sampling")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("train", help="train one model variant")
@@ -325,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=VARIANT_NAMES)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", help="per-epoch TSV training log path")
-    p.add_argument("--tokenizer", choices=TOKENIZER_MODES, default=TOKENIZER_MODES[0])
     _add_train_args(p)
-    _add_seed(p, TrainingConfig)
+    _add_seed(p, TrainingConfig, "the train/dev/test split and the model's initialisation, "
+              "shuffling and dropout")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
@@ -342,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the variant x seed ablation grid")
     p.add_argument("--corpus", required=True)
+    p.add_argument("--embeddings", required=True)
     p.add_argument("--variants", required=True,
                    help=f"comma-separated subset of {','.join(VARIANT_NAMES)}")
     p.add_argument("--seeds", required=True, help="comma-separated integer seeds")
     p.add_argument("--out", help="also write the report table here")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    _add_embed_args(p)
     _add_train_args(p)
-    _add_seed(p, TrainingConfig)
+    _add_seed(p, TrainingConfig, "the train/dev/test split only (--seeds keys each run)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("predict", help="read posts from stdin, print one JSON record per "

@@ -94,33 +94,32 @@ def evaluate(model: NpdModel, posts: list[TokenizedPost],
     predictions gives them. Posts are batched in order of length, which
     shortens each batch's time loop to about its posts' own length; every
     count is a sum over posts, so the report does not depend on that order.
-
-    The batches run one after another on the calling thread; the first
-    batch that fails raises its error here.
+    The gender and location accuracies are reported iff the model's wiring
+    has that discriminator.
     """
     if not posts:
         raise ContractError("evaluate: empty evaluation set")
     by_length = sorted(posts, key=lambda p: len(p.ids))
-    batches = [by_length[start : start + batch_size] for start in range(0, len(posts), batch_size)]
-    scores = [predictions(model.forward(batch, train_mode=False)) for batch in batches]
     counts = ConfusionCounts.zeros()
     gender_hits = location_hits = 0
-    for pred, batch in zip(scores, batches):
+    for start in range(0, len(posts), batch_size):
+        batch = by_length[start : start + batch_size]
+        pred = predictions(model.forward(batch, train_mode=False))
         counts.add(pred.emotions, np.stack([p.emotion_bits for p in batch]))
         if pred.male is not None:
             gender_hits += int((pred.male == np.array([p.gender_bit for p in batch])).sum())
         if pred.location is not None:
             location_hits += int((pred.location == np.array([p.location for p in batch])).sum())
     f1 = [f1_score(counts, j) for j in range(len(EMOTIONS))]
-    first = scores[0]  # every batch's predictions have the same parts
+    wiring = model.wiring
     return EvalReport(
         variant=model.variant,
         seed=int(model.manifest["seed"]),
         f1=f1,
         average_f1=float(np.mean(f1)),
         counts=counts,
-        gender_accuracy=gender_hits / len(posts) if first.male is not None else None,
-        location_accuracy=location_hits / len(posts) if first.location is not None else None,
+        gender_accuracy=gender_hits / len(posts) if wiring.gender_discriminator else None,
+        location_accuracy=location_hits / len(posts) if wiring.location_discriminator else None,
     )
 
 

@@ -3,7 +3,8 @@
 Corpus synthesis, splitting, parameter init, shuffling and dropout each
 draw from their own substream derived from a single user seed plus a stream
 name, so any component can be reproduced in isolation and whole pipelines
-are bit-reproducible. Skip-gram alone draws from np.random.default_rng(seed).
+are bit-reproducible at a fixed BLAS thread count (npd.blas). Skip-gram
+alone draws from np.random.default_rng(seed).
 
 A seed is one 32-bit word of the substream's SeedSequence entropy, so every
 seed, skip-gram's too, must keep the SEED rule, [0, 2**32): a wider seed

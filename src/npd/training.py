@@ -188,6 +188,10 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
     Runs shuffled minibatches; each batch takes one forward pass, one
     backward pass, and one AdaGrad step over all partitions. Early-stops
     when dev average F1 has not improved for cfg.patience epochs.
+
+    The result is bit-reproducible per cfg.seed only at a fixed BLAS thread
+    count. The npd command pins one thread (npd.blas); a library caller must
+    set blas.THREAD_VARS before it first imports numpy to get its figures.
     """
     cfg.validate()
     if not train_posts:
@@ -259,7 +263,9 @@ def ablate(splits, variants: list[str], seeds: list[int], cfg: TrainingConfig,
     splits is the (train, dev, test) triple of tokenized posts; each run
     takes cfg with its seed replaced. cfg and dims are validated before any
     run; a run that raises, here or in one of the jobs worker processes, is
-    a failed row and the grid continues.
+    a failed row and the grid continues. As for train, a run's scores depend
+    on the BLAS thread count; the worker processes read blas.THREAD_VARS
+    from the caller's environment when they import numpy.
     """
     if not variants or not seeds:
         raise ContractError("ablate: need at least one variant and one seed")

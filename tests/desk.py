@@ -8,8 +8,9 @@ size, the split and the tokenizer are the CLI defaults. It is a config for
 tests and benchmarks, not a CLI default. ablate(SYNTH, variants, seeds)
 reports what
 
-    npd ablate --corpus C --variants V --seeds S --hidden-dim 32 --epochs 15 \
-        --patience 15 --lr 0.03 --finetune-embeddings --jobs 2
+    npd embed --corpus C --out E
+    npd ablate --corpus C --embeddings E --variants V --seeds S --hidden-dim 32 \
+        --epochs 15 --patience 15 --lr 0.03 --finetune-embeddings --jobs 2
 
 prints for a corpus C that `npd synth` wrote from SYNTH, in-process, when
 the jobs' processes run one BLAS thread each, as under the npd command (a
@@ -31,8 +32,8 @@ DIMS = ModelDims(hidden_dim=32, finetune_embeddings=True)
 
 def ablate(synth: SynthConfig, variants: list[str], seeds: list[int], jobs: int = 2):
     """training.ablate's reports for every (variant, seed) pair on synth's
-    corpus, pretrained, split and encoded as `npd ablate` does at --seed
-    TRAINING.seed."""
+    corpus, pretrained as `npd embed` does and split and encoded as `npd
+    ablate` does, both at --seed TRAINING.seed."""
     posts = corpus.synthesize(synth)
     tokens = [text.tokenize(p.text) for p in posts]
     vocab = text.build_vocab(tokens)

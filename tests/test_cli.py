@@ -4,6 +4,7 @@ Runs the real subcommands in-process against small synthetic corpora; the
 full-size determinism and trend runs live in the acceptance suite.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -137,9 +138,8 @@ class TestPipeline:
     def test_ablate_grid(self, mini_pipeline, capsys, tmp_path):
         out_file = tmp_path / "table.tsv"
         assert main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
-                     "--variants", "LSTM,NPD", "--seeds", "1,2",
-                     "--vocab-size", "400", "--embed-dim", "12",
-                     "--embed-epochs", "1", "--hidden-dim", "8",
+                     "--embeddings", str(mini_pipeline["embeddings"]),
+                     "--variants", "LSTM,NPD", "--seeds", "1,2", "--hidden-dim", "8",
                      "--epochs", "1", "--batch-size", "16",
                      "--out", str(out_file)]) == 0
         stdout = capsys.readouterr().out
@@ -160,6 +160,7 @@ class TestExitCodes:
 
     def test_unknown_variant_in_ablate(self, mini_pipeline, capsys):
         assert main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"]),
                      "--variants", "SVM", "--seeds", "1"]) == 1
         assert capsys.readouterr().err == (
             "error: variant must be one of LSTM, LSTM_ATTRIBUTES, LSTM_ATTENTION, "
@@ -196,11 +197,10 @@ class TestExitCodes:
         assert captured.out == ""  # eval checks --out before it prints the report
 
     @pytest.mark.parametrize("argv,work", [
-        (["train", "--variant", "NPD", "--out", "{dir}"], "train"),
-        (["train", "--variant", "NPD", "--out", "{file}", "--log", "{dir}"], "train"),
-        (["ablate", "--variants", "NPD", "--seeds", "1", "--out", "{dir}"],
-         "_pretrain_embeddings"),
-        (["embed", "--out", "{dir}"], "_pretrain_embeddings"),
+        (["train", "--variant", "NPD", "--out", "{dir}"], "npd.cli.train"),
+        (["train", "--variant", "NPD", "--out", "{file}", "--log", "{dir}"], "npd.cli.train"),
+        (["ablate", "--variants", "NPD", "--seeds", "1", "--out", "{dir}"], "npd.cli.ablate"),
+        (["embed", "--out", "{dir}"], "npd.text.train_skipgram"),
     ], ids=["train --out", "train --log", "ablate --out", "embed --out"])
     def test_output_directory_fails_before_the_work(self, mini_pipeline, tmp_path, monkeypatch,
                                                     capsys, argv, work):
@@ -209,10 +209,10 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError(f"{work} ran")
 
-        monkeypatch.setattr(cli, work, never)
+        monkeypatch.setattr(work, never)
         paths = {"dir": str(tmp_path), "file": str(tmp_path / "model.bin")}
         inputs = ["--corpus", str(mini_pipeline["corpus"])]
-        if argv[0] == "train":
+        if argv[0] != "embed":
             inputs += ["--embeddings", str(mini_pipeline["embeddings"])]
         assert main([a.format(**paths) for a in argv] + inputs) == 1
         captured = capsys.readouterr()
@@ -224,7 +224,7 @@ class TestExitCodes:
                                                         monkeypatch, capsys):
         """embed checks the companion's path with the table's, so a companion
         it could not write leaves no table behind."""
-        monkeypatch.setattr(cli, "_pretrain_embeddings", lambda *a: pytest.fail("pretrained"))
+        monkeypatch.setattr(text, "train_skipgram", lambda *a: pytest.fail("skip-gram ran"))
         out = tmp_path / "e.txt"
         companion = Path(text.companion_path(out))
         companion.mkdir()
@@ -619,7 +619,7 @@ BAD_TRAINING_OPTIONS = [
 
 @pytest.mark.parametrize("argv", [
     ["train", "--corpus", "c", "--embeddings", "e", "--variant", "NPD", "--out", "m"],
-    ["ablate", "--corpus", "c", "--variants", "NPD", "--seeds", "0"],
+    ["ablate", "--corpus", "c", "--embeddings", "e", "--variants", "NPD", "--seeds", "0"],
     ["embed", "--corpus", "c", "--out", "e"],
 ], ids=lambda argv: argv[0])
 def test_cli_defaults_are_the_library_defaults(argv):
@@ -634,11 +634,25 @@ def test_cli_defaults_are_the_library_defaults(argv):
         split = inspect.signature(cli.corpus_mod.split).parameters
         assert (args.train_frac, args.seed) == (split["train_frac"].default,
                                                split["seed"].default)
-    if argv[0] != "train":
-        assert cli._skipgram_config(args) == text.SkipGramConfig()
+    if argv[0] == "embed":
+        assert cli._config(text.SkipGramConfig, args, cli._SKIPGRAM_OPTIONS,
+                           seed=args.seed) == text.SkipGramConfig()
         assert args.vocab_size == text.VOCAB_SIZE \
             == inspect.signature(text.build_vocab).parameters["max_size"].default
     assert args.tokenizer == inspect.signature(text.tokenize).parameters["mode"].default
+
+
+def test_ablate_takes_the_options_of_train():
+    """ablate trains as train does, over a grid: its options are train's,
+    with --variants, --seeds and --jobs in place of --variant and --log."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def options(command):
+        return {o for a in commands[command]._actions for o in a.option_strings} - {"-h", "--help"}
+
+    assert options("ablate") - {"--variants", "--seeds", "--jobs"} \
+        == options("train") - {"--variant", "--log"}
 
 
 @pytest.mark.parametrize("command", ["embed", "train", "ablate"])
@@ -652,7 +666,8 @@ def test_seed_beyond_32_bits_is_one_message_everywhere(mini_pipeline, tmp_path, 
     extra = {"embed": ["--corpus", str(mini_pipeline["corpus"])],
              "train": ["--corpus", str(mini_pipeline["corpus"]),
                        "--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD"],
-             "ablate": ["--corpus", str(mini_pipeline["corpus"]), "--variants", "LSTM",
+             "ablate": ["--corpus", str(mini_pipeline["corpus"]),
+                        "--embeddings", str(mini_pipeline["embeddings"]), "--variants", "LSTM",
                         "--seeds", "0"]}[command]
     code = main([command, *extra, "--out", str(out), "--seed", "4294967296"])
     assert code == 1
@@ -689,6 +704,7 @@ class TestBadTrainingOptions:
 
     def test_ablate_non_integer_seed_exits_1(self, mini_pipeline, capsys):
         code = main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"]),
                      "--variants", "LSTM", "--seeds", "1,x"])
         err = capsys.readouterr().err
         assert code == 1
@@ -699,9 +715,9 @@ class TestBadTrainingOptions:
         # small sizes, so that without the check the grid runs in seconds and
         # the test fails on its exit code
         out = tmp_path / "grid.tsv"
-        code = main(["ablate", "--corpus", str(mini_pipeline["corpus"]), "--variants", "LSTM",
-                     "--seeds", "1", "--vocab-size", "400", "--embed-dim", "12",
-                     "--embed-epochs", "1", "--hidden-dim", "8", "--epochs", "1",
+        code = main(["ablate", "--corpus", str(mini_pipeline["corpus"]),
+                     "--embeddings", str(mini_pipeline["embeddings"]), "--variants", "LSTM",
+                     "--seeds", "1", "--hidden-dim", "8", "--epochs", "1",
                      "--jobs", jobs, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
@@ -739,16 +755,12 @@ def test_bad_size_option_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, c
     args = ["--corpus", str(mini_pipeline["corpus"]), "--out", str(out)]
     if command == "embed":
         args += ["--embed-dim", "4", "--embed-epochs", "1"]
-    elif command == "train":
-        # train checks its options before it reads the embeddings
-        monkeypatch.setattr(text, "load_embeddings", lambda *a: pytest.fail("embeddings read"))
-        args += ["--embeddings", str(mini_pipeline["embeddings"]), "--variant", "NPD",
-                 "--hidden-dim", "4", "--epochs", "1"]
     else:
-        # ablate checks its options before skip-gram pretraining starts
-        monkeypatch.setattr(text, "train_skipgram", lambda *a: pytest.fail("skip-gram ran"))
-        args += ["--variants", "LSTM", "--seeds", "1", "--vocab-size", "400",
-                 "--embed-dim", "12", "--embed-epochs", "1", "--hidden-dim", "4", "--epochs", "1"]
+        # train and ablate check their options before they read the embeddings
+        monkeypatch.setattr(text, "load_embeddings", lambda *a: pytest.fail("embeddings read"))
+        args += ["--embeddings", str(mini_pipeline["embeddings"]), "--hidden-dim", "4",
+                 "--epochs", "1", *(["--variant", "NPD"] if command == "train"
+                                    else ["--variants", "LSTM", "--seeds", "1"])]
     code = main([command, *args, *extra])
     captured = capsys.readouterr()
     assert code == 1
@@ -761,8 +773,8 @@ def test_bad_size_option_exits_1(mini_pipeline, tmp_path, monkeypatch, capsys, c
 def test_one_location_corpus_exits_1_before_embeddings(mini_pipeline, tmp_path, monkeypatch,
                                                        capsys, header):
     """The location discriminator needs 2 classes or more: train and ablate
-    reject a one-location corpus, naming it, before they read or train any
-    embedding; embed, which reads no label, accepts it."""
+    reject a one-location corpus, naming it, before they read the
+    embeddings; embed, which reads no label, accepts it."""
     posts, _ = load_with_meta(str(mini_pipeline["corpus"]))
     path = tmp_path / "one.jsonl"
     save(str(path), [dataclasses.replace(p, location=0) for p in posts], m=1 if header else None)
@@ -770,15 +782,35 @@ def test_one_location_corpus_exits_1_before_embeddings(mini_pipeline, tmp_path, 
                  "--embed-dim", "4", "--embed-epochs", "1"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(text, "load_embeddings", lambda *a: pytest.fail("embeddings read"))
-    monkeypatch.setattr(text, "train_skipgram", lambda *a: pytest.fail("skip-gram ran"))
     out = tmp_path / "out"
-    for argv in (["train", "--embeddings", str(mini_pipeline["embeddings"]), "--variant", "LSTM"],
-                 ["ablate", "--variants", "LSTM", "--seeds", "0"]):
-        code = main([*argv, "--corpus", str(path), "--out", str(out)])
+    for argv in (["train", "--variant", "LSTM"], ["ablate", "--variants", "LSTM", "--seeds", "0"]):
+        code = main([*argv, "--corpus", str(path), "--embeddings", str(mini_pipeline["embeddings"]),
+                     "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1, argv[0]
         assert captured.err == f"error: {path}: location count m must be >= 2, got 1\n"
         assert "FAILED" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--variant", "LSTM"],
+                                  ["ablate", "--variants", "LSTM", "--seeds", "0"]],
+                         ids=lambda argv: argv[0])
+def test_tokenizer_mismatch_exits_1_naming_the_inputs(mini_pipeline, tmp_path, monkeypatch,
+                                                      capsys, argv):
+    """Embeddings made with --tokenizer char hold no whitespace token of the
+    corpus: train and ablate at the default tokenizer stop before training,
+    naming the embeddings, the corpus and the tokenizer."""
+    corpus, emb, out = str(mini_pipeline["corpus"]), str(tmp_path / "char.txt"), tmp_path / "out"
+    assert main(["embed", "--corpus", corpus, "--out", emb, "--tokenizer", "char",
+                 "--embed-dim", "4", "--embed-epochs", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, argv[0], lambda *a, **k: pytest.fail(f"{argv[0]} ran"))
+    code = main([*argv, "--corpus", corpus, "--embeddings", emb, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {emb}: no token of the training split of {corpus} is in the embedding "
+        "vocabulary under --tokenizer whitespace; tokenize as npd embed did\n")
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,7 @@ from npd.evaluation import (
     format_report_table,
     seed_mean_average_f1,
 )
-from npd.model import VARIANT_NAMES, ForwardResult, ModelDims
+from npd.model import VARIANT_NAMES, ForwardResult, ModelDims, Wiring
 from npd.training import TrainingConfig, ablate, train
 
 from test_model import VOCAB, make_post, small_model
@@ -57,6 +57,7 @@ class StubModel:
         self.probs = np.asarray(probs_by_post, dtype=np.float64)  # [n x 5]
         self.row = {id(post): i for i, post in enumerate(posts)}
         self.variant = "LSTM"
+        self.wiring = Wiring(False, False, False, False, False)  # LSTM's: no discriminator
         self.manifest = {"seed": 0}
 
     def forward(self, batch, train_mode=False):
