@@ -99,19 +99,29 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 def _add_rows(table: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     """table[idx[k]] += vals[k] for every k, repeated rows accumulating.
 
-    Bit-identical to np.add.at(table, idx, vals), and about four times
-    faster on skip-gram's updates, which scatter at most 512 rows per call
-    (at d = 100): the scatter runs through one flat element index, and
-    ufunc.at applies its indices in order, so each element receives its
-    additions in the same k order in both forms. vals has shape
-    idx.shape + (d,).
+    Bit-identical to np.add.at(table, idx, vals): the scatter runs through
+    one flat index over the table's elements, and ufunc.at applies its
+    indices in order, so each element receives its additions in the same k
+    order in both forms. When the row width d is even, the table and vals
+    are viewed as complex128, d/2 pairs of float64 per row: a complex add
+    is two independent float64 adds, so the bytes are the same (NaN, inf
+    and -0.0 included) with half the ufunc.at steps and index entries. A
+    view reads bytes as they are, so table and vals must be float64, and
+    vals has shape idx.shape + (d,).
     """
     if not table.flags.c_contiguous:
         # reshape would return a copy, and the update would be lost
         raise ContractError(f"_add_rows: table must be C-contiguous, got strides {table.strides}")
+    if table.dtype != np.float64 or vals.dtype != np.float64:
+        raise ContractError(f"_add_rows: table and vals must be float64, got {table.dtype} "
+                            f"and {vals.dtype}")
     d = table.shape[1]
-    flat = idx.reshape(-1, 1) * d + np.arange(d)
-    np.add.at(table.reshape(-1), flat.reshape(-1), vals.reshape(-1))
+    if vals.shape != idx.shape + (d,):
+        raise DimensionError(f"_add_rows: vals must have shape {idx.shape + (d,)}, "
+                             f"got {vals.shape}")
+    unit, per_row = (np.complex128, d // 2) if d % 2 == 0 else (np.float64, d)
+    flat = idx.reshape(-1, 1) * per_row + np.arange(per_row)
+    np.add.at(table.reshape(-1).view(unit), flat.reshape(-1), vals.reshape(-1).view(unit))
 
 
 def sigmoid(x: Node) -> Node:

@@ -12,10 +12,11 @@ reads before it writes: each block gathers and scores its negative rows
 and adds its share to the center rows' gradient; then the context rows'
 update, each block's negative update in block order and the center rows'
 update go through autodiff._add_rows (np.add.at over one flat element
-index). The blocks are consecutive runs of the flattened (pair, negative)
-order in which np.add.at applies updates, so the table is bit-for-bit the
-one a single whole-chunk update gives. Everything is deterministic given
-a seed.
+index, which at an even embed_dim views the rows as complex128 pairs so
+each step adds two float64). The blocks are consecutive runs of the
+flattened (pair, negative) order in which np.add.at applies updates, so the
+table is bit-for-bit the one a single whole-chunk update gives. Everything
+is deterministic given a seed.
 
 An embedding file is read with one np.loadtxt pass over all its values,
 fed one checked line at a time, so no Python float() runs per value and

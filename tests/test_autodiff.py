@@ -524,8 +524,10 @@ def test_every_public_function_has_a_caller_in_the_package():
 
 def test_ufunc_at_only_inside_add_rows():
     """Every scatter in the package goes through ad._add_rows, whose flat index
-    is bit-identical to a row-wise np.add.at and several times faster; a new
-    np.<ufunc>.at call elsewhere would bring the slow row-wise form back."""
+    (over complex128 pairs when the row width is even, so each ufunc.at step
+    adds two float64) is bit-identical to a row-wise np.add.at and several
+    times faster; a new np.<ufunc>.at call elsewhere would bring the slow
+    row-wise form back."""
     calls, inside = [], []
     for path in sorted(Path(ad.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -648,18 +650,21 @@ class TestLstmSeq:
         for k in range(6):
             assert_grad_close(nodes[k].grad, numeric_grad(lambda v: f(k, v), arrays[k]))
 
-    @pytest.mark.parametrize("lengths", [[1, 6, 13, 30], [5, 1, 9, 5, 9]],
-                             ids=["ascending", "unsorted-ties"])
-    def test_distinct_ids_match_per_pair_table(self, lengths):
+    @pytest.mark.parametrize("lengths, e", [([1, 6, 13, 30], 3), ([5, 1, 9, 5, 9], 3),
+                                            ([1, 6, 13, 30], 4), ([5, 1, 9, 5, 9], 4)],
+                             ids=["ascending", "unsorted-ties",
+                                  "ascending-even-width", "unsorted-ties-even-width"])
+    def test_distinct_ids_match_per_pair_table(self, lengths, e):
         """Projecting each distinct id once changes no bit: on ids with many
         repeats, lstm_seq over a [V x e] table gives the outputs and the wx,
         b, wh, h0 and c0 gradients of the per-pair table (table[ids],
         arange(L)), and the table's gradient is the per-pair gradients
-        summed into their ids' rows."""
-        _, params, packing = lstm_inputs(lengths, hd=4, seed=70)
+        summed into their ids' rows, whether _add_rows scatters float64
+        elements (odd e) or complex128 pairs (even e)."""
+        _, params, packing = lstm_inputs(lengths, hd=4, seed=70, e=e)
         rng = np.random.default_rng(71)
         L = len(packing.post)
-        table = rng.standard_normal((8, 3))
+        table = rng.standard_normal((8, e))
         ids = rng.integers(1, 7, size=L)  # at most 6 distinct ids; rows 0 and 7 unused
         probe = linear_probe((L, 4), seed=72)
 

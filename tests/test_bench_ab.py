@@ -1,5 +1,6 @@
-"""tools/bench_ab.py: compare() on hand-made parent/change runs, and the per-run
-fault counts on a stub benchmark command."""
+"""tools/bench_ab.py: compare() on hand-made parent/change runs, the per-run
+fault counts on a stub benchmark command, and the quality record on a stub
+tests/desk.py."""
 
 import importlib.util
 import json
@@ -90,9 +91,31 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
 """
 
 
-def stub_checkout(path, mib):
+# A stub desk config, scored by the file "shift" in its checkout; a run's error
+# says whether BLAS was pinned to one thread when it ran.
+STUB_DESK = """
+import os
+from types import SimpleNamespace
+from npd.blas import THREAD_VARS
+SYNTH, NULL = 0.5, 0.25
+def ablate(synth, variants, seeds):
+    shift = float(open("shift").read())
+    pinned = all(os.environ[var] == "1" for var in THREAD_VARS)
+    return [SimpleNamespace(variant=v, seed=s, f1=[synth, shift], average_f1=synth + shift + s,
+                            error=None if pinned else "unpinned") for v in variants for s in seeds]
+"""
+BLAS = Path(__file__).resolve().parents[1] / "src" / "npd" / "blas.py"
+
+
+def stub_checkout(path, mib, shift=0.0):
     path.mkdir()
     (path / "mib").write_text(str(mib))
+    (path / "shift").write_text(str(shift))
+    (path / "src" / "npd").mkdir(parents=True)
+    (path / "src" / "npd" / "__init__.py").write_text("")
+    (path / "src" / "npd" / "blas.py").write_text(BLAS.read_text())
+    (path / "tests").mkdir()
+    (path / "tests" / "desk.py").write_text(STUB_DESK)
     (path / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "-c", STUB], "run_seconds": 1,
         "workloads": [{"name": "w"}], "end_to_end": [metric()]}))
@@ -115,7 +138,9 @@ def test_record_holds_each_runs_faults_and_a_median_per_side(tmp_path):
     out = tmp_path / "bench.json"
     assert bench_ab.main(["--parent", str(parent), "--change", str(change),
                           "--first-seed", "1", "--out", str(out)]) == 0
-    workload = json.loads(out.read_text())["workloads"]["w"]
+    record = json.loads(out.read_text())
+    assert record["quality"]["identical"] is True
+    workload = record["workloads"]["w"]
     medians = workload["minflt_median"]
     for side in bench_ab.SIDES:
         faults = [run["minflt"] for run in workload["runs"][side]]
@@ -123,3 +148,27 @@ def test_record_holds_each_runs_faults_and_a_median_per_side(tmp_path):
         assert medians[side] == statistics.median(faults)
     assert medians["parent"] - medians["change"] > 4096 - 100
     assert workload["first_side"] == list(bench_ab.SIDES) * (bench_ab.PAIRS // 2)
+
+
+def test_desk_quality_scores_every_run_with_blas_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    got = bench_ab.desk_quality(stub_checkout(tmp_path / "c", 0, shift=0.125))
+    assert sorted(got) == sorted(bench_ab.DESK_CORPORA)
+    for name, base in (("SYNTH", 0.5), ("NULL", 0.25)):
+        assert got[name] == [{"variant": v, "seed": s, "average_f1": base + 0.125 + s,
+                              "f1": [base, 0.125], "error": None}
+                             for v in bench_ab.DESK_VARIANTS for s in bench_ab.DESK_SEEDS]
+
+
+@pytest.mark.parametrize("change_shift, identical", [(0.0, True), (1e-9, False), (None, False)],
+                         ids=["same", "one-score-moved", "no-desk"])
+def test_identical_only_when_both_sides_print_the_same_scores(tmp_path, change_shift, identical):
+    parent = stub_checkout(tmp_path / "parent", 0)
+    change = stub_checkout(tmp_path / "change", 0, shift=change_shift or 0.0)
+    if change_shift is None:
+        (change / "tests" / "desk.py").unlink()
+    out = bench_ab.desk_record({"parent": parent, "change": change})
+    assert out["identical"] is identical
+    assert len(out["runs"]["parent"]["SYNTH"]) == 9
+    assert ("failed" in out["runs"]["change"]) is (change_shift is None)

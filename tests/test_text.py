@@ -12,7 +12,7 @@ import oracle
 from npd import text
 from npd.autodiff import _add_rows
 from npd.corpus import SynthConfig, synthesize
-from npd.errors import ConfigError, ContractError, DataError
+from npd.errors import ConfigError, ContractError, DataError, DimensionError
 from npd.text import (
     EmbeddingTable,
     SkipGramConfig,
@@ -170,22 +170,47 @@ class TestEpochPairs:
 
 
 class TestAddRows:
+    @pytest.mark.parametrize("offset", [0, 1], ids=["own-buffer", "8-bytes-in"])
+    @pytest.mark.parametrize("d", [7, 8, 100])  # odd: float64 elements; even: complex128 pairs
     @pytest.mark.parametrize("idx_shape", [(4000,), (800, 5)])
-    def test_bit_identical_to_row_add_at(self, idx_shape):
+    def test_bit_identical_to_row_add_at(self, idx_shape, d, offset):
         rng = np.random.default_rng(4)
-        table = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-8, 8, size=(6, 7))
+        start = rng.standard_normal((6, d)) * 10.0 ** rng.integers(-8, 8, size=(6, d))
         idx = rng.integers(0, 6, size=idx_shape)  # every row repeats hundreds of times
-        shape = idx_shape + (7,)
+        shape = idx_shape + (d,)
         vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-        ref = table.copy()
-        np.add.at(ref, idx.reshape(-1), vals.reshape(-1, 7))
+        start[:, 1] = vals[..., 1] = -0.0  # column 1 must end -0.0, not 0.0
+        start[2, 3], start[4, 0], start[5, 6] = np.nan, np.inf, -np.inf
+        pairs = rng.choice(vals.size // d, 6, replace=False)
+        vals.reshape(-1, d)[pairs, [0, 0, 0, -1, -1, -1]] = [np.nan, np.inf, -np.inf] * 2
+        buf = np.empty(6 * d + offset)
+        table = buf[offset:].reshape(6, d)  # C-contiguous, starting 8 * offset bytes in
+        table[:] = start
+        ref = start.copy()
+        np.add.at(ref, idx.reshape(-1), vals.reshape(-1, d))
         _add_rows(table, idx, vals)
         assert table.tobytes() == ref.tobytes()
+        assert np.signbit(table[:, 1]).all() and np.isnan(table).any()
 
     def test_transposed_table_rejected(self):
         table = np.zeros((3, 4)).T
         with pytest.raises(ContractError, match="C-contiguous"):
             _add_rows(table, np.array([0, 1]), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("table_dtype, vals_dtype",
+                             [(np.float64, np.int64), (np.float64, np.float32),
+                              (np.float32, np.float64)])
+    def test_other_dtypes_rejected(self, table_dtype, vals_dtype):
+        """The paired view reads bytes as they are, where np.add.at would cast."""
+        table = np.zeros((3, 4), dtype=table_dtype)
+        with pytest.raises(ContractError, match="float64"):
+            _add_rows(table, np.array([0, 1]), np.ones((2, 4), dtype=vals_dtype))
+        assert not table.any()
+
+    @pytest.mark.parametrize("vals_shape", [(2, 3), (2, 4, 1), (3, 4), (8,)])
+    def test_vals_of_another_shape_rejected(self, vals_shape):
+        with pytest.raises(DimensionError, match=r"\(2, 4\)"):
+            _add_rows(np.zeros((3, 4)), np.array([0, 1]), np.ones(vals_shape))
 
     def test_skipgram_output_unchanged_from_row_add_at(self, monkeypatch):
         rng = np.random.default_rng(12)

@@ -21,10 +21,19 @@ Each run also records ``minflt``, the minor page faults of its process (and
 of any child it waits for), and each workload the median per side: a
 throughput that moves on unchanged code can be read against the heap state
 it ran in.
+
+Before the workloads, each checkout trains once at the desk config
+(``tests/desk.py``): ``desk.ablate`` for LSTM, LSTM_ATTENTION and NPD at
+seeds 0-2 on the planted and null corpora, in one process per side with
+PYTHONPATH=src and BLAS pinned to one thread. Runs are bit-reproducible per
+seed, so one per side suffices. The record's ``quality`` key holds each
+run's test Average-F1 and per-emotion F1 by side and corpus, and whether
+both sides' are ``identical``.
 """
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -34,6 +43,26 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest the A/B protocol accepts
+DESK_CORPORA = ("SYNTH", "NULL")  # tests/desk.py's planted and null corpora
+DESK_VARIANTS = ("LSTM", "LSTM_ATTENTION", "NPD")
+DESK_SEEDS = (0, 1, 2)
+
+# Run in a checkout with PYTHONPATH=src and the corpora, variants and seeds
+# as JSON arguments. The BLAS variables are set before numpy is imported and
+# the jobs' processes inherit them: a run's scores depend on its thread count.
+DESK_SCRIPT = """
+import importlib.util, json, os, sys
+from npd.blas import THREAD_VARS
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+spec = importlib.util.spec_from_file_location("desk", "tests/desk.py")
+desk = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(desk)
+corpora, variants, seeds = map(json.loads, sys.argv[1:])
+print(json.dumps({name: [{"variant": r.variant, "seed": r.seed, "average_f1": r.average_f1,
+                          "f1": r.f1, "error": r.error}
+                         for r in desk.ablate(getattr(desk, name), variants, seeds)]
+                  for name in corpora}))
+"""
 
 
 def parse_args(argv):
@@ -74,6 +103,27 @@ def run_once(checkout: Path, command: list, workload: str, seed: int, seconds) -
             "failed": result["failed"], "environment": env,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "stderr_tail": out.stderr.strip().splitlines()[-3:] if out.returncode else []}
+
+
+def desk_quality(checkout: Path) -> dict:
+    """Each desk-config run's test scores by corpus, or, if the process
+    printed none, the tail of its stderr under ``failed``."""
+    args = [json.dumps(values) for values in (DESK_CORPORA, DESK_VARIANTS, DESK_SEEDS)]
+    out = subprocess.run([sys.executable, "-c", DESK_SCRIPT, *args], cwd=checkout,
+                         env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
+    try:
+        return json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"failed": out.stderr.strip().splitlines()[-3:]}
+
+
+def desk_record(checkouts: dict) -> dict:
+    """Both sides' desk-config scores, and whether every side printed them
+    and all are the same."""
+    runs = {side: desk_quality(path) for side, path in checkouts.items()}
+    texts = {json.dumps(r) for r in runs.values()}  # as text, the NaN of a failed run equals itself
+    return {"variants": DESK_VARIANTS, "seeds": DESK_SEEDS, "runs": runs,
+            "identical": len(texts) == 1 and not any("failed" in r for r in runs.values())}
 
 
 def summary(values: list) -> dict:
@@ -120,6 +170,9 @@ def main(argv=None) -> int:
               "first_seed": args.first_seed,
               "checkouts": {side: git_ids(path) for side, path in checkouts.items()},
               "workloads": {}}
+    record["quality"] = desk_record(checkouts)
+    print(f"quality identical={record['quality']['identical']}", file=sys.stderr, flush=True)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     environments = set()
     for k, workload in enumerate(names):
         runs = {side: [] for side in SIDES}
