@@ -172,7 +172,6 @@ def main(argv=None) -> int:
               "workloads": {}}
     record["quality"] = desk_record(checkouts)
     print(f"quality identical={record['quality']['identical']}", file=sys.stderr, flush=True)
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
     environments = set()
     for k, workload in enumerate(names):
         runs = {side: [] for side in SIDES}
