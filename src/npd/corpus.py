@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (COUNT, FINITE, FLAG, FRACTION, LOCATIONS, NONNEGATIVE_INT, PROBABILITY,
-                     ConfigError, DataError, at_least, check, check_fields, one_of, optional)
+                     ConfigError, DataError, at_least, check, check_fields, one_of)
 from .seeding import RANDOM_UNIT, SEED, RawSampler, substream
 from .text import TOKENIZER_MODES, read_lines, tokenize
 
@@ -30,18 +30,6 @@ TRAIN_FRAC = 0.7  # split's default share of the posts in the training pool
 
 # emotion prevalence in the reference annotation statistics, kept as defaults
 _DEFAULT_PREVALENCE = (2915 / 11157, 2454 / 11157, 153 / 11157, 601 / 11157, 359 / 11157)
-
-
-def _is_number_list(x) -> bool:
-    """A JSON list, nested or not, of finite numbers: no bools, strings,
-    nulls or ragged nesting."""
-    if not isinstance(x, list):
-        return False
-    try:
-        arr = np.array(x)
-    except ValueError:  # ragged
-        return False
-    return arr.dtype.kind in "iuf" and bool(np.all(np.isfinite(arr)))
 
 
 @dataclass
@@ -152,8 +140,6 @@ class SynthConfig:
     times (1 + gender_tilt*s_g + location_tilt*s_l), where s_g is +1 for
     the emotion's preferred gender and -1 otherwise, and s_l is +1 for the
     preferred location and -1/(m-1) otherwise, so marginals stay on target.
-    An explicit `correlation` table (emotions x genders x locations of
-    multipliers) overrides the tilts.
 
     When attribute_conditioned_markers is set, an emotion marker token is
     drawn from the (emotion, author-attribute-value) cell, so the token
@@ -173,7 +159,6 @@ class SynthConfig:
     gender_tilt: float = 0.5
     location_tilt: float = 0.5
     attribute_conditioned_markers: bool = True
-    correlation: list | None = None
     prevalence: tuple = _DEFAULT_PREVALENCE
     min_len: int = 8
     max_len: int = 25
@@ -186,7 +171,6 @@ class SynthConfig:
         "gender_marker_prob": PROBABILITY, "location_marker_prob": PROBABILITY,
         "emotion_marker_prob": PROBABILITY, "gender_tilt": FINITE, "location_tilt": FINITE,
         "attribute_conditioned_markers": FLAG,
-        "correlation": optional((("be a list of finite numbers", _is_number_list),)),
         "prevalence": ((f"be {len(EMOTIONS)} numbers in [0, 1]",
                         lambda v: isinstance(v, (list, tuple)) and len(v) == len(EMOTIONS)
                         and all(ok(t) for t in v for _, ok in PROBABILITY)),),
@@ -231,18 +215,13 @@ class SynthConfig:
     def correlation_table(self) -> np.ndarray:
         """[5 x 2 x m] conditional emotion probabilities given (gender, location)."""
         m = self.m_locations
-        if self.correlation is not None:
-            mult = np.asarray(self.correlation, dtype=np.float64)
-            if mult.shape != (len(EMOTIONS), 2, m):
-                raise ConfigError(f"correlation table must have shape (5, 2, {m})")
-        else:
-            mult = np.ones((len(EMOTIONS), 2, m))
-            for j in range(len(EMOTIONS)):
-                pref_g = j % 2
-                pref_l = j % m
-                sg = np.where(np.arange(2) == pref_g, 1.0, -1.0)
-                sl = np.where(np.arange(m) == pref_l, 1.0, -1.0 / (m - 1))
-                mult[j] = 1.0 + self.gender_tilt * sg[:, None] + self.location_tilt * sl[None, :]
+        mult = np.ones((len(EMOTIONS), 2, m))
+        for j in range(len(EMOTIONS)):
+            pref_g = j % 2
+            pref_l = j % m
+            sg = np.where(np.arange(2) == pref_g, 1.0, -1.0)
+            sl = np.where(np.arange(m) == pref_l, 1.0, -1.0 / (m - 1))
+            mult[j] = 1.0 + self.gender_tilt * sg[:, None] + self.location_tilt * sl[None, :]
         return np.asarray(self.prevalence)[:, None, None] * mult
 
     def validate(self):
@@ -265,10 +244,6 @@ class SynthConfig:
         if np.any(table < 0.0) or np.any(table > 1.0):
             raise ConfigError("prevalence targets unsatisfiable: conditional "
                               "probabilities leave [0, 1] under the correlation table")
-        targets = np.asarray(self.prevalence)
-        if np.any(np.abs(table.mean(axis=(1, 2)) - targets) > 1e-9 + 1e-6 * targets):
-            raise ConfigError("prevalence targets unsatisfiable: correlation table "
-                              "multipliers do not average to 1 over uniform attributes")
 
 
 def synthesize(cfg: SynthConfig) -> list[Post]:

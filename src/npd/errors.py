@@ -29,11 +29,7 @@ class DataError(NpdError, ValueError):
 
 
 class DivergenceError(NpdError, RuntimeError):
-    """Training produced a non-finite loss; carries the offending tensor name."""
-
-    def __init__(self, message: str, tensor_name: str = ""):
-        super().__init__(message)
-        self.tensor_name = tensor_name
+    """Training produced a non-finite value; the message names the offending tensor."""
 
 
 INTEGER = ("be an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool))

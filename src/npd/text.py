@@ -281,7 +281,7 @@ def train_skipgram(corpus: list[list[int]], vocab_size: int, cfg: SkipGramConfig
     diverged = ~np.isfinite(w_in).all(axis=1)
     if diverged.any():
         raise DivergenceError(f"skip-gram diverged: {int(diverged.sum())} of {vocab_size} "
-                              f"embedding rows are not finite", tensor_name="embedding")
+                              f"embedding rows are not finite")
     return EmbeddingTable(w_in)
 
 

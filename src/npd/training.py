@@ -218,9 +218,7 @@ def train(train_posts: list[TokenizedPost], dev_posts: list[TokenizedPost],
             j_y, j_g, j_l, j = batch_losses(model, fwd, batch, cfg)
             if not np.isfinite(j.value):
                 bad = _first_nonfinite(j, param_names)
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}; first bad tensor: {bad}",
-                    tensor_name=bad)
+                raise DivergenceError(f"non-finite loss at epoch {epoch}; first bad tensor: {bad}")
             ad.backward(j)
             clip_global_norm(model.params, cfg.grad_clip)
             opt.step()

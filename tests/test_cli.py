@@ -554,8 +554,7 @@ BAD_SYNTH_CONFIGS = [
     (b'{"gender_tilt": Infinity}', "gender_tilt must be a finite number, got inf"),
     (b'{"attribute_conditioned_markers": 1}',
      "attribute_conditioned_markers must be true or false, got 1"),
-    (b'{"correlation": "none"}', "correlation must be a list of finite numbers, got 'none'"),
-    (b'{"correlation": [[1.0, 1.0], [1.0]]}', "correlation must be a list of finite numbers"),
+    (b'{"correlation": [[1.0, 1.0], [1.0, 1.0]]}', "unknown SynthConfig field 'correlation'"),
     (b'{"n_posts": -5}', "n_posts must be >= 1, got -5"),
     (b'{"gender_marker_prob": 2}', "gender_marker_prob must be in [0, 1], got 2"),
     (b'{"min_len": 9, "max_len": 3}', "min_len must be <= max_len 3, got 9"),

@@ -194,10 +194,8 @@ GOLDEN_CORPORA = [
     ("unconditioned markers",
      SynthConfig(n_posts=300, attribute_conditioned_markers=False, seed=3),
      "8a4e2db320209864f19fb4c1ea16794179b30ecdeee442671ee7cc219da2d32b"),
-    ("explicit correlation",
-     SynthConfig(n_posts=300, m_locations=3, seed=4,
-                 correlation=[[[1.5, 0.5, 1.0], [0.5, 1.5, 1.0]]] * len(EMOTIONS)),
-     "8b8561885fd29147c73f84a40b993543d328dacab12ae923093fd20432acbdb3"),
+    ("three locations", SynthConfig(n_posts=300, m_locations=3, seed=4),
+     "019093d7dcd1170eb5b2d8b5f93905124e8e7e70085ae43c51a6485773131ba9"),
     ("fixed length", SynthConfig(n_posts=300, min_len=12, max_len=12, seed=5),
      "530aad6133b3b191c557387089771985565ff95a17c9a4e03b0a09b8a2617e4b"),
 ]
@@ -317,6 +315,30 @@ class TestSynthesize:
         with pytest.raises(ConfigError, match=re.escape(named)):
             SynthConfig(**fields).validate()
 
+    # a valid value other than the default for every SynthConfig field
+    KNOB_VALUES = {
+        "n_posts": 41, "m_locations": 3, "neutral_tokens": 50,
+        "markers_per_attribute_value": 3, "emotion_markers_per_cell": 3,
+        "gender_marker_prob": 0.3, "location_marker_prob": 0.3, "emotion_marker_prob": 0.6,
+        "gender_tilt": 0.2, "location_tilt": 0.2, "attribute_conditioned_markers": False,
+        "prevalence": (0.5, 0.1, 0.1, 0.1, 0.1), "min_len": 5, "max_len": 30,
+        "zipf_exponent": 2.0, "seed": 1,
+    }
+
+    def test_every_field_changes_the_corpus(self):
+        """No SynthConfig field is a dead knob: each one, moved off its
+        default, changes a 40-post corpus. A new field must join
+        KNOB_VALUES."""
+        def drawn(**fields):
+            posts = synthesize(SynthConfig(**{"n_posts": 40, **fields}))
+            return [(p.text, sorted(p.emotions), p.gender, p.location) for p in posts]
+
+        names = [f.name for f in dataclasses.fields(SynthConfig)]
+        assert sorted(names) == sorted(self.KNOB_VALUES)
+        default = drawn()
+        for name in names:
+            assert drawn(**{name: self.KNOB_VALUES[name]}) != default, name
+
     def test_deterministic(self):
         a = synthesize(SynthConfig(n_posts=100, seed=13))
         b = synthesize(SynthConfig(n_posts=100, seed=13))
@@ -326,9 +348,9 @@ class TestSynthesize:
     @pytest.mark.parametrize("case, cfg, digest", GOLDEN_CORPORA,
                              ids=[case for case, _, _ in GOLDEN_CORPORA])
     def test_golden_bytes(self, tmp_path, case, cfg, digest):
-        path = tmp_path / "c.jsonl"
-        save(path, synthesize(cfg), m=cfg.m_locations)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        for posts in (synthesize(cfg), reference_synthesize(cfg)):
+            got = saved_bytes(tmp_path, posts, cfg.m_locations)
+            assert hashlib.sha256(got).hexdigest() == digest
 
     def test_prevalence_marginals(self):
         cfg = SynthConfig(n_posts=6000, seed=21)

@@ -406,8 +406,8 @@ class TestTrainLoop:
                   dims=ModelDims(hidden_dim=4))
         # the frozen embeddings enter the graph as one constant, the whole
         # [V x e] table, which lstm_seq gathers from
-        assert caught.value.tensor_name == f"const[{emb.shape[0]}, {emb.shape[1]}]"
-        assert caught.value.tensor_name in str(caught.value)
+        assert str(caught.value).endswith(
+            f"first bad tensor: const[{emb.shape[0]}, {emb.shape[1]}]")
 
     def test_empty_train_split_rejected(self):
         rng = np.random.default_rng(14)
@@ -432,7 +432,7 @@ class TestTrainLoop:
 @pytest.fixture(scope="module")
 def desk_splits():
     """A 600-post synthetic corpus, its seed-0 split and a random [V x 20]
-    embedding table, small enough that the clip never fires below."""
+    embedding table, small enough that the default clip never fires below."""
     cfg = corpus.SynthConfig(n_posts=600, seed=0)
     posts = corpus.synthesize(cfg)
     vocab = text.build_vocab([text.tokenize(p.text) for p in posts], 2000)
@@ -449,16 +449,30 @@ IDENTITIES = [
     (("LSTM_ATTRIBUTES", {"lambda2": 0.0, "lambda3": 0.0}, {}), "LSTM"),
     (("NPD", {"lambda2": 0.0, "lambda3": 0.0}, {}), "LSTM_ATTENTION"),
 ]
+IDENTITY_IDS = ["NPD-rev0", "ADVERSARIAL-rev0", "ATTRIBUTES-lambda0", "NPD-lambda0"]
+# At lambda_rev 0 the discriminators still get gradient from J_g and J_l,
+# and the clip's one norm over every partition lets it shrink the encoder
+# and head update (ROADMAP item 12). At lambda2 = lambda3 = 0 their
+# gradient is 0 and leaves the norm alone
+CLIP_COUPLED = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 12: the global clip norm counts the discriminators' "
+    "gradient, so at lambda_rev 0 it couples them to the encoder and heads")
+DEFAULT_CLIP = TrainingConfig().grad_clip
+CLIP_CASES = [pytest.param(*case, DEFAULT_CLIP, id=name)
+              for case, name in zip(IDENTITIES, IDENTITY_IDS)]
+CLIP_CASES += [pytest.param(*case, 0.5, id=f"{name}-clip0.5",
+                            marks=[CLIP_COUPLED] if name.endswith("rev0") else [])
+               for case, name in zip(IDENTITIES, IDENTITY_IDS)]
 
 
-@pytest.mark.parametrize("with_part,without", IDENTITIES,
-                         ids=["NPD-rev0", "ADVERSARIAL-rev0", "ATTRIBUTES-lambda0", "NPD-lambda0"])
-def test_ablation_identity(desk_splits, monkeypatch, with_part, without):
+@pytest.mark.parametrize("with_part,without,grad_clip", CLIP_CASES)
+def test_ablation_identity(desk_splits, monkeypatch, with_part, without, grad_clip):
     """A variant whose extra part gets no weight trains the encoder and the
     emotion heads bit for bit as the variant without that part: _param_specs
     draws the g. and l. params last, and both runs share the dropout stream.
-    The clip takes one norm over every partition, so this holds only where
-    it never fires, which the test checks."""
+    The clip takes one norm over every partition. At the default clip it
+    never fires here, which the test checks; at 0.5 it fires, and the
+    identity then holds only where the extra part's gradient is 0."""
     (train_posts, dev_posts, _), table, m = desk_splits
     norms = []
 
@@ -470,14 +484,18 @@ def test_ablation_identity(desk_splits, monkeypatch, with_part, without):
     variant, cfg_changes, dims_changes = with_part
 
     def run(variant, cfg_changes, dims_changes):
-        cfg = TrainingConfig(mu=3e-2, max_epochs=3, patience=3, seed=0, **cfg_changes)
+        cfg = TrainingConfig(mu=3e-2, max_epochs=3, patience=3, seed=0, grad_clip=grad_clip,
+                             **cfg_changes)
         dims = ModelDims(hidden_dim=16, finetune_embeddings=True, **dims_changes)
         model = train(train_posts, dev_posts, variant, cfg, table, m, dims=dims).model
         return {k: v.value for k, v in model.params.items() if k[:2] in ("f.", "y.")}
 
     got = run(variant, cfg_changes, dims_changes)
     want = run(without, {}, {})
-    assert norms and max(norms) <= TrainingConfig().grad_clip
+    if grad_clip == DEFAULT_CLIP:
+        assert norms and max(norms) <= grad_clip
+    else:
+        assert max(norms) > grad_clip
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
