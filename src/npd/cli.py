@@ -34,16 +34,16 @@ _SKIPGRAM_OPTIONS = {"--embed-dim": "embed_dim", "--window": "window",
 _TRAINING_OPTIONS = {"--l2": "l2_lambda", "--batch-size": "batch_size",
                      "--dropout": "dropout_rate", "--epochs": "max_epochs",
                      "--patience": "patience", "--grad-clip": "grad_clip"}
-_DIMS_OPTIONS = {"--hidden-dim": "hidden_dim", "--attention-dim": "attention_dim",
-                 "--head-hidden-dim": "head_hidden_dim", "--lambda-rev": "lambda_rev"}
+_DIMS_OPTIONS = {"--hidden-dim": "hidden_dim", "--lambda-rev": "lambda_rev"}
 _LAMBDAS = ("lambda1", "lambda2", "lambda3")  # the fields --lambdas sets, in order
 
 
-def _add_options(p, cls, options):
-    """Add each option with its cls field's default, typed as that default (int for None)."""
+def _add_options(p, cls, options, **helps):
+    """Add each option with its cls field's default, typed as that default, and
+    the help that helps gives for the field, if any."""
     for flag, name in options.items():
         default = getattr(cls, name)
-        p.add_argument(flag, type=int if default is None else type(default), default=default)
+        p.add_argument(flag, type=type(default), default=default, help=helps.get(name))
 
 
 def _config(cls, args, options, **fields):
@@ -67,7 +67,9 @@ def _add_train_args(p):
     p.add_argument("--lambdas", default=",".join(str(getattr(TrainingConfig, n)) for n in _LAMBDAS),
                    help="comma-separated loss weights lambda1,lambda2,lambda3")
     _add_options(p, TrainingConfig, _TRAINING_OPTIONS)
-    _add_options(p, ModelDims, _DIMS_OPTIONS)
+    _add_options(p, ModelDims, _DIMS_OPTIONS,
+                 hidden_dim="size of the LSTM state, the attention projections and the "
+                            "emotion heads' hidden layers")
     p.add_argument("--finetune-embeddings", action="store_true")
     p.add_argument("--train-frac", type=float, default=corpus_mod.TRAIN_FRAC)
 

@@ -61,11 +61,6 @@ def one_of(names) -> tuple:
     return ((f"be one of {', '.join(names)}", lambda v: v in names),)
 
 
-def optional(rule) -> tuple:
-    """rule, with None allowed."""
-    return tuple((wording, lambda v, ok=ok: v is None or ok(v)) for wording, ok in rule)
-
-
 def check(rule, name: str, value, error: type[Exception] = ConfigError) -> None:
     """Raise error('<name> must <wording>, got <value>') at the first step of
     rule that value fails."""

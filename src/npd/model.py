@@ -22,13 +22,14 @@ update. An eval-mode forward reads those parameters as constants over the
 same arrays, so its graph keeps no backward closure.
 
 Manifest fields, by writer: build_model writes the architecture (variant,
-embed_dim, hidden_dim, attention_dim, head_hidden_dim, num_locations,
-lambda_rev, finetune_embeddings), the init seed, vocab_hash and the default
-tokenizer_mode (text.TOKENIZER_MODES[0]); `npd train` adds split_seed and
-train_frac and sets tokenizer_mode to its --tokenizer. load_checkpoint
-checks each field of _MANIFEST_FIELDS by the rule of the config or function
-whose value it records, so both reject a bad value in the same words, and
-ignores other fields, such as an older file's num_emotions or corpus_size.
+embed_dim, hidden_dim, num_locations, lambda_rev, finetune_embeddings), the
+init seed, vocab_hash and the default tokenizer_mode
+(text.TOKENIZER_MODES[0]); `npd train` adds split_seed and train_frac and
+sets tokenizer_mode to its --tokenizer. load_checkpoint checks each field of
+_MANIFEST_FIELDS by the rule of the config or function whose value it
+records, so both reject a bad value in the same words, and ignores other
+fields, such as an older file's num_emotions, corpus_size, attention_dim or
+head_hidden_dim.
 
 Checkpoint layout (little-endian, documented for external readers):
   magic b"NPDC" | u32 version | u64 manifest_len | manifest JSON (UTF-8,
@@ -39,6 +40,7 @@ Checkpoint layout (little-endian, documented for external readers):
 
 import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -50,7 +52,7 @@ from . import autodiff as ad
 from .autodiff import Node
 from .corpus import EMOTIONS, TokenizedPost
 from .errors import (COUNT, FLAG, FRACTION, LOCATIONS, NONNEGATIVE, ContractError, DataError,
-                     check, check_fields, one_of, optional)
+                     check, check_fields, one_of)
 from .seeding import SEED, substream
 from .text import TOKENIZER_MODES, SkipGramConfig
 
@@ -84,17 +86,14 @@ VARIANT = one_of(VARIANT_NAMES)
 
 @dataclass
 class ModelDims:
-    """Architecture knobs; a None attention or head size means hidden_dim."""
+    """Architecture knobs. hidden_dim sizes the LSTM state, the attention
+    projections and the emotion heads' hidden layers."""
 
     hidden_dim: int = 128
-    attention_dim: int | None = None
-    head_hidden_dim: int | None = None
     lambda_rev: float = 1.0
     finetune_embeddings: bool = False
 
-    RULES = {"hidden_dim": COUNT, "attention_dim": optional(COUNT),
-             "head_hidden_dim": optional(COUNT), "lambda_rev": NONNEGATIVE,
-             "finetune_embeddings": FLAG}
+    RULES = {"hidden_dim": COUNT, "lambda_rev": NONNEGATIVE, "finetune_embeddings": FLAG}
     validate = check_fields
 
 
@@ -115,21 +114,20 @@ def _param_specs(manifest: dict, vocab_size: int) -> dict[str, tuple[tuple[int, 
     starts ("uniform", "normal", "zeros" or "embedding"), in the order the
     initialiser draws them, which is also the order of NpdModel.params."""
     wiring = _WIRING[manifest["variant"]]
-    e, h, a, hh, m = (int(manifest[key]) for key in (
-        "embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim", "num_locations"))
+    e, h, m = (int(manifest[key]) for key in ("embed_dim", "hidden_dim", "num_locations"))
     specs = {"f.lstm.wx": ((e, 4 * h), "uniform"), "f.lstm.wh": ((h, 4 * h), "uniform"),
              "f.lstm.b": ((4 * h,), "zeros"), "f.lstm.h0": ((h,), "normal"),
              "f.lstm.c0": ((h,), "normal")}
     for which, wired in (("g", wiring.gender_attention), ("l", wiring.location_attention)):
         if wired:
-            specs |= {f"f.att_{which}.w": ((h, a), "uniform"), f"f.att_{which}.b": ((a,), "zeros"),
-                      f"f.att_{which}.u": ((a,), "uniform")}
+            specs |= {f"f.att_{which}.w": ((h, h), "uniform"), f"f.att_{which}.b": ((h,), "zeros"),
+                      f"f.att_{which}.u": ((h,), "uniform")}
     if manifest["finetune_embeddings"]:
         specs["f.embed"] = ((vocab_size, e), "embedding")
     din = 2 * h if wiring.gender_attention and wiring.location_attention else h
     for j in range(len(EMOTIONS)):
-        specs |= {f"y.head{j}.w": ((din, hh), "uniform"), f"y.head{j}.b": ((hh,), "zeros"),
-                  f"y.head{j}.wo": ((hh, 2), "uniform"), f"y.head{j}.bo": ((2,), "zeros")}
+        specs |= {f"y.head{j}.w": ((din, h), "uniform"), f"y.head{j}.b": ((h,), "zeros"),
+                  f"y.head{j}.wo": ((h, 2), "uniform"), f"y.head{j}.bo": ((2,), "zeros")}
     if wiring.gender_discriminator:
         specs |= {"g.w": ((h, 1), "uniform"), "g.b": ((1,), "zeros")}
     if wiring.location_discriminator:
@@ -290,8 +288,6 @@ def build_model(variant: str, embedding: np.ndarray, num_locations: int, seed: i
         "variant": variant,
         "embed_dim": int(embedding.shape[1]),
         "hidden_dim": int(dims.hidden_dim),
-        "attention_dim": int(dims.attention_dim or dims.hidden_dim),
-        "head_hidden_dim": int(dims.head_hidden_dim or dims.hidden_dim),
         "num_locations": int(num_locations),
         "vocab_hash": vocab_hash,
         "seed": int(seed),
@@ -341,8 +337,7 @@ def _read(fh, size: int, path: str, section: str) -> bytes:
 _MANIFEST_FIELDS = {
     "variant": VARIANT,
     "embed_dim": SkipGramConfig.RULES["embed_dim"],
-    **dict.fromkeys(("hidden_dim", "attention_dim", "head_hidden_dim"),
-                    ModelDims.RULES["hidden_dim"]),  # build_model resolves a None size
+    "hidden_dim": ModelDims.RULES["hidden_dim"],
     "num_locations": LOCATIONS, "seed": SEED,
     "lambda_rev": ModelDims.RULES["lambda_rev"],
     "finetune_embeddings": ModelDims.RULES["finetune_embeddings"],
@@ -388,7 +383,11 @@ def load_checkpoint(path: str) -> NpdModel:
                 raise DataError(f"{path}: checkpoint repeats {where}")
             (ndim,) = struct.unpack("<Q", _read(fh, 8, path, f"{where} rank"))
             shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path, f"{where} dims"))
-            size = int(np.prod(shape)) if shape else 1
+            # in Python ints, so untrusted dims cannot wrap; a 0 dim would leave
+            # the others unchecked, and no tensor of a model is empty
+            size = math.prod(shape)
+            if size == 0:
+                raise DataError(f"{path}: {where} has no values, shape {shape}")
             data = np.frombuffer(_read(fh, 8 * size, path, f"{where} data"), dtype="<f8")
             if not np.all(np.isfinite(data)):
                 raise DataError(f"{path}: tensor {name!r} holds non-finite values")
@@ -401,8 +400,8 @@ def load_checkpoint(path: str) -> NpdModel:
     if set(tensors) != set(specs):
         raise DataError(f"{path}: checkpoint tensors do not match variant "
                         f"{manifest['variant']}")
-    for name, arr in tensors.items():
-        if arr.shape != specs[name][0]:
-            raise DataError(f"{path}: tensor {name} has shape {arr.shape}, "
-                            f"expected {specs[name][0]}")
+    for name, (shape, _) in specs.items():  # in the model's order: encoder first
+        if tensors[name].shape != shape:
+            raise DataError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                            f"expected {shape}")
     return NpdModel(manifest, embedding, tensors)

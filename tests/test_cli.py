@@ -479,9 +479,9 @@ def test_eval_and_predict_print_the_same_with_any_companion(mini_pipeline, tmp_p
 
 
 # what build_model writes, and what npd train adds (see npd.model's docstring)
-MANIFEST_KEYS = {"variant", "embed_dim", "hidden_dim", "attention_dim", "head_hidden_dim",
-                 "num_locations", "lambda_rev", "finetune_embeddings", "seed", "vocab_hash",
-                 "tokenizer_mode", "split_seed", "train_frac"}
+MANIFEST_KEYS = {"variant", "embed_dim", "hidden_dim", "num_locations", "lambda_rev",
+                 "finetune_embeddings", "seed", "vocab_hash", "tokenizer_mode", "split_seed",
+                 "train_frac"}
 
 
 def test_train_stamps_the_run_on_the_manifest(mini_pipeline, tmp_path, monkeypatch, capsys):
@@ -516,24 +516,65 @@ def test_train_stamps_the_run_on_the_manifest(mini_pipeline, tmp_path, monkeypat
     assert seen == {"split": (0.6, 3), "mode": "char"}
 
 
+def older_checkpoint(mini_pipeline, path, fields, resize=lambda name, arr: arr):
+    """mini_pipeline's checkpoint written to path with fields added to its
+    manifest and each tensor passed through resize(name, array)."""
+    model = load_checkpoint(str(mini_pipeline["model"]))
+    tensors = {name: node.value for name, node in model.params.items()}
+    tensors["embedding"] = model.embedding
+    write_checkpoint(path, {**model.manifest, **fields},
+                     {name: resize(name, arr) for name, arr in tensors.items()})
+
+
+def eval_and_predict(mini_pipeline, monkeypatch, capsys, path):
+    """(npd eval's report, npd predict's records) for the checkpoint at path."""
+    assert main(["eval", "--model", str(path), "--corpus", str(mini_pipeline["corpus"]),
+                 "--embeddings", str(mini_pipeline["embeddings"])]) == 0
+    report = capsys.readouterr().out
+    stdin = "\n".join(corpus_texts(mini_pipeline, 5)) + "\n"
+    return report, run_predict(monkeypatch, capsys, path, mini_pipeline["embeddings"], stdin)
+
+
 def test_checkpoint_with_dropped_fields_evaluates_unchanged(mini_pipeline, tmp_path,
                                                             monkeypatch, capsys):
     """Checkpoints written before num_emotions and corpus_size left the
     manifest still hold them; they load, evaluate and predict as before."""
-    model = load_checkpoint(str(mini_pipeline["model"]))
-    tensors = {name: node.value for name, node in model.params.items()}
-    tensors["embedding"] = model.embedding
     old = tmp_path / "old.bin"
-    write_checkpoint(old, {**model.manifest, "num_emotions": 5, "corpus_size": 150}, tensors)
-    stdin = "\n".join(corpus_texts(mini_pipeline, 5)) + "\n"
-    outputs = []
-    for path in (mini_pipeline["model"], old):
-        assert main(["eval", "--model", str(path), "--corpus", str(mini_pipeline["corpus"]),
-                     "--embeddings", str(mini_pipeline["embeddings"])]) == 0
-        report = capsys.readouterr().out
-        outputs.append((report, run_predict(monkeypatch, capsys, path,
-                                            mini_pipeline["embeddings"], stdin)))
-    assert outputs[0] == outputs[1]
+    older_checkpoint(mini_pipeline, old, {"num_emotions": 5, "corpus_size": 150})
+    assert eval_and_predict(mini_pipeline, monkeypatch, capsys, old) \
+        == eval_and_predict(mini_pipeline, monkeypatch, capsys, mini_pipeline["model"])
+
+
+def test_checkpoint_with_tied_dropped_sizes_evaluates_unchanged(mini_pipeline, tmp_path,
+                                                               monkeypatch, capsys):
+    """Checkpoints written before attention_dim and head_hidden_dim left the
+    manifest hold both, at hidden_dim unless a run set them; at hidden_dim
+    they load, evaluate and predict as before."""
+    old = tmp_path / "old.bin"
+    hidden = load_checkpoint(str(mini_pipeline["model"])).manifest["hidden_dim"]
+    older_checkpoint(mini_pipeline, old, {"attention_dim": hidden, "head_hidden_dim": hidden})
+    assert eval_and_predict(mini_pipeline, monkeypatch, capsys, old) \
+        == eval_and_predict(mini_pipeline, monkeypatch, capsys, mini_pipeline["model"])
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_with_attention_dim_off_hidden_dim_exits_1(mini_pipeline, tmp_path,
+                                                              monkeypatch, capsys, command):
+    """hidden_dim now sizes the attention projections, so a checkpoint whose
+    run set attention_dim apart from it cannot be rebuilt: a DataError that
+    names the file and the first projection's shape."""
+    path, attention = tmp_path / "att4.bin", 4
+    hidden = load_checkpoint(str(mini_pipeline["model"])).manifest["hidden_dim"]
+    older_checkpoint(mini_pipeline, path, {"attention_dim": attention, "head_hidden_dim": hidden},
+                     lambda name, arr: arr[..., :attention] if name.startswith("f.att_") else arr)
+    monkeypatch.setattr("sys.stdin", io.StringIO("a b\n"))
+    extra = ["--corpus", str(mini_pipeline["corpus"])] if command == "eval" else []
+    code = main([command, "--model", str(path),
+                 "--embeddings", str(mini_pipeline["embeddings"]), *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {path}: tensor f.att_g.w has shape ({hidden}, {attention}), "
+                            f"expected ({hidden}, {hidden})\n")
 
 
 # (bytes of a synth --config file, text the error must contain besides the
@@ -733,10 +774,7 @@ BAD_SIZE_OPTIONS = [
     ("embed", ["--seed", "4294967296"], "4294967296"),
     ("train", ["--hidden-dim", "0"], "hidden_dim"),
     ("train", ["--hidden-dim", "-3"], "hidden_dim"),
-    ("train", ["--attention-dim", "0"], "attention_dim"),
-    ("train", ["--head-hidden-dim", "0"], "head_hidden_dim"),
     ("ablate", ["--hidden-dim", "0"], "hidden_dim"),
-    ("ablate", ["--attention-dim", "0"], "attention_dim"),
     ("ablate", ["--lambda-rev", "-1"], "lambda_rev"),
     ("ablate", ["--lr", "nan"], "mu"),
     ("ablate", ["--dropout", "1"], "dropout_rate"),

@@ -117,7 +117,7 @@ class TestAttention:
                                    np.mean(states, axis=0), atol=1e-12)
 
     def test_dominant_score_takes_nearly_all_weight(self):
-        model = small_model("NPD_GENDER", hidden_dim=4, attention_dim=4)
+        model = small_model("NPD_GENDER", hidden_dim=4)
         p = model.params
         p["f.att_g.w"].value[...] = np.eye(4) * 50.0
         p["f.att_g.b"].value[...] = 0.0
@@ -292,8 +292,7 @@ class TestSimplexInvariants:
 
 class TestFullGradient:
     def test_npd_total_loss_gradcheck(self):
-        model = small_model("NPD", seed=41, embed_dim=4, hidden_dim=5,
-                            attention_dim=4, head_hidden_dim=4, m=3)
+        model = small_model("NPD", seed=41, embed_dim=4, hidden_dim=5, m=3)
         rng = np.random.default_rng(41)
         batch = [make_post(rng, n, m=3) for n in (1, 3, 7)]
         cfg = TrainingConfig(l2_lambda=0.01, dropout_rate=0.0)
@@ -467,7 +466,6 @@ SHARED_RULES = [
     ("variant", "BERT", lambda v: build_model(v, TABLE, 5, 0)),
     ("embed_dim", 0, lambda v: SkipGramConfig(embed_dim=v).validate()),
     ("hidden_dim", 0, lambda v: ModelDims(hidden_dim=v).validate()),
-    ("attention_dim", -2, lambda v: ModelDims(attention_dim=v).validate()),
     ("num_locations", 1, lambda v: build_model("LSTM", TABLE, v, 0)),
     ("seed", 2**32, lambda v: TrainingConfig(seed=v).validate()),
     ("lambda_rev", -1.0, lambda v: ModelDims(lambda_rev=v).validate()),

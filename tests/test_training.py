@@ -5,7 +5,9 @@ saddle-point sign pattern is verified by comparing gradients across
 separately built graphs.
 """
 
+import dataclasses
 import gc
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from npd.corpus import TokenizedPost
 from npd.errors import ConfigError, ContractError, DivergenceError
 from npd.evaluation import evaluate
 from npd.model import VARIANT_NAMES, ModelDims, build_model
+from npd.text import SkipGramConfig
 from npd.training import (
     AdaGrad,
     TrainingConfig,
@@ -344,9 +347,9 @@ class TestTrainLoop:
                        vocab_hash="abc")
         manifest = result.model.manifest
         assert manifest["tokenizer_mode"] == "whitespace" and "split_seed" not in manifest
-        assert set(manifest) == {"variant", "embed_dim", "hidden_dim", "attention_dim",
-                                 "head_hidden_dim", "num_locations", "lambda_rev",
-                                 "finetune_embeddings", "seed", "vocab_hash", "tokenizer_mode"}
+        assert set(manifest) == {"variant", "embed_dim", "hidden_dim", "num_locations",
+                                 "lambda_rev", "finetune_embeddings", "seed", "vocab_hash",
+                                 "tokenizer_mode"}
 
     def test_zero_attribute_weights_freeze_discriminators(self):
         rng = np.random.default_rng(8)
@@ -499,3 +502,58 @@ def test_ablation_identity(desk_splits, monkeypatch, with_part, without, grad_cl
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+# the tiny runs' settings of each config, and a valid other value for every
+# field: TrainingConfig and ModelDims key an NPD run, SkipGramConfig a
+# skip-gram run
+KNOB_BASE = {TrainingConfig: {"max_epochs": 3, "patience": 5}, ModelDims: {"hidden_dim": 4},
+             SkipGramConfig: {"embed_dim": 4, "epochs": 1}}
+KNOB_VALUES = {
+    TrainingConfig: {"mu": 0.03, "lambda1": 0.5, "lambda2": 0.5, "lambda3": 0.5,
+                     "l2_lambda": 0.1, "batch_size": 8, "dropout_rate": 0.5, "max_epochs": 2,
+                     "patience": 0, "grad_clip": 0.01, "seed": 1},
+    ModelDims: {"hidden_dim": 5, "lambda_rev": 0.0, "finetune_embeddings": True},
+    SkipGramConfig: {"embed_dim": 6, "window": 2, "negatives_per_positive": 3, "epochs": 2,
+                     "learning_rate": 0.05, "seed": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def knob_inputs():
+    """A 60-post seed-0 corpus: its encoded (train, dev) split, its posts'
+    ids for skip-gram, its location count and a random [V x 4] table."""
+    cfg = corpus.SynthConfig(n_posts=60, seed=0)
+    posts = corpus.synthesize(cfg)
+    vocab = text.build_vocab([text.tokenize(p.text) for p in posts])
+    splits = [corpus.encode(part, vocab) for part in corpus.split(posts)]
+    table = np.random.default_rng(0).normal(0.0, 0.1, size=(len(vocab), 4))
+    return splits[:2], [p.ids for p in splits[0]], cfg.m_locations, table
+
+
+def knob_run(inputs, cls, **fields):
+    """The tiny run keyed by cls, with fields set on cls's config, as a digest
+    that any change of the run changes: of NPD training's epoch log and
+    params, or of skip-gram's table."""
+    (train_posts, dev_posts), ids, m, table = inputs
+    configs = {c: c(**{**KNOB_BASE[c], **(fields if c is cls else {})}) for c in KNOB_BASE}
+    if cls is SkipGramConfig:
+        return hashlib.sha256(
+            text.train_skipgram(ids, len(table), configs[SkipGramConfig]).matrix).hexdigest()
+    result = train(train_posts, dev_posts, "NPD", configs[TrainingConfig], table, m,
+                   dims=configs[ModelDims])
+    digest = hashlib.sha256(repr(result.log).encode())
+    for _, value in sorted(result.model.state().items()):
+        digest.update(value)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("cls", list(KNOB_VALUES), ids=lambda cls: cls.__name__)
+def test_every_field_changes_the_run(knob_inputs, cls):
+    """No field of these configs is a dead knob: each one, moved off the
+    tiny run's value, changes the run. A new field must join KNOB_VALUES."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert sorted(names) == sorted(KNOB_VALUES[cls])
+    default = knob_run(knob_inputs, cls)
+    for name in names:
+        assert knob_run(knob_inputs, cls, **{name: KNOB_VALUES[cls][name]}) != default, name
